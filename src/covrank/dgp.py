@@ -16,6 +16,7 @@ use (seed, 2, r), and the disturbance uses (seed, 3, r).
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -188,6 +189,23 @@ def sample_factors_t(k: int, n: int, t_df: float, seed) -> np.ndarray:
     return g * np.sqrt((t_df - 2.0) / w)[:, None]
 
 
+@functools.lru_cache(maxsize=8)
+def _design(p: int, k: int, factor_scales: tuple, seed: int, local_null: bool):
+    """Loading matrix and, in local-null mode, the basis of its orthogonal complement.
+
+    Both depend on the master seed only, so they are built once per design
+    per process instead of once per replication. The cached arrays are
+    shared by every caller and therefore read-only.
+    """
+    a = make_loadings(p, k, factor_scales, _seed_seq(seed, _STREAM_LOADINGS))
+    a.flags.writeable = False
+    basis = None
+    if local_null:
+        basis = np.linalg.qr(a, mode="complete")[0][:, k:] if k > 0 else np.eye(p)
+        basis.flags.writeable = False
+    return a, basis
+
+
 def generate_dataset(cfg: SimulationConfig, replication: int = 0) -> np.ndarray:
     """One n x p dataset for the given configuration and replication index.
 
@@ -199,7 +217,7 @@ def generate_dataset(cfg: SimulationConfig, replication: int = 0) -> np.ndarray:
     if replication < 0:
         raise ValidationError(f"replication index must be >= 0, got {replication}")
     k, p, n = cfg.true_rank, cfg.p, cfg.n
-    a = make_loadings(p, k, cfg.factor_scales, _seed_seq(cfg.seed, _STREAM_LOADINGS))
+    a, basis = _design(p, k, cfg.factor_scales, cfg.seed, cfg.local_null_tau > 0.0)
 
     if k > 0:
         z = sample_factors_t(k, n, cfg.t_df, _seed_seq(cfg.seed, _STREAM_FACTORS, replication))
@@ -207,12 +225,7 @@ def generate_dataset(cfg: SimulationConfig, replication: int = 0) -> np.ndarray:
     else:
         x = np.zeros((n, p))
 
-    if cfg.local_null_tau > 0.0:
-        if k > 0:
-            q_full, _ = np.linalg.qr(a, mode="complete")
-            basis = q_full[:, k:]
-        else:
-            basis = np.eye(p)
+    if basis is not None:
         rng = np.random.default_rng(_seed_seq(cfg.seed, _STREAM_NOISE, replication))
         e = rng.standard_normal((n, p - k))
         x = x + math.sqrt(cfg.local_null_tau / math.sqrt(n)) * (e @ basis.T)

@@ -13,10 +13,12 @@ class NumericalError(CovrankError, RuntimeError):
     """A numerical routine failed to converge within its budget.
 
     Carries the best available estimate so callers can decide whether the
-    partial result is still usable.
+    partial result is still usable. When the failing call evaluated a stack
+    of inputs, ``index`` is the position of the lowest failing one.
     """
 
-    def __init__(self, message, *, best_estimate=None, achieved_rel_tol=None):
+    def __init__(self, message, *, best_estimate=None, achieved_rel_tol=None, index=None):
         super().__init__(message)
         self.best_estimate = best_estimate
         self.achieved_rel_tol = achieved_rel_tol
+        self.index = index

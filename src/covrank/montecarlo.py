@@ -13,7 +13,10 @@ is checked with the Kolmogorov-Smirnov distance to the uniform CDF.
 Replications are mutually independent with per-replication seed streams, so
 they may be executed by any number of workers in any order; aggregation is
 a commutative count sum and the results are identical regardless of
-scheduling.
+scheduling. Each job takes a contiguous block of replications, reduces each
+dataset to its spectrum before generating the next, and evaluates the
+block's spectra together; a replication's statistics do not depend on the
+block it lands in.
 """
 
 from __future__ import annotations
@@ -73,43 +76,73 @@ class NullSample:
     config: SimulationConfig
 
 
-def _replicate_flags(cfg: SimulationConfig, replication: int,
-                     settings: QuadratureSettings | None) -> list[bool]:
-    """Rejection flags of the steps one replication reached, in step order."""
+# Replications per job at most: a job holds one spectrum per replication
+# and the quadrature state of one block.
+_BLOCK_REPS = 256
+
+
+def _spectrum(cfg: SimulationConfig, replication: int) -> np.ndarray:
+    """Eigenvalues of one replication's sample covariance (the data die on return)."""
     data = generate_dataset(cfg, replication)
-    cov = sample_covariance(data, center=False)
-    spec = symmetric_eigen(cov)
-    result = run_sequence(spec.eigenvalues, cfg.alpha, settings=settings)
-    return [s.rejected for s in result.steps]
+    return symmetric_eigen(sample_covariance(data, center=False)).eigenvalues
 
 
-def _flags_worker(args) -> tuple[int, list[bool]]:
-    cfg, replication, settings = args
-    return replication, _replicate_flags(cfg, replication, settings)
+def _table_block(cfg: SimulationConfig, spectra: np.ndarray,
+                 settings: QuadratureSettings | None) -> tuple[np.ndarray, np.ndarray]:
+    """Per-step reach and rejection counts of one block of replications."""
+    reached = np.zeros(cfg.p - 1, dtype=np.int64)
+    rejected = np.zeros(cfg.p - 1, dtype=np.int64)
+    for result in run_sequence(spectra, cfg.alpha, settings=settings):
+        for i, step in enumerate(result.steps):
+            reached[i] += 1
+            rejected[i] += step.rejected
+    return reached, rejected
 
 
-def _null_statistic(cfg: SimulationConfig, k: int, replication: int,
-                    settings: QuadratureSettings | None) -> float:
-    data = generate_dataset(cfg, replication)
-    cov = sample_covariance(data, center=False)
-    spec = symmetric_eigen(cov)
-    return csv_statistic(spec.eigenvalues, k, scale2=None, settings=settings)
+def _null_block(cfg: SimulationConfig, spectra: np.ndarray, k: int,
+                settings: QuadratureSettings | None) -> np.ndarray:
+    return csv_statistic(spectra, k, settings=settings).statistic
 
 
-def _null_worker(args) -> tuple[int, float]:
-    cfg, k, replication, settings = args
-    return replication, _null_statistic(cfg, k, replication, settings)
+def _run_block(job):
+    """Reduce replications start..stop-1 to spectra, one dataset at a time, then
+    evaluate them together; a numeric failure is re-raised with its replication."""
+    task, cfg, start, stop, args = job
+    spectra = np.empty((stop - start, cfg.p))
+    for i in range(stop - start):
+        spectra[i] = _spectrum(cfg, start + i)
+    try:
+        return task(cfg, spectra, *args)
+    except NumericalError as exc:
+        raise NumericalError(str(exc), best_estimate=exc.best_estimate,
+                             achieved_rel_tol=exc.achieved_rel_tol,
+                             index=start + (exc.index or 0)) from exc
 
 
-def _run_indexed(worker, jobs, workers: int):
-    """Yield (index, result) pairs, optionally via a process pool."""
-    if workers <= 1:
-        for job in jobs:
-            yield worker(job)
-        return
-    chunk = max(1, len(jobs) // (workers * 4))
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        yield from pool.map(worker, jobs, chunksize=chunk)
+def _map_blocks(task, cfg: SimulationConfig, args: tuple, workers: int, what: str):
+    """Results of ``task`` on consecutive blocks of replications, in order.
+
+    Results do not depend on the blocks, so the block size only balances the
+    workers. Blocks are consumed in order and each reports its lowest
+    failing replication, so the error names the lowest failing replication
+    for any number of workers.
+    """
+    size = _BLOCK_REPS if workers <= 1 else min(_BLOCK_REPS, -(-cfg.reps // (4 * workers)))
+    jobs = [(task, cfg, start, min(start + size, cfg.reps), args)
+            for start in range(0, cfg.reps, max(1, size))]
+    try:
+        if workers <= 1:
+            yield from map(_run_block, jobs)
+        else:
+            with ProcessPoolExecutor(max_workers=workers) as pool:
+                yield from pool.map(_run_block, jobs)
+    except NumericalError as exc:
+        raise NumericalError(
+            f"replication {exc.index} failed, aborting {what}: {exc}",
+            best_estimate=exc.best_estimate,
+            achieved_rel_tol=exc.achieved_rel_tol,
+            index=exc.index,
+        ) from exc
 
 
 def run_rejection_table(cfg: SimulationConfig,
@@ -119,24 +152,14 @@ def run_rejection_table(cfg: SimulationConfig,
 
     A replication that fails numerically aborts the whole table (with its
     index attached) rather than being skipped, since silent skips would
-    bias the rates.
+    bias the rates. The index is that of the lowest failing replication.
     """
-    n_steps = cfg.p - 1
-    reached = np.zeros(n_steps, dtype=np.int64)
-    rejected = np.zeros(n_steps, dtype=np.int64)
-    jobs = [(cfg, rep, settings) for rep in range(cfg.reps)]
-    try:
-        for rep, flags in _run_indexed(_flags_worker, jobs, workers):
-            for i, flag in enumerate(flags):
-                reached[i] += 1
-                if flag:
-                    rejected[i] += 1
-    except NumericalError as exc:
-        raise NumericalError(
-            f"replication failed, aborting table: {exc}",
-            best_estimate=exc.best_estimate,
-            achieved_rel_tol=exc.achieved_rel_tol,
-        ) from exc
+    reached = np.zeros(cfg.p - 1, dtype=np.int64)
+    rejected = np.zeros(cfg.p - 1, dtype=np.int64)
+    for block_reached, block_rejected in _map_blocks(_table_block, cfg, (settings,),
+                                                     workers, "table"):
+        reached += block_reached
+        rejected += block_rejected
     return RejectionTable(config=cfg, reached=tuple(int(v) for v in reached),
                           rejected=tuple(int(v) for v in rejected))
 
@@ -149,7 +172,8 @@ def collect_null_statistics(cfg: SimulationConfig, k: int,
     Requires ``cfg.true_rank == k - 1`` (so step k is the first true null)
     and ``cfg.local_null_tau > 0``: with tau = 0 the trailing sample
     eigenvalues are exactly zero, the plug-in scale degenerates, and the
-    statistic is identically 1 rather than Unif(0,1).
+    statistic is identically 1 rather than Unif(0,1). A numeric failure
+    names the lowest failing replication.
     """
     if not 1 <= k <= cfg.p - 1:
         raise ValidationError(f"step k must be in [1, p-1={cfg.p - 1}], got {k}")
@@ -162,17 +186,8 @@ def collect_null_statistics(cfg: SimulationConfig, k: int,
             "local_null_tau must be positive: with an exactly low-rank population the "
             "plug-in scale is zero and the statistic degenerates to the constant 1"
         )
-    stats = np.empty(cfg.reps, dtype=np.float64)
-    jobs = [(cfg, k, rep, settings) for rep in range(cfg.reps)]
-    try:
-        for rep, value in _run_indexed(_null_worker, jobs, workers):
-            stats[rep] = value
-    except NumericalError as exc:
-        raise NumericalError(
-            f"replication failed, aborting null sample: {exc}",
-            best_estimate=exc.best_estimate,
-            achieved_rel_tol=exc.achieved_rel_tol,
-        ) from exc
+    blocks = list(_map_blocks(_null_block, cfg, (k, settings), workers, "null sample"))
+    stats = np.concatenate(blocks) if blocks else np.empty(0)
     return NullSample(statistics=stats, k=k, config=cfg)
 
 

@@ -15,9 +15,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NumericalError
+from .errors import NumericalError, ValidationError
 from .spectrum import sample_covariance, symmetric_eigen
-from .statistic import QuadratureSettings, csv_statistic, plug_in_scale, _check_eigenvalues
+from .statistic import QuadratureSettings, _check_eigenvalues, csv_statistic
 
 __all__ = ["StepOutcome", "SequentialResult", "run_sequence", "rank_from_data"]
 
@@ -26,9 +26,11 @@ __all__ = ["StepOutcome", "SequentialResult", "run_sequence", "rank_from_data"]
 class StepOutcome:
     """Result of one test step.
 
-    ``degenerate`` marks steps where the statistic was forced to 1 without
-    quadrature (tied lam_k = lam_{k+1}, or a plug-in scale of exactly zero
-    from an exactly low-rank trailing spectrum); such steps always accept.
+    ``degenerate`` marks steps whose statistic a rule fixed without
+    quadrature, as reported by :func:`csv_statistic`: a tie
+    lam_k == lam_{k+1}, or a plug-in scale of exactly zero (an exactly
+    low-rank trailing spectrum), gives 1 and accepts; a tie
+    lam_{k-1} == lam_k with k >= 2 gives 0 and rejects.
     """
 
     k: int
@@ -50,42 +52,67 @@ class SequentialResult:
         return f"rank estimate {self.rank_estimate} after {len(self.steps)} step(s){tail}"
 
 
-def run_sequence(eigenvalues, alpha: float,
-                 settings: QuadratureSettings | None = None) -> SequentialResult:
+def run_sequence(eigenvalues, alpha: float, settings: QuadratureSettings | None = None
+                 ) -> SequentialResult | tuple[SequentialResult, ...]:
     """Run the nested tests over k = 1..p-1 on a descending spectrum.
 
     Stops at the first step whose statistic exceeds alpha; every earlier
     step is a rejection. The plug-in scale is recomputed at each step from
     the trailing eigenvalues lam_k..lam_p.
+
+    A 2-d stack of spectra (one per row) gives a tuple with one result per
+    row. Each step is evaluated in one :func:`csv_statistic` call for the
+    rows still rejecting, and every row's result is the one it would get
+    alone. A NumericalError names the lowest failing row in ``index``.
     """
     lam = _check_eigenvalues(eigenvalues)
     alpha = float(alpha)
     if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must be in (0, 1), got {alpha}")
+        raise ValidationError(f"alpha must be in (0, 1), got {alpha}")
 
-    p = lam.shape[0]
-    steps: list[StepOutcome] = []
-    for k in range(1, p):
-        s2 = plug_in_scale(lam, k)
-        degenerate = bool(s2 == 0.0 or lam[k - 1] == lam[k])
+    spectra = np.atleast_2d(lam)
+    rows, p = spectra.shape
+    stats = np.empty((rows, p - 1))
+    scale2 = np.empty((rows, p - 1))
+    degenerate = np.empty((rows, p - 1), dtype=bool)
+    n_steps = np.zeros(rows, dtype=np.int64)
+    failure = None
+    active = np.arange(rows)
+    k = 1
+    while k < p and active.size:
         try:
-            stat = csv_statistic(lam, k, scale2=None, settings=settings)
+            step = csv_statistic(spectra[active], k, settings=settings)
         except NumericalError as exc:
-            raise NumericalError(
-                f"step k={k}: {exc}",
-                best_estimate=exc.best_estimate,
-                achieved_rel_tol=exc.achieved_rel_tol,
-            ) from exc
-        rejected = stat <= alpha
-        steps.append(StepOutcome(k=k, statistic=stat, rejected=rejected,
-                                 scale2_used=s2, degenerate=degenerate))
-        if not rejected:
-            break
+            # A lower row may still fail at a later step: retry this step
+            # without the failing row and every row above it.
+            row = int(active[exc.index or 0])
+            failure = NumericalError(f"step k={k}: {exc}", best_estimate=exc.best_estimate,
+                                     achieved_rel_tol=exc.achieved_rel_tol, index=row)
+            failure.__cause__ = exc
+            active = active[active < row]
+            continue
+        stats[active, k - 1] = step.statistic
+        scale2[active, k - 1] = step.scale2
+        degenerate[active, k - 1] = step.degenerate
+        n_steps[active] = k
+        active = active[step.statistic <= alpha]
+        k += 1
+    if failure is not None:
+        raise failure
 
-    rank_estimate = sum(1 for s in steps if s.rejected)
-    boundary = len(steps) == p - 1 and steps[-1].rejected
-    return SequentialResult(alpha=alpha, steps=tuple(steps),
-                            rank_estimate=rank_estimate, boundary_reached=boundary)
+    results = []
+    for i in range(rows):
+        m = int(n_steps[i])
+        steps = tuple(
+            StepOutcome(k=j + 1, statistic=s, rejected=s <= alpha, scale2_used=s2, degenerate=d)
+            for j, (s, s2, d) in enumerate(zip(stats[i, :m].tolist(), scale2[i, :m].tolist(),
+                                               degenerate[i, :m].tolist()))
+        )
+        rank_estimate = sum(1 for s in steps if s.rejected)
+        boundary = m == p - 1 and steps[-1].rejected
+        results.append(SequentialResult(alpha=alpha, steps=steps, rank_estimate=rank_estimate,
+                                        boundary_reached=boundary))
+    return results[0] if lam.ndim == 1 else tuple(results)
 
 
 def rank_from_data(data, alpha: float, center: bool = False,

@@ -4,9 +4,11 @@ The statistic for step k compares the mass of
 
     f(u) = exp(-u^2 / (2 s2)) * prod_{j != k} |u^2 - lam_j^2|
 
-over the interval [lam_k, lam_{k-1}] against the mass over the wider
-interval [lam_{k+1}, lam_{k-1}], with lam_0 taken as +infinity. Values near
-0 indicate that lam_k is large relative to the trailing spectrum.
+on N = [lam_k, lam_{k-1}] with the mass on the wider interval
+[lam_{k+1}, lam_{k-1}] = M + N, where M = [lam_{k+1}, lam_k] and lam_0 is
+taken as +infinity. Both masses share the numerator integral:
+statistic = exp(log N - logaddexp(log N, log M)). Values near 0 indicate
+that lam_k is large relative to the trailing spectrum.
 
 Everything is computed in the log domain: f is a product of up to p - 1
 polynomial gap factors times a Gaussian whose scale s2 can be many orders of
@@ -14,12 +16,30 @@ magnitude below lam_1^2, so the linear-domain product overflows or
 underflows double precision long before p gets interesting. Integrals are
 therefore accumulated as log-magnitudes (floats, with ``-inf`` encoding an
 exact zero) via max-shifted exponential sums.
+
+Block evaluation. :func:`plug_in_scale`, :func:`log_integral` and
+:func:`csv_statistic` take either one spectrum (a 1-d vector) or a stack of
+spectra (a 2-d array, one spectrum per row); a single spectrum is a block of
+one on the same engine. The adaptive quadrature refines all integrals of a
+block in one loop: each round splits the worst panel of every integral that
+has not converged yet, evaluates the Gauss-Legendre nodes of all new panels
+in one array expression, and takes their coarse and fine sums in one
+reduction. The per-call cost of numpy is thus paid once per round for the
+whole block rather than once per panel.
+
+Each integral keeps its own panels, its own split budget and its own
+stopping rule, and every reduction over one integral's values runs over a
+width and in an order that the integral's own state fixes (panel totals are
+left-to-right accumulations, which trailing padding leaves unchanged). A
+row's results are therefore bit-for-bit the same whether it is evaluated
+alone or in a block of any size, beside any other rows.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -27,6 +47,7 @@ from .errors import NumericalError, ValidationError
 
 __all__ = [
     "QuadratureSettings",
+    "StepStatistics",
     "plug_in_scale",
     "log_integrand",
     "log_integral",
@@ -40,9 +61,14 @@ _NEG_INF = float("-inf")
 # vanish and its log blow down to -inf) are never evaluated.
 _COARSE_X, _COARSE_W = np.polynomial.legendre.leggauss(10)
 _FINE_X, _FINE_W = np.polynomial.legendre.leggauss(20)
-_PAIR_X = np.concatenate([_COARSE_X, _FINE_X])
-_COARSE_LOGW = np.log(_COARSE_W)
-_FINE_LOGW = np.log(_FINE_W)
+_NODES = np.concatenate([_COARSE_X, _FINE_X])
+_LOG_WEIGHTS = np.log(np.concatenate([_COARSE_W, _FINE_W]))
+_RULE_STARTS = [0, _COARSE_X.size]  # np.add.reduceat offsets of the coarse and fine sums
+
+# Gap factors evaluated by one array expression at most (256 KB per float64
+# temporary); more panels are evaluated in chunks of rows. Larger caps gain
+# little speed and raise the peak resident set.
+_MAX_FACTORS = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -72,15 +98,30 @@ class QuadratureSettings:
             raise ValidationError(f"tail_sigmas must be >= 6, got {self.tail_sigmas}")
 
 
+class StepStatistics(NamedTuple):
+    """Step-k results of :func:`csv_statistic` on a stack of spectra, one entry per row.
+
+    ``degenerate`` is True where one of the degenerate rules fixed the
+    statistic without quadrature.
+    """
+
+    statistic: np.ndarray
+    scale2: np.ndarray
+    degenerate: np.ndarray
+
+
 def _check_eigenvalues(eigenvalues) -> np.ndarray:
+    """Validated spectra: a 1-d vector, or a 2-d stack with one spectrum per row."""
     lam = np.asarray(eigenvalues, dtype=np.float64)
-    if lam.ndim != 1 or lam.shape[0] < 2:
-        raise ValidationError("eigenvalues must be a 1-d vector of length >= 2")
+    if lam.ndim not in (1, 2) or lam.shape[-1] < 2 or lam.shape[0] < 1:
+        raise ValidationError(
+            "eigenvalues must be a vector of length >= 2 or a non-empty 2-d stack of such rows"
+        )
     if not np.all(np.isfinite(lam)):
         raise ValidationError("eigenvalues contain non-finite entries")
     if np.any(lam < 0.0):
         raise ValidationError("eigenvalues must be nonnegative")
-    if np.any(np.diff(lam) > 0.0):
+    if np.any(np.diff(lam, axis=-1) > 0.0):
         raise ValidationError("eigenvalues must be sorted in descending order")
     return lam
 
@@ -92,90 +133,172 @@ def _check_step(k: int, p: int) -> int:
     return k
 
 
-def plug_in_scale(eigenvalues, k: int) -> float:
+def _per_row(value, rows: int, name: str) -> np.ndarray:
+    """A scalar or one value per spectrum, as a length-``rows`` float array."""
+    try:
+        return np.broadcast_to(np.asarray(value, dtype=np.float64), (rows,))
+    except (TypeError, ValueError):
+        raise ValidationError(f"{name} must be a real scalar or one value per spectrum") from None
+
+
+def _check_scale(scale2, rows: int) -> np.ndarray:
+    s2 = _per_row(scale2, rows, "scale2")
+    if not np.all((s2 > 0.0) & np.isfinite(s2)):
+        raise ValidationError(f"scale2 must be a positive finite real, got {scale2}")
+    return s2
+
+
+def plug_in_scale(eigenvalues, k: int) -> float | np.ndarray:
     """Trailing-eigenvalue noise-scale estimator ``sum_{j>=k} lam_j^2 / (p (p-k+1))``.
 
     Zero is a legal output (an exactly low-rank trailing spectrum); callers
-    decide how to handle that degeneracy.
+    decide how to handle that degeneracy. Returns a float for one spectrum
+    and an array with one scale per row for a 2-d stack.
     """
     lam = _check_eigenvalues(eigenvalues)
-    p = lam.shape[0]
+    p = lam.shape[-1]
     k = int(k)
     if not 1 <= k <= p:
         raise ValidationError(f"k must satisfy 1 <= k <= p = {p}, got {k}")
-    tail = lam[k - 1 :]
-    return float(np.dot(tail, tail) / (p * (p - k + 1)))
+    tail = lam[..., k - 1 :]
+    s2 = (tail * tail).sum(axis=-1) / (p * (p - k + 1))
+    return float(s2) if lam.ndim == 1 else s2
 
 
-def _log_gap_product(u: np.ndarray, lam2_others: np.ndarray, inv_two_s2: float) -> np.ndarray:
-    """log f(u) for a vector of abscissas; -inf where a gap factor is zero."""
+def _log_f(u: np.ndarray, lam2_others: np.ndarray, inv_two_s2) -> np.ndarray:
+    """log f at abscissas ``u``; -inf where a gap factor is zero.
+
+    ``lam2_others`` broadcasts against ``u[..., None]`` and ``inv_two_s2``
+    against ``u``.
+    """
     u2 = u * u
-    out = -(u2 * inv_two_s2)
-    if lam2_others.shape[0]:
-        gaps = np.abs(u2[:, None] - lam2_others[None, :])
-        with np.errstate(divide="ignore"):
-            out = out + np.log(gaps).sum(axis=1)
-    return out
+    gaps = u2[..., None] - lam2_others
+    with np.errstate(divide="ignore"):
+        np.log(np.abs(gaps, out=gaps), out=gaps)
+    return gaps.sum(axis=-1) - u2 * inv_two_s2
 
 
 def log_integrand(u, eigenvalues, k: int, scale2: float):
     """Log of the step-k integrand at ``u``: ``-u^2/(2 s2) + sum_{j != k} log|u^2 - lam_j^2|``.
 
     Returns exactly ``-inf`` when u coincides with some lam_j, j != k.
-    Accepts a scalar or a 1-d array of nonnegative abscissas.
+    Accepts a scalar or a 1-d array of nonnegative abscissas and a single
+    spectrum.
     """
     lam = _check_eigenvalues(eigenvalues)
+    if lam.ndim != 1:
+        raise ValidationError("log_integrand takes a single spectrum")
     k = _check_step(k, lam.shape[0])
-    s2 = float(scale2)
-    if not (s2 > 0.0) or not math.isfinite(s2):
-        raise ValidationError(f"scale2 must be a positive finite real, got {scale2}")
+    s2 = float(_check_scale(scale2, 1)[0])
     u_arr = np.atleast_1d(np.asarray(u, dtype=np.float64))
     if np.any(u_arr < 0.0) or not np.all(np.isfinite(u_arr)):
         raise ValidationError("u must be finite and >= 0")
-    lam2_others = np.delete(lam, k - 1) ** 2
-    g = _log_gap_product(u_arr, lam2_others, 0.5 / s2)
+    g = _log_f(u_arr, np.delete(lam, k - 1) ** 2, 0.5 / s2)
     return float(g[0]) if np.isscalar(u) or np.ndim(u) == 0 else g
 
 
-def _logsumexp(values: np.ndarray) -> float:
-    m = float(np.max(values)) if values.size else _NEG_INF
-    if m == _NEG_INF:
-        return _NEG_INF
-    return m + math.log(float(np.sum(np.exp(values - m))))
+def _logsumexp(x: np.ndarray) -> np.ndarray:
+    """log sum exp over the last axis, accumulated left to right.
+
+    The sequential order makes each row's value independent of the array
+    width: trailing ``-inf`` padding adds exact zeros.
+    """
+    m = x.max(axis=-1)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        s = np.add.accumulate(np.exp(x - m[..., None]), axis=-1)[..., -1]
+        return np.where(m == _NEG_INF, _NEG_INF, m + np.log(s))
 
 
-def _logabsdiff(a: float, b: float) -> float:
-    """log |e^a - e^b| computed without leaving the log domain."""
-    if a == b:
-        return _NEG_INF
-    hi, lo = (a, b) if a > b else (b, a)
-    if lo == _NEG_INF:
-        return hi
-    return hi + math.log1p(-math.exp(lo - hi))
+def _panels(a: np.ndarray, b: np.ndarray, lam2_others: np.ndarray,
+            inv_two_s2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Fine-rule log value and log error estimate of every panel [a, b].
 
-
-class _Panel:
-    __slots__ = ("a", "b", "log_val", "log_err")
-
-    def __init__(self, a, b, log_val, log_err):
-        self.a = a
-        self.b = b
-        self.log_val = log_val
-        self.log_err = log_err
-
-
-def _make_panel(a: float, b: float, lam2_others: np.ndarray, inv_two_s2: float) -> _Panel:
+    ``a`` and ``b`` are (rows, panels), ``lam2_others`` is (rows, p - 1) and
+    ``inv_two_s2`` is (rows,). The error estimate is log |fine - coarse|.
+    Rows are evaluated in chunks of at most ``_MAX_FACTORS`` gap factors.
+    """
+    chunk = max(1, _MAX_FACTORS // (a.shape[1] * _NODES.size * lam2_others.shape[1]))
+    if a.shape[0] > chunk:
+        parts = [_panels(a[i:i + chunk], b[i:i + chunk], lam2_others[i:i + chunk],
+                         inv_two_s2[i:i + chunk]) for i in range(0, a.shape[0], chunk)]
+        return tuple(np.concatenate(x) for x in zip(*parts))
     half = 0.5 * (b - a)
-    mid = 0.5 * (a + b)
-    g = _log_gap_product(mid + half * _PAIR_X, lam2_others, inv_two_s2)
-    log_half = math.log(half)
-    coarse = _logsumexp(g[:10] + _COARSE_LOGW) + log_half
-    fine = _logsumexp(g[10:] + _FINE_LOGW) + log_half
-    return _Panel(a, b, fine, _logabsdiff(fine, coarse))
+    u = (0.5 * (a + b))[..., None] + half[..., None] * _NODES
+    g = _log_f(u, lam2_others[:, None, None, :], inv_two_s2[:, None, None]) + _LOG_WEIGHTS
+    m = g.max(axis=-1, keepdims=True)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        sums = np.add.reduceat(np.exp(g - m), _RULE_STARTS, axis=-1)
+        logs = np.where(m == _NEG_INF, _NEG_INF, m + np.log(sums)) + np.log(half)[..., None]
+        coarse, fine = logs[..., 0], logs[..., 1]
+        hi, lo = np.maximum(fine, coarse), np.minimum(fine, coarse)
+        err = np.where(hi == lo, _NEG_INF, hi + np.log1p(-np.exp(lo - hi)))
+    return fine, err
 
 
-def log_integral(lo: float, hi: float, eigenvalues, k: int, scale2: float,
-                 settings: QuadratureSettings | None = None) -> float:
+def _integrate(a: np.ndarray, b: np.ndarray, count: np.ndarray, lam2_others: np.ndarray,
+               inv_two_s2: np.ndarray, settings: QuadratureSettings
+               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Adaptive quadrature of a block of integrals, one per row.
+
+    Row i starts from the panels ``[a[i, j], b[i, j]]`` for ``j < count[i]``
+    (``a`` and ``b`` may be overlapping views; they are copied before any
+    write). Every round computes each open integral's total and error,
+    closes those within ``rel_tol`` or out of split budget, and splits the
+    worst panel of each of the rest at its midpoint. Returns the log totals,
+    the log error estimates and a flag for integrals that exhausted their
+    budget.
+    """
+    n, cap = a.shape
+    a, b, count = a.copy(), b.copy(), count.copy()
+    val, err = (np.array(x) for x in _panels(a, b, lam2_others, inv_two_s2))
+    unused = np.arange(cap) >= count[:, None]
+    val[unused] = _NEG_INF
+    err[unused] = _NEG_INF
+    splits = np.zeros(n, dtype=np.int64)
+    log_total = np.full(n, _NEG_INF)
+    log_err = np.full(n, _NEG_INF)
+    failed = np.zeros(n, dtype=bool)
+    log_rel_tol = math.log(settings.rel_tol)
+
+    live = np.arange(n)
+    while live.size:
+        total, error = _logsumexp(val[live]), _logsumexp(err[live])
+        log_total[live], log_err[live] = total, error
+        still_open = ~(error <= total + log_rel_tol)
+        spent = still_open & (splits[live] >= settings.max_subdivisions)
+        failed[live[spent]] = True
+        live = live[still_open & ~spent]
+        if not live.size:
+            break
+
+        worst = np.argmax(err[live], axis=1)
+        lo, hi = a[live, worst], b[live, worst]
+        mid = 0.5 * (lo + hi)
+        splittable = (lo < mid) & (mid < hi)
+        # Width at floating-point resolution: nothing left to refine.
+        err[live[~splittable], worst[~splittable]] = _NEG_INF
+        split, worst, lo, mid, hi = (x[splittable] for x in (live, worst, lo, mid, hi))
+        if not split.size:
+            continue
+        if count[split].max() == cap:
+            a, b, val, err = (np.concatenate([x, np.full_like(x, fill)], axis=1)
+                              for x, fill in ((a, 0.0), (b, 0.0), (val, _NEG_INF), (err, _NEG_INF)))
+            cap *= 2
+        new_val, new_err = _panels(np.stack([lo, mid], axis=1), np.stack([mid, hi], axis=1),
+                                   lam2_others[split], inv_two_s2[split])
+        # The left half replaces the split panel; the right half is appended.
+        end = count[split]
+        b[split, worst] = mid
+        val[split, worst], err[split, worst] = new_val[:, 0], new_err[:, 0]
+        a[split, end], b[split, end] = mid, hi
+        val[split, end], err[split, end] = new_val[:, 1], new_err[:, 1]
+        count[split] += 1
+        splits[split] += 1
+    return log_total, log_err, failed
+
+
+def log_integral(lo, hi, eigenvalues, k: int, scale2,
+                 settings: QuadratureSettings | None = None) -> float | np.ndarray:
     """Log of the integral of the step-k integrand over [lo, hi].
 
     ``hi`` may be ``inf``; the upper limit is then truncated at
@@ -187,74 +310,61 @@ def log_integral(lo: float, hi: float, eigenvalues, k: int, scale2: float,
     total estimated error drops below ``rel_tol`` times the integral.
 
     Returns the log-magnitude as a float; ``-inf`` encodes a zero integral
-    (empty interval).
+    (empty interval). With a 2-d stack of spectra, ``lo``, ``hi`` and
+    ``scale2`` are scalars or one value per row, and the result is an array
+    with one log-magnitude per row; each row is integrated exactly as it
+    would be alone.
 
     Raises
     ------
     NumericalError
         Split budget exhausted before reaching rel_tol. The error carries
-        ``best_estimate`` (the log value) and ``achieved_rel_tol``.
+        ``best_estimate`` (the log value) and ``achieved_rel_tol`` of the
+        lowest failing row, and that row's position in ``index``.
     """
     if settings is None:
         settings = QuadratureSettings()
     lam = _check_eigenvalues(eigenvalues)
-    k = _check_step(k, lam.shape[0])
-    s2 = float(scale2)
-    if not (s2 > 0.0) or not math.isfinite(s2):
-        raise ValidationError(f"scale2 must be a positive finite real, got {scale2}")
-    lo = float(lo)
-    hi = float(hi)
-    if not (0.0 <= lo <= hi):
+    spectra = np.atleast_2d(lam)
+    rows, p = spectra.shape
+    k = _check_step(k, p)
+    s2 = _check_scale(scale2, rows)
+    lo, hi = _per_row(lo, rows, "lo"), _per_row(hi, rows, "hi")
+    if not np.all((0.0 <= lo) & (lo <= hi)):
         raise ValidationError(f"integration limits must satisfy 0 <= lo <= hi, got [{lo}, {hi}]")
-    if math.isinf(hi):
-        hi = max(lo, float(lam[0])) + settings.tail_sigmas * math.sqrt(s2)
-    if hi <= lo:
-        return _NEG_INF
+    hi = np.where(np.isinf(hi), np.maximum(lo, spectra[:, 0]) + settings.tail_sigmas * np.sqrt(s2),
+                  hi)
 
-    lam2_others = np.delete(lam, k - 1) ** 2
+    # Panels run from lo through the eigenvalues strictly inside (lo, hi) to
+    # hi. Zero-width panels (tied eigenvalues, or lo == hi) integrate to 0.
+    others = np.delete(spectra, k - 1, axis=1)
+    inside = (others > lo[:, None]) & (others < hi[:, None])
+    count = inside.sum(axis=1) + 1
+    width = int(count.max())
+    cuts = np.sort(np.where(inside, others, hi[:, None]), axis=1)[:, :width - 1]
+    edges = np.concatenate([lo[:, None], cuts, hi[:, None]], axis=1)
+
+    lam2_others = others * others
     inv_two_s2 = 0.5 / s2
+    log_total, log_err, failed = _integrate(edges[:, :-1], edges[:, 1:], count, lam2_others,
+                                            inv_two_s2, settings)
 
-    interior = [float(v) for v in np.delete(lam, k - 1) if lo < v < hi]
-    points = sorted(set([lo, hi] + interior))
-    panels = [
-        _make_panel(points[i], points[i + 1], lam2_others, inv_two_s2)
-        for i in range(len(points) - 1)
-    ]
-
-    log_rel_tol = math.log(settings.rel_tol)
-    splits = 0
-    while True:
-        vals = np.array([p.log_val for p in panels])
-        errs = np.array([p.log_err for p in panels])
-        log_total = _logsumexp(vals)
-        log_err_total = _logsumexp(errs)
-        if log_total == _NEG_INF and log_err_total == _NEG_INF:
-            return _NEG_INF
-        if log_err_total <= log_total + log_rel_tol:
-            return log_total
-        if splits >= settings.max_subdivisions:
-            achieved = math.exp(log_err_total - log_total) if log_total > _NEG_INF else math.inf
-            raise NumericalError(
-                f"quadrature on [{lo}, {hi}] used all {settings.max_subdivisions} subdivisions "
-                f"at relative error {achieved:.3e} (target {settings.rel_tol:.3e})",
-                best_estimate=log_total,
-                achieved_rel_tol=achieved,
-            )
-        worst = int(np.argmax(errs))
-        panel = panels.pop(worst)
-        mid = 0.5 * (panel.a + panel.b)
-        if not panel.a < mid < panel.b:
-            # Width is at floating-point resolution; nothing left to refine.
-            panel.log_err = _NEG_INF
-            panels.append(panel)
-            continue
-        panels.append(_make_panel(panel.a, mid, lam2_others, inv_two_s2))
-        panels.append(_make_panel(mid, panel.b, lam2_others, inv_two_s2))
-        splits += 1
+    if failed.any():
+        i = int(np.argmax(failed))
+        with np.errstate(over="ignore"):
+            achieved = float(np.exp(log_err[i] - log_total[i]))
+        raise NumericalError(
+            f"quadrature on [{lo[i]}, {hi[i]}] used all {settings.max_subdivisions} subdivisions "
+            f"at relative error {achieved:.3e} (target {settings.rel_tol:.3e})",
+            best_estimate=float(log_total[i]),
+            achieved_rel_tol=achieved,
+            index=i,
+        )
+    return float(log_total[0]) if lam.ndim == 1 else log_total
 
 
-def csv_statistic(eigenvalues, k: int, scale2: float | None = None,
-                  settings: QuadratureSettings | None = None) -> float:
+def csv_statistic(eigenvalues, k: int, scale2=None,
+                  settings: QuadratureSettings | None = None) -> float | StepStatistics:
     """Step-k conditional singular-value statistic, a value in [0, 1].
 
     Ratio of the integrand mass on [lam_k, lam_{k-1}] to the mass on
@@ -264,13 +374,20 @@ def csv_statistic(eigenvalues, k: int, scale2: float | None = None,
     Parameters
     ----------
     eigenvalues : array_like
-        Descending, nonnegative spectrum of length p >= 2.
+        Descending, nonnegative spectrum of length p >= 2, or a 2-d stack
+        of such spectra, one per row.
     k : int
         Step index, 1 <= k <= p - 1.
-    scale2 : float, optional
-        Explicit Gaussian scale. Default (None) uses the plug-in estimator
-        :func:`plug_in_scale`. An explicit value must be > 0.
+    scale2 : float or array_like, optional
+        Explicit Gaussian scale (one per row for a stack). Default (None)
+        uses the plug-in estimator :func:`plug_in_scale`. An explicit value
+        must be > 0.
     settings : QuadratureSettings, optional
+
+    Returns
+    -------
+    float for a single spectrum; :class:`StepStatistics` for a stack, with
+    the statistic, the scale used and the degenerate flag of every row.
 
     Degenerate rules
     ----------------
@@ -280,30 +397,44 @@ def csv_statistic(eigenvalues, k: int, scale2: float | None = None,
       returns exactly 1.0 by continuity.
     - ``lam_{k-1} == lam_k`` with k >= 2: empty numerator interval; returns
       exactly 0.0.
+
+    Raises
+    ------
+    NumericalError
+        A quadrature ran out of split budget; ``index`` is the lowest
+        failing row.
     """
     lam = _check_eigenvalues(eigenvalues)
-    p = lam.shape[0]
+    spectra = np.atleast_2d(lam)
+    rows, p = spectra.shape
     k = _check_step(k, p)
-    if scale2 is None:
-        s2 = plug_in_scale(lam, k)
-    else:
-        s2 = float(scale2)
-        if not (s2 > 0.0) or not math.isfinite(s2):
-            raise ValidationError(f"explicit scale2 must be a positive finite real, got {scale2}")
+    s2 = plug_in_scale(spectra, k) if scale2 is None else _check_scale(scale2, rows)
 
-    lam_km1 = float(lam[k - 2]) if k >= 2 else math.inf
-    lam_k = float(lam[k - 1])
-    lam_kp1 = float(lam[k])
+    upper = spectra[:, k - 2] if k >= 2 else np.full(rows, math.inf)
+    lam_k, lam_next = spectra[:, k - 1], spectra[:, k]
+    accept = (lam_k == lam_next) | (s2 == 0.0)
+    reject = ~accept & (upper == lam_k)
+    degenerate = accept | reject
+    stat = np.where(reject, 0.0, 1.0)
 
-    if lam_k == lam_kp1 or s2 == 0.0:
-        return 1.0
-    if k >= 2 and lam_km1 == lam_k:
-        return 0.0
+    q = np.flatnonzero(~degenerate)
+    if q.size:
+        # N and M of one row sit next to each other, so the lowest failing
+        # integral belongs to the lowest failing row.
+        try:
+            logs = log_integral(np.column_stack([lam_k[q], lam_next[q]]).ravel(),
+                                np.column_stack([upper[q], lam_k[q]]).ravel(),
+                                np.repeat(spectra[q], 2, axis=0), k, np.repeat(s2[q], 2),
+                                settings)
+        except NumericalError as exc:
+            raise NumericalError(str(exc), best_estimate=exc.best_estimate,
+                                 achieved_rel_tol=exc.achieved_rel_tol,
+                                 index=int(q[exc.index // 2])) from exc
+        log_n = logs[0::2]
+        log_d = np.logaddexp(log_n, logs[1::2])
+        with np.errstate(invalid="ignore"):
+            stat[q] = np.where(log_d == _NEG_INF, 1.0, np.exp(log_n - log_d))
 
-    log_num = log_integral(lam_k, lam_km1, lam, k, s2, settings)
-    log_den = log_integral(lam_kp1, lam_km1, lam, k, s2, settings)
-    if log_den == _NEG_INF:
-        return 1.0
-    if log_num == _NEG_INF:
-        return 0.0
-    return min(1.0, max(0.0, math.exp(log_num - log_den)))
+    if lam.ndim == 1:
+        return float(stat[0])
+    return StepStatistics(statistic=stat, scale2=s2, degenerate=degenerate)

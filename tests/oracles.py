@@ -12,6 +12,7 @@ import math
 
 import numpy as np
 
+_CHUNK = 1 << 14  # grid nodes per pass
 
 def covariance_by_loops(x: np.ndarray, center: bool = False) -> np.ndarray:
     """(1/n) sum_i x_i x_i^T accumulated with explicit scalar loops."""
@@ -31,10 +32,14 @@ def covariance_by_loops(x: np.ndarray, center: bool = False) -> np.ndarray:
 
 
 def _log_integrand_grid(u: np.ndarray, lam2_others: np.ndarray, scale2: float) -> np.ndarray:
-    out = -(u * u) / (2.0 * scale2)
+    u2 = u * u
+    out = -u2 / (2.0 * scale2)
+    gap = np.empty_like(u)
     with np.errstate(divide="ignore"):
         for l2 in lam2_others:
-            out = out + np.log(np.abs(u * u - l2))
+            np.subtract(u2, l2, out=gap)
+            np.log(np.abs(gap, out=gap), out=gap)
+            out += gap
     return out
 
 
@@ -57,8 +62,12 @@ def midpoint_log_integral(lo: float, hi: float, eigenvalues, k: int, scale2: flo
     lam2_others = np.delete(lam, k - 1) ** 2
     h = (hi - lo) / nodes
 
-    u = lo + (np.arange(nodes, dtype=np.float64) + 0.5) * h
-    logf = _log_integrand_grid(u, lam2_others, scale2)
+    # The grid is evaluated in cache-sized chunks; every node's value is the
+    # same as in one pass over all nodes.
+    logf = np.empty(nodes)
+    for start in range(0, nodes, _CHUNK):
+        i = np.arange(start, min(start + _CHUNK, nodes), dtype=np.float64)
+        logf[start:start + i.size] = _log_integrand_grid(lo + (i + 0.5) * h, lam2_others, scale2)
     shift = float(np.max(logf))
     if not math.isfinite(shift):
         return float("-inf")

@@ -186,3 +186,24 @@ class TestGenerateDataset:
     def test_all_zero_when_rank_zero_and_no_tau(self):
         cfg = SimulationConfig(p=4, true_rank=0, n=10, reps=1, seed=0)
         assert np.array_equal(generate_dataset(cfg, 0), np.zeros((10, 4)))
+
+    @pytest.mark.parametrize("tau", [0.0, 0.4])
+    def test_design_built_once_and_cached_datasets_match_a_cold_build(self, tau, monkeypatch):
+        import covrank.dgp as dgp
+
+        cfg = SimulationConfig(p=6, true_rank=2, n=40, reps=10, local_null_tau=tau, seed=8080)
+        real = dgp.make_loadings
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(dgp, "make_loadings", counting)
+        dgp._design.cache_clear()
+        replications = (0, 1, 4, 9)
+        cached = [generate_dataset(cfg, r) for r in replications]
+        assert len(calls) == 1
+        for r, data in zip(replications, cached):
+            dgp._design.cache_clear()
+            assert generate_dataset(cfg, r).tobytes() == data.tobytes()

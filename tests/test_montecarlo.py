@@ -3,12 +3,19 @@ import pytest
 
 from covrank import (
     NullSample,
+    NumericalError,
+    QuadratureSettings,
     SimulationConfig,
     ValidationError,
     collect_null_statistics,
+    csv_statistic,
+    generate_dataset,
     ks_distance,
     ks_pvalue_approx,
     run_rejection_table,
+    run_sequence,
+    sample_covariance,
+    symmetric_eigen,
 )
 
 
@@ -110,6 +117,39 @@ class TestCollectNullStatistics:
         sample = collect_null_statistics(cfg, 2)
         assert sample.k == 2
         assert sample.statistics.shape == (15,)
+
+
+class TestNumericFailure:
+    # A relative tolerance at the rounding floor with the smallest split
+    # budget: some replications run out of splits, at step 1 or at step 2.
+    tight = QuadratureSettings(rel_tol=1e-15, max_subdivisions=8)
+    cfg = SimulationConfig(p=6, true_rank=1, n=200, reps=40, local_null_tau=1.0,
+                           factor_scales=(3.0,), seed=5)
+
+    def first_failure(self, evaluate):
+        for r in range(self.cfg.reps):
+            lam = symmetric_eigen(sample_covariance(generate_dataset(self.cfg, r),
+                                                    center=False)).eigenvalues
+            try:
+                evaluate(lam)
+            except NumericalError:
+                return r
+        pytest.fail("no replication exhausted the split budget")
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_table_names_lowest_failing_replication(self, workers):
+        expected = self.first_failure(lambda lam: run_sequence(lam, self.cfg.alpha, self.tight))
+        with pytest.raises(NumericalError, match=f"replication {expected} failed") as info:
+            run_rejection_table(self.cfg, self.tight, workers=workers)
+        assert info.value.index == expected
+        assert info.value.achieved_rel_tol > self.tight.rel_tol
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_null_sample_names_lowest_failing_replication(self, workers):
+        expected = self.first_failure(lambda lam: csv_statistic(lam, 2, settings=self.tight))
+        with pytest.raises(NumericalError, match=f"replication {expected} failed") as info:
+            collect_null_statistics(self.cfg, 2, self.tight, workers=workers)
+        assert info.value.index == expected
 
 
 class TestKsDistance:

@@ -3,6 +3,7 @@ import pytest
 
 from covrank import (
     NumericalError,
+    ValidationError,
     csv_statistic,
     rank_from_data,
     run_sequence,
@@ -62,7 +63,7 @@ class TestRunSequence:
 
     def test_alpha_validation(self):
         for bad in (0.0, 1.0, -0.2, 1.5):
-            with pytest.raises(ValueError):
+            with pytest.raises(ValidationError):
                 run_sequence([2.0, 1.0], bad)
 
     def test_quadrature_failure_is_annotated_with_step(self, monkeypatch):
@@ -74,6 +75,31 @@ class TestRunSequence:
         monkeypatch.setattr(seq, "csv_statistic", boom)
         with pytest.raises(NumericalError, match="step k=1"):
             run_sequence([3.0, 2.0, 1.0], 0.05)
+
+    def test_degenerate_flags_come_from_the_statistic(self):
+        # lam_2 == lam_3: step 2 accepts by the tie rule; evaluated on its
+        # own, step 3 would reject by the lam_{k-1} == lam_k rule.
+        lam = np.array([40.0, 3.0, 3.0, 1.0, 0.5])
+        result = run_sequence(lam, 0.05)
+        assert [s.degenerate for s in result.steps] == [False, True]
+        for step in result.steps:
+            row = csv_statistic(lam[None, :], step.k)
+            assert (step.statistic, step.scale2_used, step.degenerate) == (
+                row.statistic[0], row.scale2[0], row.degenerate[0])
+        assert csv_statistic(lam[None, :], 3).degenerate[0]
+
+    def test_stack_gives_each_row_its_own_result(self):
+        rng = np.random.default_rng(77)
+        spectra = []
+        for _ in range(9):
+            data = rng.standard_normal((80, 6)) * np.array([3.0, 2.0, 1.0, 0.1, 0.1, 0.1])
+            spectra.append(symmetric_eigen(sample_covariance(data)).eigenvalues)
+        heavy = np.array([3.0] + list(1.0 + 1e-9 * np.arange(4, -1, -1)))
+        spectra.insert(4, heavy)  # needs far more refinement rounds than its neighbours
+        spectra = np.array(spectra)
+        alone = tuple(run_sequence(lam, 0.05) for lam in spectra)
+        assert run_sequence(spectra, 0.05) == alone
+        assert run_sequence(spectra[:4], 0.05) + run_sequence(spectra[4:], 0.05) == alone
 
 
 class TestRankFromData:

@@ -14,6 +14,7 @@ from covrank import (
     log_integrand,
     plug_in_scale,
 )
+from covrank.statistic import _logsumexp
 
 from oracles import midpoint_csv_statistic, midpoint_log_integral
 
@@ -219,6 +220,79 @@ class TestCsvStatistic:
             for t in (10.0, 12.0, 16.0)
         ]
         assert max(values) - min(values) <= 1e-9
+
+
+def sample_spectra(rows: int, p: int, seed: int) -> np.ndarray:
+    """Descending spectra of sample covariances of a three-factor design."""
+    rng = np.random.default_rng(seed)
+    scales = np.array([9.0, 4.0, 2.0] + [0.05] * (p - 3))
+    out = np.empty((rows, p))
+    for i in range(rows):
+        x = rng.standard_normal((60, p)) * np.sqrt(scales)
+        out[i] = np.sort(np.linalg.eigvalsh(x.T @ x / 60))[::-1]
+    return out
+
+
+# Near-tied trailing eigenvalues: tens to hundreds of refinement rounds per step.
+HEAVY = np.array([3.0] + list(1.0 + 1e-9 * np.arange(8, -1, -1)))
+
+
+class TestBlockEvaluation:
+    def test_rows_are_bit_identical_alone_in_blocks_and_beside_heavy_rows(self):
+        spectra = sample_spectra(12, 10, seed=31)
+        spectra[4, 6] = spectra[4, 5]  # a tie: degenerate rules at steps 6 and 7
+        mixed = np.insert(spectra, [0, 3, 7, 12], HEAVY, axis=0)
+        light = np.flatnonzero(~np.all(mixed == HEAVY, axis=1))
+        for k in range(1, 10):
+            alone = [csv_statistic(lam, k) for lam in spectra]
+            flags = [bool(csv_statistic(lam[None, :], k).degenerate[0]) for lam in spectra]
+            beside_heavy = csv_statistic(mixed, k)
+            evaluations = [(beside_heavy.statistic[light], beside_heavy.degenerate[light])]
+            for size in (1, 5, 12):
+                parts = [csv_statistic(spectra[i:i + size], k) for i in range(0, 12, size)]
+                evaluations.append((np.concatenate([b.statistic for b in parts]),
+                                    np.concatenate([b.degenerate for b in parts])))
+            for statistic, degenerate in evaluations:
+                assert statistic.tolist() == alone
+                assert degenerate.tolist() == flags
+
+    def test_panel_totals_ignore_padding(self):
+        # Rows of one block share a padded panel width; a row's total must
+        # not depend on it.
+        vals = np.random.default_rng(5).normal(0.0, 3.0, (500, 13))
+        padded = np.concatenate([vals, np.full((500, 8), -np.inf)], axis=1)
+        assert np.array_equal(_logsumexp(vals), _logsumexp(padded))
+
+    def test_degenerate_flag_covers_all_three_rules(self):
+        stack = np.array([
+            [3.0, 2.0, 2.0, 1.0],  # lam_2 == lam_3: 1.0
+            [5.0, 3.0, 0.0, 0.0],  # zero plug-in scale at k = 3: 1.0
+            [3.0, 2.0, 2.0, 1.0],  # lam_2 == lam_3 at k = 3: 0.0
+            [4.0, 3.0, 2.0, 1.0],  # regular
+        ])
+        at_2, at_3 = csv_statistic(stack, 2), csv_statistic(stack, 3)
+        assert at_2.statistic[0] == 1.0 and at_2.degenerate[0]
+        assert at_3.statistic[1] == 1.0 and at_3.degenerate[1] and at_3.scale2[1] == 0.0
+        assert at_3.statistic[2] == 0.0 and at_3.degenerate[2]
+        assert 0.0 < at_3.statistic[3] < 1.0 and not at_3.degenerate[3]
+
+    def test_stacked_scale_and_integral_match_single_calls(self):
+        spectra = sample_spectra(6, 5, seed=8)
+        for k in (1, 3):
+            s2 = plug_in_scale(spectra, k)
+            assert s2.tolist() == [plug_in_scale(lam, k) for lam in spectra]
+            upper = math.inf if k == 1 else spectra[:, k - 2]
+            got = log_integral(spectra[:, k], upper, spectra, k, s2)
+            ref = [log_integral(lam[k], math.inf if k == 1 else lam[k - 2], lam, k, v)
+                   for lam, v in zip(spectra, s2)]
+            assert got.tolist() == ref
+
+    def test_budget_exhaustion_names_lowest_failing_row(self):
+        tight = QuadratureSettings(rel_tol=1e-10, max_subdivisions=8)
+        scales = np.array([1.0, 1.0, 1e-12, 1.0, 1e-12])  # rows 2 and 4 fail
+        with pytest.raises(NumericalError) as info:
+            log_integral(0.0, 0.5, np.tile([1.0, 0.9], (5, 1)), 1, scales, tight)
+        assert info.value.index == 2
 
 
 @settings(max_examples=80, deadline=None)
