@@ -39,6 +39,10 @@ THREADS_ENV_VAR = "COVRANK_THREADS"
 
 _CONFIG_FIELDS = {f.name for f in dataclasses.fields(SimulationConfig)}
 
+# utf-8-sig drops a leading byte-order mark, which would otherwise spoil the
+# first token of a CSV file and turn its first data row into a "header".
+_CSV_ENCODING = "utf-8-sig"
+
 
 class _InputError(Exception):
     """I/O or parse problem with a user-supplied file or environment value."""
@@ -87,18 +91,22 @@ def _alpha_arg(text: str) -> float:
     return value
 
 
-def _rel_tol_arg(text: str) -> float:
+def _settings_field(name: str, text: str) -> float:
+    """One ``QuadratureSettings`` field, checked against the dataclass's own bounds."""
     value = float(text)
-    if not 0.0 < value <= 1e-2:
-        raise argparse.ArgumentTypeError(f"rel-tol must be in (0, 1e-2], got {text}")
+    try:
+        QuadratureSettings(**{name: value})
+    except ValidationError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
     return value
+
+
+def _rel_tol_arg(text: str) -> float:
+    return _settings_field("rel_tol", text)
 
 
 def _tail_sigmas_arg(text: str) -> float:
-    value = float(text)
-    if value < 6.0:
-        raise argparse.ArgumentTypeError(f"tail-sigmas must be >= 6, got {text}")
-    return value
+    return _settings_field("tail_sigmas", text)
 
 
 def _default_threads() -> int | None:
@@ -191,43 +199,84 @@ def _require_file(path: str) -> str:
 def _read_data_matrix(path: str) -> np.ndarray:
     """Parse a comma-separated numeric matrix, auto-detecting one header row."""
     _require_file(path)
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.strip() for ln in fh]
-    rows = [(i + 1, ln) for i, ln in enumerate(lines) if ln]
-    if not rows:
-        raise _InputError(f"{path}: file is empty")
-
-    def parse(line: str):
-        return [float(tok) for tok in line.split(",")]
-
     try:
-        data = [parse(rows[0][1])]
-    except ValueError:
-        data = []  # header row, skip it
-        if len(rows) < 2:
-            raise _InputError(f"{path}: no numeric rows after the header") from None
-
-    width = len(data[0]) if data else None
-    for lineno, line in rows[1:]:
-        try:
-            values = parse(line)
-        except ValueError as exc:
-            raise _InputError(f"{path}: line {lineno}: {exc}") from exc
-        if width is None:
-            width = len(values)
-        elif len(values) != width:
-            raise _InputError(
-                f"{path}: line {lineno}: expected {width} fields, got {len(values)}"
-            )
-        data.append(values)
-    arr = np.asarray(data, dtype=np.float64)
-    if arr.ndim != 2 or arr.shape[0] < 2 or arr.shape[1] < 2:
+        arr = _load_rows(path)
+    except UnicodeDecodeError as exc:
+        raise _InputError(f"{path}: not UTF-8 text: {exc.reason}") from None
+    if arr.shape[0] < 2 or arr.shape[1] < 2:
         raise _InputError(
             f"{path}: need at least 2 rows and 2 columns of data, got {arr.shape}"
         )
     if not np.all(np.isfinite(arr)):
         raise _InputError(f"{path}: non-finite values in data")
     return arr
+
+
+def _parse_rows(lines) -> np.ndarray:
+    """Comma-separated float rows as an (n, width) array; ValueError on any bad row."""
+    return np.loadtxt(lines, delimiter=",", comments=None, ndmin=2, dtype=np.float64)
+
+
+def _nonblank_lines(fh):
+    for raw in fh:
+        line = raw.strip()
+        if line:
+            yield line
+
+
+def _prepend(first: str, lines):
+    yield first
+    yield from lines
+
+
+def _load_rows(path: str) -> np.ndarray:
+    """All data rows in one streamed parse; the first line is a header if it does not parse."""
+    with open(path, "r", encoding=_CSV_ENCODING) as fh:
+        lines = _nonblank_lines(fh)
+        first = next(lines, None)
+        if first is None:
+            raise _InputError(f"{path}: file is empty")
+        try:
+            _parse_rows([first])
+            header = False
+        except ValueError:
+            header = True
+            first = next(lines, None)
+            # Checked here because loadtxt only warns on an empty input.
+            if first is None:
+                raise _InputError(f"{path}: no numeric rows after the header") from None
+        try:
+            return _parse_rows(_prepend(first, lines))
+        except ValueError as exc:
+            raise _locate_parse_error(path, header, exc) from exc
+
+
+def _locate_parse_error(path: str, header: bool, exc: ValueError) -> _InputError:
+    """Line-numbered error for the first physical line that the bulk parse rejects.
+
+    Runs the same parser on one line at a time; only reached after the bulk
+    parse failed.
+    """
+    width = None
+    with open(path, "r", encoding=_CSV_ENCODING) as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.strip()
+            if not line:
+                continue
+            if header:
+                header = False
+                continue
+            try:
+                fields = _parse_rows([line]).shape[1]
+            except ValueError as err:
+                # numpy numbers the rows of its one-line input; the line number replaces that.
+                reason = str(err).replace(" at row 0,", " at")
+                return _InputError(f"{path}: line {lineno}: {reason}")
+            if width is None:
+                width = fields
+            elif fields != width:
+                return _InputError(f"{path}: line {lineno}: expected {width} fields, got {fields}")
+    return _InputError(f"{path}: {exc}")
 
 
 def _load_config(path: str, args) -> tuple[SimulationConfig, dict]:

@@ -94,8 +94,8 @@ class QuadratureSettings:
             raise ValidationError(f"rel_tol must be in (0, 1e-2], got {self.rel_tol}")
         if self.max_subdivisions < 8:
             raise ValidationError(f"max_subdivisions must be >= 8, got {self.max_subdivisions}")
-        if self.tail_sigmas < 6.0:
-            raise ValidationError(f"tail_sigmas must be >= 6, got {self.tail_sigmas}")
+        if not (6.0 <= self.tail_sigmas < math.inf):
+            raise ValidationError(f"tail_sigmas must be finite and >= 6, got {self.tail_sigmas}")
 
 
 class StepStatistics(NamedTuple):
@@ -165,17 +165,29 @@ def plug_in_scale(eigenvalues, k: int) -> float | np.ndarray:
     return float(s2) if lam.ndim == 1 else s2
 
 
-def _log_f(u: np.ndarray, lam2_others: np.ndarray, inv_two_s2) -> np.ndarray:
+def _log_f(u: np.ndarray, lam_others: np.ndarray, inv_two_s2,
+           work: np.ndarray | None = None) -> np.ndarray:
     """log f at abscissas ``u``; -inf where a gap factor is zero.
 
-    ``lam2_others`` broadcasts against ``u[..., None]`` and ``inv_two_s2``
-    against ``u``.
+    ``lam_others`` holds the p - 1 eigenvalues along its first axis, each
+    ``lam_others[j]`` broadcasting against ``u``; so does ``inv_two_s2``.
+    Each gap factor is formed as |u - lam_j| * (u + lam_j): the difference
+    is exact for u near lam_j, so near-tied eigenvalues keep full relative
+    precision, which u^2 - lam_j^2 loses to cancellation. With the gap axis
+    first, every elementwise pass and the sum over j run along the long
+    contiguous axis of ``u``. The two factors are formed in ``work`` when it
+    holds twice their number of floats.
     """
-    u2 = u * u
-    gaps = u2[..., None] - lam2_others
+    shape = np.broadcast_shapes(lam_others.shape, u.shape)
+    size = math.prod(shape)
+    if work is None or work.size < 2 * size:
+        work = np.empty(2 * size)
+    gaps = np.subtract(u, lam_others, out=work[:size].reshape(shape))
+    np.abs(gaps, out=gaps)
+    gaps *= np.add(u, lam_others, out=work[size:2 * size].reshape(shape))
     with np.errstate(divide="ignore"):
-        np.log(np.abs(gaps, out=gaps), out=gaps)
-    return gaps.sum(axis=-1) - u2 * inv_two_s2
+        np.log(gaps, out=gaps)
+    return gaps.sum(axis=0) - u * u * inv_two_s2
 
 
 def log_integrand(u, eigenvalues, k: int, scale2: float):
@@ -193,7 +205,7 @@ def log_integrand(u, eigenvalues, k: int, scale2: float):
     u_arr = np.atleast_1d(np.asarray(u, dtype=np.float64))
     if np.any(u_arr < 0.0) or not np.all(np.isfinite(u_arr)):
         raise ValidationError("u must be finite and >= 0")
-    g = _log_f(u_arr, np.delete(lam, k - 1) ** 2, 0.5 / s2)
+    g = _log_f(u_arr, np.delete(lam, k - 1)[:, None], 0.5 / s2)
     return float(g[0]) if np.isscalar(u) or np.ndim(u) == 0 else g
 
 
@@ -209,22 +221,23 @@ def _logsumexp(x: np.ndarray) -> np.ndarray:
         return np.where(m == _NEG_INF, _NEG_INF, m + np.log(s))
 
 
-def _panels(a: np.ndarray, b: np.ndarray, lam2_others: np.ndarray,
-            inv_two_s2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _panels(a: np.ndarray, b: np.ndarray, lam_others: np.ndarray,
+            inv_two_s2: np.ndarray, work: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Fine-rule log value and log error estimate of every panel [a, b].
 
-    ``a`` and ``b`` are (rows, panels), ``lam2_others`` is (rows, p - 1) and
+    ``a`` and ``b`` are (rows, panels), ``lam_others`` is (rows, p - 1) and
     ``inv_two_s2`` is (rows,). The error estimate is log |fine - coarse|.
-    Rows are evaluated in chunks of at most ``_MAX_FACTORS`` gap factors.
+    Rows are evaluated in chunks of at most ``_MAX_FACTORS`` gap factors,
+    with ``work`` as the scratch space of :func:`_log_f`.
     """
-    chunk = max(1, _MAX_FACTORS // (a.shape[1] * _NODES.size * lam2_others.shape[1]))
+    chunk = max(1, _MAX_FACTORS // (a.shape[1] * _NODES.size * lam_others.shape[1]))
     if a.shape[0] > chunk:
-        parts = [_panels(a[i:i + chunk], b[i:i + chunk], lam2_others[i:i + chunk],
-                         inv_two_s2[i:i + chunk]) for i in range(0, a.shape[0], chunk)]
+        parts = [_panels(a[i:i + chunk], b[i:i + chunk], lam_others[i:i + chunk],
+                         inv_two_s2[i:i + chunk], work) for i in range(0, a.shape[0], chunk)]
         return tuple(np.concatenate(x) for x in zip(*parts))
     half = 0.5 * (b - a)
     u = (0.5 * (a + b))[..., None] + half[..., None] * _NODES
-    g = _log_f(u, lam2_others[:, None, None, :], inv_two_s2[:, None, None]) + _LOG_WEIGHTS
+    g = _log_f(u, lam_others.T[:, :, None, None], inv_two_s2[:, None, None], work) + _LOG_WEIGHTS
     m = g.max(axis=-1, keepdims=True)
     with np.errstate(invalid="ignore", divide="ignore"):
         sums = np.add.reduceat(np.exp(g - m), _RULE_STARTS, axis=-1)
@@ -235,7 +248,7 @@ def _panels(a: np.ndarray, b: np.ndarray, lam2_others: np.ndarray,
     return fine, err
 
 
-def _integrate(a: np.ndarray, b: np.ndarray, count: np.ndarray, lam2_others: np.ndarray,
+def _integrate(a: np.ndarray, b: np.ndarray, count: np.ndarray, lam_others: np.ndarray,
                inv_two_s2: np.ndarray, settings: QuadratureSettings
                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Adaptive quadrature of a block of integrals, one per row.
@@ -243,14 +256,18 @@ def _integrate(a: np.ndarray, b: np.ndarray, count: np.ndarray, lam2_others: np.
     Row i starts from the panels ``[a[i, j], b[i, j]]`` for ``j < count[i]``
     (``a`` and ``b`` may be overlapping views; they are copied before any
     write). Every round computes each open integral's total and error,
-    closes those within ``rel_tol`` or out of split budget, and splits the
-    worst panel of each of the rest at its midpoint. Returns the log totals,
-    the log error estimates and a flag for integrals that exhausted their
-    budget.
+    closes those within ``rel_tol``, out of split budget or with no panel
+    left to split, and splits the worst panel of each of the rest at its
+    midpoint. Returns the log totals, the log error estimates and a flag for
+    integrals that closed without reaching ``rel_tol``.
     """
     n, cap = a.shape
     a, b, count = a.copy(), b.copy(), count.copy()
-    val, err = (np.array(x) for x in _panels(a, b, lam2_others, inv_two_s2))
+    # Scratch for the gap factors, shared by every round: allocated afresh per
+    # round, the allocator handed it back to the OS and page-faulted it in
+    # again each time, which made p = 10 blocks about a third slower.
+    work = np.empty(2 * _MAX_FACTORS)
+    val, err = (np.array(x) for x in _panels(a, b, lam_others, inv_two_s2, work))
     unused = np.arange(cap) >= count[:, None]
     val[unused] = _NEG_INF
     err[unused] = _NEG_INF
@@ -265,7 +282,9 @@ def _integrate(a: np.ndarray, b: np.ndarray, count: np.ndarray, lam2_others: np.
         total, error = _logsumexp(val[live]), _logsumexp(err[live])
         log_total[live], log_err[live] = total, error
         still_open = ~(error <= total + log_rel_tol)
-        spent = still_open & (splits[live] >= settings.max_subdivisions)
+        # An open row with no error estimate left has every panel at
+        # floating-point resolution (its total is NaN): nothing can close it.
+        spent = still_open & ((splits[live] >= settings.max_subdivisions) | (error == _NEG_INF))
         failed[live[spent]] = True
         live = live[still_open & ~spent]
         if not live.size:
@@ -285,7 +304,7 @@ def _integrate(a: np.ndarray, b: np.ndarray, count: np.ndarray, lam2_others: np.
                               for x, fill in ((a, 0.0), (b, 0.0), (val, _NEG_INF), (err, _NEG_INF)))
             cap *= 2
         new_val, new_err = _panels(np.stack([lo, mid], axis=1), np.stack([mid, hi], axis=1),
-                                   lam2_others[split], inv_two_s2[split])
+                                   lam_others[split], inv_two_s2[split], work)
         # The left half replaces the split panel; the right half is appended.
         end = count[split]
         b[split, worst] = mid
@@ -318,7 +337,8 @@ def log_integral(lo, hi, eigenvalues, k: int, scale2,
     Raises
     ------
     NumericalError
-        Split budget exhausted before reaching rel_tol. The error carries
+        Split budget exhausted, or nothing left to split, before reaching
+        rel_tol. The error carries
         ``best_estimate`` (the log value) and ``achieved_rel_tol`` of the
         lowest failing row, and that row's position in ``index``.
     """
@@ -344,9 +364,8 @@ def log_integral(lo, hi, eigenvalues, k: int, scale2,
     cuts = np.sort(np.where(inside, others, hi[:, None]), axis=1)[:, :width - 1]
     edges = np.concatenate([lo[:, None], cuts, hi[:, None]], axis=1)
 
-    lam2_others = others * others
     inv_two_s2 = 0.5 / s2
-    log_total, log_err, failed = _integrate(edges[:, :-1], edges[:, 1:], count, lam2_others,
+    log_total, log_err, failed = _integrate(edges[:, :-1], edges[:, 1:], count, others,
                                             inv_two_s2, settings)
 
     if failed.any():
@@ -354,8 +373,8 @@ def log_integral(lo, hi, eigenvalues, k: int, scale2,
         with np.errstate(over="ignore"):
             achieved = float(np.exp(log_err[i] - log_total[i]))
         raise NumericalError(
-            f"quadrature on [{lo[i]}, {hi[i]}] used all {settings.max_subdivisions} subdivisions "
-            f"at relative error {achieved:.3e} (target {settings.rel_tol:.3e})",
+            f"quadrature on [{lo[i]}, {hi[i]}] did not converge within {settings.max_subdivisions} "
+            f"subdivisions: relative error {achieved:.3e} (target {settings.rel_tol:.3e})",
             best_estimate=float(log_total[i]),
             achieved_rel_tol=achieved,
             index=i,

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from covrank import NumericalError
-from covrank.cli import THREADS_ENV_VAR, run_cli
+from covrank.cli import THREADS_ENV_VAR, _read_data_matrix, run_cli
 
 
 def invoke(argv):
@@ -98,13 +98,17 @@ class TestRankCommand:
         "1.0\n2.0\n3.0\n",                # single column
         "",                               # empty
         "h1,h2\n",                        # header only
+        " \n\t\n",                        # blank lines only
+        "h1,h2\n\n  \n",                  # header and blank lines
     ])
+    @pytest.mark.filterwarnings("error")
     def test_bad_inputs_exit_2(self, tmp_path, content):
         path = tmp_path / "bad.csv"
         path.write_text(content)
         code, _, err = invoke(["rank", str(path)])
         assert code == 2
         assert err.startswith("covrank: parse:")
+        assert err.count("\n") == 1
 
     def test_alpha_flag(self, rank1_csv):
         strict = json.loads(
@@ -125,12 +129,84 @@ class TestRankCommand:
     def test_out_of_range_quadrature_flags_are_usage_errors(self, rank1_csv, capsys):
         assert run_cli(["rank", str(rank1_csv), "--rel-tol", "0.5"]) == 2
         assert run_cli(["rank", str(rank1_csv), "--tail-sigmas", "2"]) == 2
+        assert run_cli(["rank", str(rank1_csv), "--tail-sigmas", "nan"]) == 2
+        assert run_cli(["rank", str(rank1_csv), "--tail-sigmas", "inf"]) == 2
         capsys.readouterr()
 
     def test_json_output_is_deterministic(self, rank1_csv):
         first = invoke(["rank", str(rank1_csv), "--format", "json"])[1]
         second = invoke(["rank", str(rank1_csv), "--format", "json"])[1]
         assert first == second
+
+
+def float_rows(text: str) -> np.ndarray:
+    """Reference reader: per-token float() on the non-blank lines, first line a
+    header when it does not parse."""
+    rows = [line.strip() for line in text.splitlines() if line.strip()]
+    try:
+        first = [[float(t) for t in rows[0].split(",")]]
+    except ValueError:
+        first = []
+    return np.array(first + [[float(t) for t in line.split(",")] for line in rows[1:]])
+
+
+class TestCsvReader:
+    def test_blank_lines_crlf_and_padding_parse_as_per_token_float(self, tmp_path):
+        text = "x,y\r\n \t \r\n 1.5 , -2 \r\n\r\n3e-3,\t4\r\n   \n+.5,6.\r\n"
+        path = tmp_path / "padded.csv"
+        path.write_bytes(text.encode())
+        got = _read_data_matrix(str(path))
+        assert got.tobytes() == float_rows(text).tobytes()
+        assert got.tolist() == [[1.5, -2.0], [3e-3, 4.0], [0.5, 6.0]]
+
+    def test_extreme_values_round_trip_bit_identical(self, tmp_path):
+        rng = np.random.default_rng(17)
+        data = rng.standard_normal((200, 100)) * 10.0 ** rng.uniform(-300, 300, (200, 100))
+        data[0, :8] = [5e-324, -5e-324, 2.2e-310, -0.0, 1.7976931348623157e308,
+                       -1.7976931348623157e308, 2.2250738585072014e-308, 1e-320]
+        text = "\n".join(",".join(repr(float(v)) for v in row) for row in data) + "\n"
+        path = tmp_path / "extreme.csv"
+        path.write_text(text)
+        got = _read_data_matrix(str(path))
+        assert got.tobytes() == float_rows(text).tobytes() == data.tobytes()
+
+    @pytest.mark.parametrize("content", ["1,2\n3,4\n5,7\n6,1\n", "a,b\n1,2\n3,4\n"])
+    def test_byte_order_mark_is_not_part_of_the_first_row(self, tmp_path, content):
+        path = tmp_path / "bom.csv"
+        path.write_text("\ufeff" + content, encoding="utf-8")
+        assert _read_data_matrix(str(path)).tobytes() == float_rows(content).tobytes()
+
+    @pytest.mark.parametrize("content, line", [
+        ("1,2\n\n3,4\n\n#5,6\n", 5),          # '#' is not a comment
+        ('1,2\n\n"3",4\n', 3),                # quoted token
+        ("1,2\n\n3,,4\n", 3),                 # empty token
+        ("1,2\n\n3,4,\n", 3),                 # trailing comma
+        ("1,2\n\n\n3\n", 4),                  # ragged row
+        ("a,b\n\n1,2\n\n1_0,2\n", 5),          # underscore-grouped digits
+        ("a,b\n1,2\n\u0663,2\n", 3),            # non-ASCII digit
+    ])
+    def test_bad_token_names_its_physical_line(self, tmp_path, content, line):
+        path = tmp_path / "bad.csv"
+        path.write_text(content, encoding="utf-8")
+        code, _, err = invoke(["rank", str(path)])
+        assert code == 2
+        assert err.startswith(f"covrank: parse: {path}: line {line}: ")
+        assert err.count("\n") == 1
+
+    def test_ragged_row_reports_expected_width(self, tmp_path):
+        path = tmp_path / "ragged.csv"
+        path.write_text("a,b,c\n1,2,3\n\n4,5\n")
+        code, _, err = invoke(["rank", str(path)])
+        assert code == 2
+        assert err == f"covrank: parse: {path}: line 4: expected 3 fields, got 2\n"
+
+    def test_non_utf8_file_is_a_parse_error(self, tmp_path):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(b"1,2\n3,4\n\xff5,6\n")
+        code, _, err = invoke(["rank", str(path)])
+        assert code == 2
+        assert err.startswith(f"covrank: parse: {path}: not UTF-8 text")
+        assert err.count("\n") == 1
 
 
 class TestSimulateCommand:

@@ -14,7 +14,7 @@ from covrank import (
     log_integrand,
     plug_in_scale,
 )
-from covrank.statistic import _logsumexp
+from covrank.statistic import _integrate, _logsumexp
 
 from oracles import midpoint_csv_statistic, midpoint_log_integral
 
@@ -85,6 +85,22 @@ class TestLogIntegrand:
             log_integrand(-0.1, [2.0, 1.0], 1, 1.0)
         with pytest.raises(ValidationError):
             log_integrand(0.5, [2.0, 1.0], 1, 0.0)
+
+    def test_near_ties_keep_full_relative_precision(self):
+        # Gap factors u^2 - lam_j^2 formed from squares lose about 1e-10 of
+        # relative precision here to cancellation.
+        mpmath = pytest.importorskip("mpmath")
+        lam = np.concatenate([[3.0], 1.0 + 1e-9 * np.arange(8.0)[::-1], [0.2]])
+        k, s2 = 3, 0.5
+        u = 1.0 + 1e-9 * np.random.default_rng(4).uniform(-1.0, 9.0, 40)
+        ours = log_integrand(u, lam, k, s2)
+        with mpmath.workdps(50):
+            for x, got in zip(u, ours):
+                x = mpmath.mpf(x)
+                exact = -x * x / (2 * mpmath.mpf(s2)) + sum(
+                    mpmath.log(abs(x * x - mpmath.mpf(v) ** 2))
+                    for j, v in enumerate(lam) if j != k - 1)
+                assert abs((got - exact) / exact) < 1e-14
 
 
 class TestLogIntegral:
@@ -287,6 +303,13 @@ class TestBlockEvaluation:
                    for lam, v in zip(spectra, s2)]
             assert got.tolist() == ref
 
+    def test_integral_with_nothing_left_to_split_fails(self):
+        # A NaN bound makes the only panel unsplittable and the total NaN;
+        # the row must close as failed instead of looping forever.
+        _, _, failed = _integrate(np.array([[0.0]]), np.array([[math.nan]]), np.array([1]),
+                                  np.array([[1.0, 0.5]]), np.array([0.5]), QuadratureSettings())
+        assert failed.tolist() == [True]
+
     def test_budget_exhaustion_names_lowest_failing_row(self):
         tight = QuadratureSettings(rel_tol=1e-10, max_subdivisions=8)
         scales = np.array([1.0, 1.0, 1e-12, 1.0, 1e-12])  # rows 2 and 4 fail
@@ -314,6 +337,8 @@ class TestQuadratureSettings:
         {"rel_tol": 0.5},
         {"max_subdivisions": 4},
         {"tail_sigmas": 2.0},
+        {"tail_sigmas": math.nan},
+        {"tail_sigmas": math.inf},
     ])
     def test_rejects_bad_settings(self, kwargs):
         with pytest.raises(ValidationError):
