@@ -30,7 +30,7 @@ from .montecarlo import (
     ks_pvalue_approx,
     run_rejection_table,
 )
-from .sequential import rank_from_data
+from .sequential import _check_alpha, rank_from_data
 from .statistic import QuadratureSettings
 
 __all__ = ["main", "run_cli"]
@@ -85,10 +85,10 @@ def _positive_int(text: str) -> int:
 
 
 def _alpha_arg(text: str) -> float:
-    value = float(text)
-    if not 0.0 < value < 1.0:
-        raise argparse.ArgumentTypeError(f"alpha must be in (0, 1), got {text}")
-    return value
+    try:
+        return _check_alpha(float(text))
+    except ValidationError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _settings_field(name: str, text: str) -> float:
@@ -284,6 +284,8 @@ def _load_config(path: str, args) -> tuple[SimulationConfig, dict]:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             raw = json.load(fh)
+        except UnicodeDecodeError as exc:
+            raise _InputError(f"{path}: not UTF-8 text: {exc.reason}") from None
         except json.JSONDecodeError as exc:
             raise _InputError(f"{path}: invalid JSON: {exc}") from exc
     if not isinstance(raw, dict):

@@ -24,6 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError, ValidationError
+from .sequential import _check_alpha
 
 __all__ = ["SimulationConfig", "make_loadings", "sample_factors_t", "generate_dataset"]
 
@@ -78,8 +79,7 @@ class SimulationConfig:
             raise ValidationError(f"n must be an integer >= 2, got {self.n}")
         if self.reps < 0:
             raise ValidationError(f"reps must be an integer >= 0, got {self.reps}")
-        if not (0.0 < self.alpha < 1.0):
-            raise ValidationError(f"alpha must be in (0, 1), got {self.alpha}")
+        _check_alpha(self.alpha)
         if not (math.isfinite(self.t_df) and self.t_df > 2.0):
             raise ValidationError(
                 f"t_df must exceed 2 (finite factor covariance), got {self.t_df}"

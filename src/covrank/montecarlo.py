@@ -17,6 +17,10 @@ scheduling. Each job takes a contiguous block of replications, reduces each
 dataset to its spectrum before generating the next, and evaluates the
 block's spectra together; a replication's statistics do not depend on the
 block it lands in.
+
+Pool workers run their BLAS single-threaded (when it is OpenBLAS), so N
+workers keep N cores busy instead of each starting the parent's BLAS thread
+pool; the in-process path leaves the BLAS threads as it finds them.
 """
 
 from __future__ import annotations
@@ -119,6 +123,55 @@ def _run_block(job):
                              index=start + (exc.index or 0)) from exc
 
 
+# Thread-count setters of the OpenBLAS builds numpy ships or links: numpy's
+# bundled scipy-openblas (64-bit integers, prefixed and suffixed symbols), then
+# a plain system OpenBLAS.
+_OPENBLAS_SET_THREADS = ("scipy_openblas_set_num_threads64_", "openblas_set_num_threads")
+
+
+def _loaded_openblas() -> list:
+    """ctypes handles of the OpenBLAS libraries mapped into this process.
+
+    Empty when none is found, e.g. under another BLAS or without ``/proc``.
+    ``ctypes`` is imported here so that importing the package does not pay for it.
+    """
+    import ctypes
+
+    try:
+        with open("/proc/self/maps", encoding="utf-8", errors="replace") as fh:
+            # Fields: address, perms, offset, device, inode, path (may hold spaces).
+            paths = {line.split(maxsplit=5)[5].rstrip("\n") for line in fh
+                     if "openblas" in line.rsplit("/", 1)[-1]}
+    except OSError:
+        return []
+    libs = []
+    for path in sorted(paths):
+        try:
+            libs.append(ctypes.CDLL(path))
+        except OSError:  # e.g. a mapping of a file since deleted
+            continue
+    return libs
+
+
+def _single_threaded_blas() -> None:
+    """Pool-worker initializer: set every loaded OpenBLAS to one thread.
+
+    A forked worker inherits the parent's BLAS thread count, so 2 workers on
+    2 cores would otherwise run 4 spinning BLAS threads. Does nothing when no
+    OpenBLAS is loaded.
+    """
+    import ctypes
+
+    for lib in _loaded_openblas():
+        for name in _OPENBLAS_SET_THREADS:
+            setter = getattr(lib, name, None)
+            if setter is not None:
+                setter.argtypes = [ctypes.c_int]
+                setter.restype = None
+                setter(1)
+                break
+
+
 def _map_blocks(task, cfg: SimulationConfig, args: tuple, workers: int, what: str):
     """Results of ``task`` on consecutive blocks of replications, in order.
 
@@ -134,7 +187,8 @@ def _map_blocks(task, cfg: SimulationConfig, args: tuple, workers: int, what: st
         if workers <= 1:
             yield from map(_run_block, jobs)
         else:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
+            with ProcessPoolExecutor(max_workers=workers,
+                                     initializer=_single_threaded_blas) as pool:
                 yield from pool.map(_run_block, jobs)
     except NumericalError as exc:
         raise NumericalError(

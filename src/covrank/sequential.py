@@ -52,6 +52,14 @@ class SequentialResult:
         return f"rank estimate {self.rank_estimate} after {len(self.steps)} step(s){tail}"
 
 
+def _check_alpha(alpha) -> float:
+    """The test level as a float; ValidationError unless it lies in (0, 1)."""
+    alpha = float(alpha)
+    if not 0.0 < alpha < 1.0:
+        raise ValidationError(f"alpha must be in (0, 1), got {alpha}")
+    return alpha
+
+
 def run_sequence(eigenvalues, alpha: float, settings: QuadratureSettings | None = None
                  ) -> SequentialResult | tuple[SequentialResult, ...]:
     """Run the nested tests over k = 1..p-1 on a descending spectrum.
@@ -66,9 +74,7 @@ def run_sequence(eigenvalues, alpha: float, settings: QuadratureSettings | None 
     alone. A NumericalError names the lowest failing row in ``index``.
     """
     lam = _check_eigenvalues(eigenvalues)
-    alpha = float(alpha)
-    if not 0.0 < alpha < 1.0:
-        raise ValidationError(f"alpha must be in (0, 1), got {alpha}")
+    alpha = _check_alpha(alpha)
 
     spectra = np.atleast_2d(lam)
     rows, p = spectra.shape

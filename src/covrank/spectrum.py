@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import NumericalError, ValidationError
 
-__all__ = ["Spectrum", "sample_covariance", "symmetric_eigen", "as_data_matrix"]
+__all__ = ["Spectrum", "sample_covariance", "symmetric_eigen"]
 
 
 @dataclass(frozen=True)

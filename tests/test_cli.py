@@ -269,6 +269,16 @@ class TestSimulateCommand:
         assert code == 2
         assert err.startswith("covrank: parse:")
 
+    @pytest.mark.parametrize("command", ["simulate", "nullcheck"])
+    def test_non_utf8_config_is_a_parse_error(self, tmp_path, command):
+        path = tmp_path / "latin1.json"
+        path.write_bytes(b'{"p": 4, "true_rank": 1, "n": 20, "reps": 2, "seed": 0, "x\xff": 1}')
+        code, out, err = invoke([command, str(path)])
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"covrank: parse: {path}: not UTF-8 text")
+        assert err.count("\n") == 1
+
     def test_missing_required_key_exits_2(self, tmp_path):
         path = tmp_path / "partial.json"
         path.write_text(json.dumps({"p": 4, "n": 20, "reps": 2}))
@@ -353,6 +363,21 @@ class TestNullcheckCommand:
         assert code == 1
         assert "true_rank" in err
 
+    def test_statistics_are_byte_identical_across_threads(self, tmp_path):
+        # Large enough that x^T x runs multi-threaded BLAS in-process, while
+        # pool workers run it single-threaded: the floats must not drift.
+        path = tmp_path / "local_null.json"
+        path.write_text(json.dumps({"p": 20, "true_rank": 2, "n": 4000, "reps": 8,
+                                    "local_null_tau": 1.0, "seed": 17}))
+        outputs = []
+        for threads in ("1", "2"):
+            code, out, _ = invoke(["nullcheck", str(path), "--include-statistics",
+                                   "--format", "json", "--threads", threads])
+            assert code == 0
+            outputs.append(out.encode())
+        assert len(json.loads(outputs[0])["statistics"]) == 8
+        assert outputs[0] == outputs[1]
+
     def test_step_key_in_config(self, tmp_path):
         path = tmp_path / "step.json"
         path.write_text(json.dumps({"p": 4, "true_rank": 0, "n": 100, "reps": 5,
@@ -374,3 +399,11 @@ class TestUsage:
     def test_bad_alpha_value_exits_2(self, rank1_csv, capsys):
         assert run_cli(["rank", str(rank1_csv), "--alpha", "2"]) == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize("value", ["0", "1", "-0.5", "nan", "inf"])
+    @pytest.mark.parametrize("command", ["rank", "simulate"])
+    def test_out_of_range_alpha_is_a_usage_error(self, rank1_csv, sim_config, capsys,
+                                                 command, value):
+        target = rank1_csv if command == "rank" else sim_config
+        assert run_cli([command, str(target), "--alpha", value]) == 2
+        assert "alpha must be in (0, 1)" in capsys.readouterr().err

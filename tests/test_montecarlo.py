@@ -1,6 +1,9 @@
+import ctypes
+
 import numpy as np
 import pytest
 
+from covrank import montecarlo
 from covrank import (
     NullSample,
     NumericalError,
@@ -150,6 +153,36 @@ class TestNumericFailure:
         with pytest.raises(NumericalError, match=f"replication {expected} failed") as info:
             collect_null_statistics(self.cfg, 2, self.tight, workers=workers)
         assert info.value.index == expected
+
+
+def _blas_threads():
+    """Thread counts of the OpenBLAS libraries loaded in this process."""
+    counts = []
+    for lib in montecarlo._loaded_openblas():
+        for name in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads"):
+            getter = getattr(lib, name, None)
+            if getter is not None:
+                getter.argtypes = []
+                getter.restype = ctypes.c_int
+                counts.append(getter())
+                break
+    return counts
+
+
+def _blas_threads_task(cfg, spectra):
+    return _blas_threads()
+
+
+class TestPoolBlasThreads:
+    def test_workers_run_blas_single_threaded_and_parent_is_unchanged(self):
+        before = _blas_threads()
+        if not before:
+            pytest.skip("no OpenBLAS loaded")
+        cfg = SimulationConfig(p=3, true_rank=1, n=10, reps=4, seed=1)
+        per_block = list(montecarlo._map_blocks(_blas_threads_task, cfg, (), 2, "probe"))
+        assert len(per_block) == 4
+        assert all(counts == [1] * len(before) for counts in per_block)
+        assert _blas_threads() == before
 
 
 class TestKsDistance:
