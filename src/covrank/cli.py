@@ -77,8 +77,17 @@ def run_cli(argv, stdout=None, stderr=None) -> int:
         return 3
 
 
+def _number(convert, text: str):
+    """``convert(text)`` for ``int`` or ``float``, a usage error when it is no number."""
+    try:
+        return convert(text)
+    except ValueError:
+        kind = "an integer" if convert is int else "a number"
+        raise argparse.ArgumentTypeError(f"must be {kind}, got {text!r}") from None
+
+
 def _positive_int(text: str) -> int:
-    value = int(text)
+    value = _number(int, text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {text}")
     return value
@@ -86,14 +95,14 @@ def _positive_int(text: str) -> int:
 
 def _alpha_arg(text: str) -> float:
     try:
-        return _check_alpha(float(text))
+        return _check_alpha(_number(float, text))
     except ValidationError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _settings_field(name: str, text: str) -> float:
     """One ``QuadratureSettings`` field, checked against the dataclass's own bounds."""
-    value = float(text)
+    value = _number(float, text)
     try:
         QuadratureSettings(**{name: value})
     except ValidationError as exc:

@@ -12,6 +12,13 @@ All randomness flows from a single 64-bit master seed through documented
 SeedSequence paths, so any replication can be regenerated independently of
 scheduling: the loading matrix uses (seed, 1), the factors of replication r
 use (seed, 2, r), and the disturbance uses (seed, 3, r).
+
+A Monte Carlo loop that generates many datasets of one shape passes
+``generate_dataset`` a workspace (``out``) of two n x p buffers and gets the
+dataset back as a view of the first, so a replication allocates no n x p
+array. A dataset is then valid only until the next call with the same
+workspace. The realized draws and the bytes of the dataset are the same with
+and without a workspace.
 """
 
 from __future__ import annotations
@@ -206,27 +213,59 @@ def _design(p: int, k: int, factor_scales: tuple, seed: int, local_null: bool):
     return a, basis
 
 
-def generate_dataset(cfg: SimulationConfig, replication: int = 0) -> np.ndarray:
+def generate_dataset(cfg: SimulationConfig, replication: int = 0, *,
+                     out: np.ndarray | None = None) -> np.ndarray:
     """One n x p dataset for the given configuration and replication index.
 
     The loading matrix is drawn once per master seed (it plays the role of
     a fixed design across replications); factors and the local-null
     disturbance get fresh streams per replication. With local_null_tau = 0
     the data lie exactly in the k-dimensional column space of A.
+
+    ``out`` is an optional workspace: a C-contiguous float64 array of shape
+    (2, n, p), or (1, n, p) when local_null_tau = 0. The dataset is written
+    into ``out[0]`` and that view is returned; ``out[1]`` is scratch for the
+    projected disturbance. Every entry of the workspace is overwritten, so
+    one workspace serves any number of calls, but each call overwrites the
+    dataset the previous one returned. Without ``out`` the returned array
+    owns its memory and no scratch outlives the call. Both ways give the same
+    bytes.
     """
     if replication < 0:
         raise ValidationError(f"replication index must be >= 0, got {replication}")
     k, p, n = cfg.true_rank, cfg.p, cfg.n
     a, basis = _design(p, k, cfg.factor_scales, cfg.seed, cfg.local_null_tau > 0.0)
+    halves = 1 if basis is None else 2
+    if out is None:
+        x = np.empty((n, p))
+        scratch = None if basis is None else np.empty((n, p))
+    else:
+        if (not isinstance(out, np.ndarray) or out.dtype != np.float64
+                or out.ndim != 3 or out.shape[0] < halves or out.shape[1:] != (n, p)
+                or not out.flags.c_contiguous or not out.flags.writeable):
+            raise ValidationError(
+                f"out must be a writeable C-contiguous float64 array of shape "
+                f"({halves}, {n}, {p}), got {getattr(out, 'shape', type(out).__name__)}"
+            )
+        x, scratch = out[0], (None if basis is None else out[1])
+
+    if basis is not None:
+        # The disturbance is drawn into x's memory; the projection moves it to
+        # the scratch half before the signal overwrites x.
+        e = x.reshape(-1)[: n * (p - k)].reshape(n, p - k)
+        rng = np.random.default_rng(_seed_seq(cfg.seed, _STREAM_NOISE, replication))
+        rng.standard_normal(out=e)
+        np.matmul(e, basis.T, out=scratch)
+        scratch *= math.sqrt(cfg.local_null_tau / math.sqrt(n))
 
     if k > 0:
         z = sample_factors_t(k, n, cfg.t_df, _seed_seq(cfg.seed, _STREAM_FACTORS, replication))
-        x = z @ a.T
+        np.matmul(z, a.T, out=x)
+        if scratch is not None:
+            x += scratch
+    elif scratch is not None:
+        # 0.0 + d, as a zero signal plus the disturbance: turns -0.0 into 0.0.
+        np.add(scratch, 0.0, out=x)
     else:
-        x = np.zeros((n, p))
-
-    if basis is not None:
-        rng = np.random.default_rng(_seed_seq(cfg.seed, _STREAM_NOISE, replication))
-        e = rng.standard_normal((n, p - k))
-        x = x + math.sqrt(cfg.local_null_tau / math.sqrt(n)) * (e @ basis.T)
+        x.fill(0.0)
     return x

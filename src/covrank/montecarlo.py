@@ -16,7 +16,8 @@ a commutative count sum and the results are identical regardless of
 scheduling. Each job takes a contiguous block of replications, reduces each
 dataset to its spectrum before generating the next, and evaluates the
 block's spectra together; a replication's statistics do not depend on the
-block it lands in.
+block it lands in. A job builds all of its datasets in one workspace, so
+no replication allocates an n x p array.
 
 Pool workers run their BLAS single-threaded (when it is OpenBLAS), so N
 workers keep N cores busy instead of each starting the parent's BLAS thread
@@ -85,9 +86,9 @@ class NullSample:
 _BLOCK_REPS = 256
 
 
-def _spectrum(cfg: SimulationConfig, replication: int) -> np.ndarray:
-    """Eigenvalues of one replication's sample covariance (the data die on return)."""
-    data = generate_dataset(cfg, replication)
+def _spectrum(cfg: SimulationConfig, replication: int, workspace: np.ndarray) -> np.ndarray:
+    """Eigenvalues of one replication's sample covariance, its data built in ``workspace``."""
+    data = generate_dataset(cfg, replication, out=workspace)
     return symmetric_eigen(sample_covariance(data, center=False)).eigenvalues
 
 
@@ -110,11 +111,16 @@ def _null_block(cfg: SimulationConfig, spectra: np.ndarray, k: int,
 
 def _run_block(job):
     """Reduce replications start..stop-1 to spectra, one dataset at a time, then
-    evaluate them together; a numeric failure is re-raised with its replication."""
+    evaluate them together; a numeric failure is re-raised with its replication.
+
+    Every dataset of the block is built in one workspace (see
+    ``generate_dataset``), allocated here and freed with the block.
+    """
     task, cfg, start, stop, args = job
+    workspace = np.empty((2 if cfg.local_null_tau > 0.0 else 1, cfg.n, cfg.p))
     spectra = np.empty((stop - start, cfg.p))
     for i in range(stop - start):
-        spectra[i] = _spectrum(cfg, start + i)
+        spectra[i] = _spectrum(cfg, start + i, workspace)
     try:
         return task(cfg, spectra, *args)
     except NumericalError as exc:
@@ -176,18 +182,19 @@ def _map_blocks(task, cfg: SimulationConfig, args: tuple, workers: int, what: st
     """Results of ``task`` on consecutive blocks of replications, in order.
 
     Results do not depend on the blocks, so the block size only balances the
-    workers. Blocks are consumed in order and each reports its lowest
-    failing replication, so the error names the lowest failing replication
-    for any number of workers.
+    workers. The pool has at most one worker per block, since with fork every
+    worker process is started up front. Blocks are consumed in order and each
+    reports its lowest failing replication, so the error names the lowest
+    failing replication for any number of workers.
     """
     size = _BLOCK_REPS if workers <= 1 else min(_BLOCK_REPS, -(-cfg.reps // (4 * workers)))
     jobs = [(task, cfg, start, min(start + size, cfg.reps), args)
             for start in range(0, cfg.reps, max(1, size))]
     try:
-        if workers <= 1:
+        if workers <= 1 or not jobs:
             yield from map(_run_block, jobs)
         else:
-            with ProcessPoolExecutor(max_workers=workers,
+            with ProcessPoolExecutor(max_workers=min(workers, len(jobs)),
                                      initializer=_single_threaded_blas) as pool:
                 yield from pool.map(_run_block, jobs)
     except NumericalError as exc:

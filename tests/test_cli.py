@@ -407,3 +407,19 @@ class TestUsage:
         target = rank1_csv if command == "rank" else sim_config
         assert run_cli([command, str(target), "--alpha", value]) == 2
         assert "alpha must be in (0, 1)" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag, value, kind", [
+        ("--alpha", "x", "a number"),
+        ("--rel-tol", "x", "a number"),
+        ("--tail-sigmas", "1e", "a number"),
+        ("--threads", "two", "an integer"),
+    ])
+    def test_non_numeric_option_is_one_usage_error(self, sim_config, capsys,
+                                                   flag, value, kind):
+        assert run_cli(["simulate", str(sim_config), flag, value]) == 2
+        err = capsys.readouterr().err
+        errors = [line for line in err.splitlines() if "error:" in line]
+        assert errors == [
+            f"covrank simulate: error: argument {flag}: must be {kind}, got {value!r}"
+        ]
+        assert "invalid" not in err and "_arg" not in err and "_positive_int" not in err

@@ -14,6 +14,23 @@ from covrank import (
 )
 
 
+def reference_dataset(cfg, replication):
+    """The dataset formula as first written: fresh arrays, no workspace."""
+    k, p, n, seed = cfg.true_rank, cfg.p, cfg.n, cfg.seed
+    a = make_loadings(p, k, cfg.factor_scales, np.random.SeedSequence((seed, 1)))
+    if k > 0:
+        z = sample_factors_t(k, n, cfg.t_df, np.random.SeedSequence((seed, 2, replication)))
+        x = z @ a.T
+    else:
+        x = np.zeros((n, p))
+    if cfg.local_null_tau > 0.0:
+        basis = np.linalg.qr(a, mode="complete")[0][:, k:] if k > 0 else np.eye(p)
+        rng = np.random.default_rng(np.random.SeedSequence((seed, 3, replication)))
+        e = rng.standard_normal((n, p - k))
+        x = x + math.sqrt(cfg.local_null_tau / math.sqrt(n)) * (e @ basis.T)
+    return x
+
+
 class TestMakeLoadings:
     def test_square_frame_with_equal_scales_is_scaled_identity(self):
         a = make_loadings(4, 4, [2.5, 2.5, 2.5, 2.5], seed=10)
@@ -207,3 +224,39 @@ class TestGenerateDataset:
         for r, data in zip(replications, cached):
             dgp._design.cache_clear()
             assert generate_dataset(cfg, r).tobytes() == data.tobytes()
+
+
+class TestWorkspace:
+    @pytest.mark.parametrize("p", [3, 10, 20, 50])
+    @pytest.mark.parametrize("k", [0, 2])
+    @pytest.mark.parametrize("tau", [0.0, 1.0])
+    def test_same_bytes_with_and_without_workspace(self, p, k, tau):
+        cfg = SimulationConfig(p=p, true_rank=k, n=101, reps=3, local_null_tau=tau, seed=606)
+        # Stale contents must not leak into any dataset.
+        workspace = np.full((2, cfg.n, cfg.p), np.nan)
+        for r in range(cfg.reps):
+            expected = reference_dataset(cfg, r).tobytes()
+            plain = generate_dataset(cfg, r)
+            reused = generate_dataset(cfg, r, out=workspace)
+            assert plain.tobytes() == expected
+            assert reused.tobytes() == expected
+            assert plain.base is None
+            assert np.shares_memory(reused, workspace[0])
+
+    def test_no_local_null_needs_one_half(self):
+        cfg = SimulationConfig(p=5, true_rank=2, n=31, reps=1, seed=1)
+        half = np.empty((1, cfg.n, cfg.p))
+        assert generate_dataset(cfg, 0, out=half).tobytes() == reference_dataset(cfg, 0).tobytes()
+
+    @pytest.mark.parametrize("make", [
+        lambda n, p: np.empty((1, n, p)),
+        lambda n, p: np.empty((2, n, p + 1)),
+        lambda n, p: np.empty((2, n, p), dtype=np.float32),
+        lambda n, p: np.empty((2, p, n)).transpose(0, 2, 1),
+        lambda n, p: np.empty((n, p)),
+        lambda n, p: [[[0.0] * p] * n] * 2,
+    ])
+    def test_bad_workspace_rejected(self, make):
+        cfg = SimulationConfig(p=4, true_rank=1, n=9, reps=1, local_null_tau=0.5, seed=2)
+        with pytest.raises(ValidationError, match="out must be"):
+            generate_dataset(cfg, 0, out=make(cfg.n, cfg.p))

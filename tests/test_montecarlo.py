@@ -1,4 +1,5 @@
 import ctypes
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -183,6 +184,64 @@ class TestPoolBlasThreads:
         assert len(per_block) == 4
         assert all(counts == [1] * len(before) for counts in per_block)
         assert _blas_threads() == before
+
+
+def _spectra_task(cfg, spectra):
+    return spectra
+
+
+class TestBlockWorkspace:
+    @pytest.mark.parametrize("k, tau", [(0, 0.7), (2, 0.0), (2, 0.7)])
+    def test_block_spectra_match_one_replication_at_a_time(self, k, tau):
+        cfg = SimulationConfig(p=7, true_rank=k, n=151, reps=9, local_null_tau=tau, seed=31)
+        block = montecarlo._run_block((_spectra_task, cfg, 2, 9, ()))
+        for row, r in zip(block, range(2, 9)):
+            data = generate_dataset(cfg, r)
+            expected = symmetric_eigen(sample_covariance(data, center=False)).eigenvalues
+            assert row.tobytes() == expected.tobytes()
+
+    def test_replications_allocate_no_data_sized_array(self):
+        cfg = SimulationConfig(p=20, true_rank=2, n=20000, reps=8, local_null_tau=1.0, seed=3)
+        generate_dataset(cfg, 0)  # build the cached design outside the trace
+        tracemalloc.start()
+        try:
+            montecarlo._run_block((_spectra_task, cfg, 0, cfg.reps, ()))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # The block's two-array workspace plus small per-replication arrays; one
+        # more n x p temporary (any replication allocating its own) would reach 3.
+        assert peak < 2.5 * cfg.n * cfg.p * 8
+
+
+class _RecordingPool:
+    """Stands in for ProcessPoolExecutor: records max_workers, maps in-process."""
+
+    sizes: list = []
+
+    def __init__(self, max_workers, initializer=None):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, jobs):
+        return map(fn, jobs)
+
+
+class TestPoolSize:
+    @pytest.mark.parametrize("reps, workers, pool",
+                             [(6, 5000, 6), (60, 2, 2), (3, 3, 3), (0, 4, None)])
+    def test_pool_has_at_most_one_worker_per_block(self, monkeypatch, reps, workers, pool):
+        monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", _RecordingPool)
+        monkeypatch.setattr(_RecordingPool, "sizes", [])
+        cfg = small_table_config(reps=reps)
+        table = run_rejection_table(cfg, workers=workers)
+        assert _RecordingPool.sizes == ([] if pool is None else [pool])
+        assert table == run_rejection_table(cfg, workers=1)
 
 
 class TestKsDistance:
