@@ -22,7 +22,7 @@ import sys
 
 import numpy as np
 
-from .dgp import SimulationConfig
+from .dgp import SimulationConfig, _check_seed
 from .errors import NumericalError, ValidationError
 from .montecarlo import (
     collect_null_statistics,
@@ -77,56 +77,31 @@ def run_cli(argv, stdout=None, stderr=None) -> int:
         return 3
 
 
-def _number(convert, text: str):
-    """``convert(text)`` for ``int`` or ``float``, a usage error when it is no number."""
-    try:
-        return convert(text)
-    except ValueError:
-        kind = "an integer" if convert is int else "a number"
-        raise argparse.ArgumentTypeError(f"must be {kind}, got {text!r}") from None
+def _checked(convert, check):
+    """An argparse type: ``convert`` the text, then run the library's ``check`` on the
+    value; either failure is one usage line naming the option (exit 2)."""
+    kind = "an integer" if convert is int else "a number"
+
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"must be {kind}, got {text!r}") from None
+        try:
+            check(value)
+        except ValidationError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+        return value
+
+    return parse
 
 
-def _positive_int(text: str) -> int:
-    value = _number(int, text)
+def _at_least_one(value: int) -> None:
     if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {text}")
-    return value
+        raise ValidationError(f"must be >= 1, got {value}")
 
 
-def _alpha_arg(text: str) -> float:
-    try:
-        return _check_alpha(_number(float, text))
-    except ValidationError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
-
-
-def _settings_field(name: str, text: str) -> float:
-    """One ``QuadratureSettings`` field, checked against the dataclass's own bounds."""
-    value = _number(float, text)
-    try:
-        QuadratureSettings(**{name: value})
-    except ValidationError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
-    return value
-
-
-def _rel_tol_arg(text: str) -> float:
-    return _settings_field("rel_tol", text)
-
-
-def _tail_sigmas_arg(text: str) -> float:
-    return _settings_field("tail_sigmas", text)
-
-
-def _default_threads() -> int | None:
-    raw = os.environ.get(THREADS_ENV_VAR)
-    if raw is None:
-        return 1
-    try:
-        value = int(raw)
-    except ValueError:
-        return None
-    return value if value >= 1 else None
+_positive_int = _checked(int, _at_least_one)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -137,15 +112,17 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p: argparse.ArgumentParser, threads: bool = False) -> None:
-        p.add_argument("--alpha", type=_alpha_arg, default=None,
+        p.add_argument("--alpha", type=_checked(float, _check_alpha), default=None,
                        help="test level in (0,1); default 0.05 or the config value")
         p.add_argument("--format", choices=("human", "json", "tsv"), default="human")
-        p.add_argument("--rel-tol", type=_rel_tol_arg, default=None,
+        p.add_argument("--rel-tol", default=None,
+                       type=_checked(float, lambda v: QuadratureSettings(rel_tol=v)),
                        help="quadrature relative tolerance override")
-        p.add_argument("--tail-sigmas", type=_tail_sigmas_arg, default=None,
+        p.add_argument("--tail-sigmas", default=None,
+                       type=_checked(float, lambda v: QuadratureSettings(tail_sigmas=v)),
                        help="truncation of infinite integration limits, in Gaussian scales")
         if threads:
-            p.add_argument("--seed", type=int, default=None,
+            p.add_argument("--seed", type=_checked(int, _check_seed), default=None,
                            help="override the config's master seed")
             p.add_argument("--threads", type=_positive_int, default=None,
                            help=f"worker processes (default ${THREADS_ENV_VAR} or 1)")
@@ -174,35 +151,32 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _quad_settings(args) -> QuadratureSettings | None:
-    if args.rel_tol is None and args.tail_sigmas is None:
-        return None
-    kwargs = {}
-    if args.rel_tol is not None:
-        kwargs["rel_tol"] = args.rel_tol
-    if args.tail_sigmas is not None:
-        kwargs["tail_sigmas"] = args.tail_sigmas
-    return QuadratureSettings(**kwargs)
+def _given(**flags) -> dict:
+    """The flags that were set on the command line (not None)."""
+    return {name: value for name, value in flags.items() if value is not None}
+
+
+def _quad_settings(args) -> QuadratureSettings:
+    return QuadratureSettings(**_given(rel_tol=args.rel_tol, tail_sigmas=args.tail_sigmas))
 
 
 def _threads(args) -> int:
     if args.threads is not None:
         return args.threads
-    value = _default_threads()
-    if value is None:
+    raw = os.environ.get(THREADS_ENV_VAR, "1")
+    try:
+        return _positive_int(raw)
+    except argparse.ArgumentTypeError:
         raise _InputError(
-            f"environment variable {THREADS_ENV_VAR}={os.environ[THREADS_ENV_VAR]!r} "
-            "is not a positive integer"
-        )
-    return value
+            f"environment variable {THREADS_ENV_VAR}={raw!r} is not a positive integer"
+        ) from None
 
 
-def _require_file(path: str) -> str:
+def _require_file(path: str) -> None:
     if not os.path.isfile(path):
         raise _InputError(f"{path}: no such file")
     if not os.access(path, os.R_OK):
         raise _InputError(f"{path}: not readable")
-    return path
 
 
 def _read_data_matrix(path: str) -> np.ndarray:
@@ -300,29 +274,17 @@ def _load_config(path: str, args) -> tuple[SimulationConfig, dict]:
     if not isinstance(raw, dict):
         raise _InputError(f"{path}: config must be a JSON object")
     extras = {k: raw.pop(k) for k in list(raw) if k not in _CONFIG_FIELDS}
-    known_extra = {"step"}
-    unknown = set(extras) - known_extra
+    unknown = set(extras) - {"step"}
     if unknown:
         raise _InputError(f"{path}: unknown config keys: {sorted(unknown)}")
-    if "factor_scales" in raw and raw["factor_scales"] is not None:
-        if not isinstance(raw["factor_scales"], list):
-            raise _InputError(f"{path}: factor_scales must be a JSON array")
-        raw["factor_scales"] = tuple(raw["factor_scales"])
+    # SimulationConfig turns the list into a tuple of floats.
+    if raw.get("factor_scales") is not None and not isinstance(raw["factor_scales"], list):
+        raise _InputError(f"{path}: factor_scales must be a JSON array")
     try:
         cfg = SimulationConfig(**raw)
     except TypeError as exc:
         raise _InputError(f"{path}: {exc}") from exc
-    if getattr(args, "alpha", None) is not None:
-        cfg = dataclasses.replace(cfg, alpha=args.alpha)
-    if getattr(args, "seed", None) is not None:
-        cfg = dataclasses.replace(cfg, seed=args.seed)
-    return cfg, extras
-
-
-def _config_json(cfg: SimulationConfig) -> dict:
-    d = dataclasses.asdict(cfg)
-    d["factor_scales"] = list(cfg.factor_scales)
-    return d
+    return dataclasses.replace(cfg, **_given(alpha=args.alpha, seed=args.seed)), extras
 
 
 def _emit_json(payload: dict, out) -> None:
@@ -330,11 +292,31 @@ def _emit_json(payload: dict, out) -> None:
     out.write("\n")
 
 
+def _tsv(cell) -> str:
+    if cell is None:
+        return "NA"
+    if isinstance(cell, bool):
+        return str(cell).lower()
+    return cell if isinstance(cell, str) else repr(cell)
+
+
+def _emit_tsv(rows, out) -> None:
+    """One tab-separated line per row: headers, data and ``label, value`` notes alike.
+
+    Numbers must be Python scalars: under numpy 2 ``repr`` of an ``np.float64``
+    is not a number.
+    """
+    for row in rows:
+        out.write("\t".join(map(_tsv, row)) + "\n")
+
+
 def _cmd_rank(args, out) -> int:
     data = _read_data_matrix(args.data)
     alpha = 0.05 if args.alpha is None else args.alpha
     result = rank_from_data(data, alpha, center=args.center, settings=_quad_settings(args))
     n, p = data.shape
+    columns = ("k", "statistic", "scale2", "degenerate", "rejected")
+    rows = [(s.k, s.statistic, s.scale2_used, s.degenerate, s.rejected) for s in result.steps]
 
     if args.format == "json":
         _emit_json({
@@ -342,27 +324,13 @@ def _cmd_rank(args, out) -> int:
             "n": n,
             "p": p,
             "centered": bool(args.center),
-            "steps": [
-                {
-                    "k": s.k,
-                    "statistic": s.statistic,
-                    "scale2": s.scale2_used,
-                    "degenerate": s.degenerate,
-                    "rejected": s.rejected,
-                }
-                for s in result.steps
-            ],
+            "steps": [dict(zip(columns, row)) for row in rows],
             "rank_estimate": result.rank_estimate,
             "boundary_reached": result.boundary_reached,
         }, out)
     elif args.format == "tsv":
-        out.write("k\tstatistic\tscale2\tdegenerate\trejected\n")
-        for s in result.steps:
-            out.write(f"{s.k}\t{s.statistic!r}\t{s.scale2_used!r}"
-                      f"\t{str(s.degenerate).lower()}\t{str(s.rejected).lower()}\n")
-        out.write(f"# rank_estimate\t{result.rank_estimate}\n")
-        out.write(f"# boundary_reached\t{str(result.boundary_reached).lower()}\n")
-        out.write(f"# alpha\t{alpha!r}\n")
+        _emit_tsv([columns, *rows, ("# rank_estimate", result.rank_estimate),
+                   ("# boundary_reached", result.boundary_reached), ("# alpha", alpha)], out)
     else:
         out.write(f"rank test on {n} x {p} data, alpha={alpha:g}, "
                   f"center={'yes' if args.center else 'no'}\n")
@@ -381,36 +349,21 @@ def _cmd_rank(args, out) -> int:
 def _cmd_simulate(args, out) -> int:
     cfg, _ = _load_config(args.config, args)
     table = run_rejection_table(cfg, settings=_quad_settings(args), workers=_threads(args))
-    steps = range(1, table.n_steps + 1)
+    rows = [(k, table.reached[k - 1], table.rejected[k - 1], table.rate_percent(k))
+            for k in range(1, table.n_steps + 1)]
 
     if args.format == "json":
-        _emit_json({
-            "config": _config_json(cfg),
-            "steps": [
-                {
-                    "k": k,
-                    "reached": table.reached[k - 1],
-                    "rejected": table.rejected[k - 1],
-                    "rate_percent": table.rate_percent(k),
-                }
-                for k in steps
-            ],
-        }, out)
+        steps = [dict(zip(("k", "reached", "rejected", "rate_percent"), r)) for r in rows]
+        _emit_json({"config": dataclasses.asdict(cfg), "steps": steps}, out)
     elif args.format == "tsv":
-        out.write("step\treached\trejected\trate_percent\n")
-        for k in steps:
-            rate = table.rate_percent(k)
-            rate_text = "NA" if rate is None else repr(rate)
-            out.write(f"{k}\t{table.reached[k - 1]}\t{table.rejected[k - 1]}\t{rate_text}\n")
+        _emit_tsv([("step", "reached", "rejected", "rate_percent"), *rows], out)
     else:
         header = ["        "]
         rates = ["rate %  "]
         counts = ["counts  "]
-        for k in steps:
-            rate = table.rate_percent(k)
+        for k, reached, rejected, rate in rows:
             cell_rate = "NA" if rate is None else f"{rate:.1f}"
-            cell_count = ("NA" if table.reached[k - 1] == 0
-                          else f"({table.rejected[k - 1]}/{table.reached[k - 1]})")
+            cell_count = "NA" if reached == 0 else f"({rejected}/{reached})"
             width = max(len(f"H0,{k}"), len(cell_rate), len(cell_count)) + 2
             header.append(f"H0,{k}".rjust(width))
             rates.append(cell_rate.rjust(width))
@@ -432,41 +385,28 @@ def _cmd_nullcheck(args, out) -> int:
         raise _InputError(f"{args.config}: step must be an integer, got {step!r}")
     sample = collect_null_statistics(cfg, step, settings=_quad_settings(args),
                                      workers=_threads(args))
+    # ks_distance refuses an empty sample, so reps >= 1 from here on.
     dist = ks_distance(sample)
-    rate = float(np.mean(sample.statistics <= cfg.alpha)) if cfg.reps else 0.0
-    pval = ks_pvalue_approx(dist, cfg.reps) if cfg.reps else None
+    rate = float(np.mean(sample.statistics <= cfg.alpha))
+    pval = ks_pvalue_approx(dist, cfg.reps)
+    summary = {"k": step, "reps": cfg.reps, "alpha": cfg.alpha, "ks_distance": dist,
+               "rejection_rate": rate, "ks_pvalue_approx": pval}
+    statistics = sample.statistics.tolist() if args.include_statistics else []
 
     if args.format == "json":
-        payload = {
-            "config": _config_json(cfg),
-            "k": step,
-            "reps": cfg.reps,
-            "alpha": cfg.alpha,
-            "ks_distance": dist,
-            "rejection_rate": rate,
-            "ks_pvalue_approx": pval,
-        }
+        payload = {"config": dataclasses.asdict(cfg), **summary}
         if args.include_statistics:
-            payload["statistics"] = [float(v) for v in sample.statistics]
+            payload["statistics"] = statistics
         _emit_json(payload, out)
     elif args.format == "tsv":
-        out.write(f"k\t{step}\n")
-        out.write(f"reps\t{cfg.reps}\n")
-        out.write(f"alpha\t{cfg.alpha!r}\n")
-        out.write(f"ks_distance\t{dist!r}\n")
-        out.write(f"rejection_rate\t{rate!r}\n")
-        out.write(f"ks_pvalue_approx\t{'NA' if pval is None else repr(pval)}\n")
-        if args.include_statistics:
-            for v in sample.statistics:
-                out.write(f"statistic\t{float(v)!r}\n")
+        _emit_tsv([*summary.items(), *(("statistic", v) for v in statistics)], out)
     else:
         out.write(f"null-uniformity check at step k={step} "
                   f"(p={cfg.p}, true_rank={cfg.true_rank}, n={cfg.n}, tau={cfg.local_null_tau:g}, "
                   f"reps={cfg.reps}, seed={cfg.seed})\n")
         out.write(f"  KS distance to Unif(0,1): {dist:.6g}\n")
         out.write(f"  rejection rate at alpha={cfg.alpha:g}: {rate:.6g}\n")
-        if pval is not None:
-            out.write(f"  KS p-value (asymptotic approximation): {pval:.6g}\n")
+        out.write(f"  KS p-value (asymptotic approximation): {pval:.6g}\n")
         if args.include_statistics:
-            out.write("  statistics: " + " ".join(f"{float(v):.6g}" for v in sample.statistics) + "\n")
+            out.write("  statistics: " + " ".join(f"{v:.6g}" for v in statistics) + "\n")
     return 0

@@ -42,6 +42,12 @@ _STREAM_NOISE = 3
 _MAX_SEED = 2**64 - 1
 
 
+def _check_seed(seed: int) -> None:
+    """ValidationError unless the master seed is a 64-bit unsigned integer."""
+    if not 0 <= seed <= _MAX_SEED:
+        raise ValidationError(f"seed must be a 64-bit unsigned integer, got {seed}")
+
+
 def _seed_seq(master: int, *path: int) -> np.random.SeedSequence:
     return np.random.SeedSequence((int(master), *map(int, path)))
 
@@ -99,8 +105,7 @@ class SimulationConfig:
             )
         if not (math.isfinite(self.gap_c0) and self.gap_c0 > 0.0):
             raise ValidationError(f"gap_c0 must be positive, got {self.gap_c0}")
-        if not 0 <= self.seed <= _MAX_SEED:
-            raise ValidationError(f"seed must be a 64-bit unsigned integer, got {self.seed}")
+        _check_seed(self.seed)
 
         if self.factor_scales is None:
             scales = tuple(

@@ -22,3 +22,11 @@ class NumericalError(CovrankError, RuntimeError):
         self.best_estimate = best_estimate
         self.achieved_rel_tol = achieved_rel_tol
         self.index = index
+
+    def at(self, index, context=""):
+        """This error for stack position ``index``, its message prefixed with
+        ``context``; the new error's ``__cause__`` is this one."""
+        error = NumericalError(f"{context}{self}", best_estimate=self.best_estimate,
+                               achieved_rel_tol=self.achieved_rel_tol, index=index)
+        error.__cause__ = self
+        return error

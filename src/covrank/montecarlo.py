@@ -27,7 +27,6 @@ pool; the in-process path leaves the BLAS threads as it finds them.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -124,9 +123,7 @@ def _run_block(job):
     try:
         return task(cfg, spectra, *args)
     except NumericalError as exc:
-        raise NumericalError(str(exc), best_estimate=exc.best_estimate,
-                             achieved_rel_tol=exc.achieved_rel_tol,
-                             index=start + (exc.index or 0)) from exc
+        raise exc.at(start + (exc.index or 0)) from exc
 
 
 # Thread-count setters of the OpenBLAS builds numpy ships or links: numpy's
@@ -194,16 +191,13 @@ def _map_blocks(task, cfg: SimulationConfig, args: tuple, workers: int, what: st
         if workers <= 1 or not jobs:
             yield from map(_run_block, jobs)
         else:
+            from concurrent.futures import ProcessPoolExecutor
+
             with ProcessPoolExecutor(max_workers=min(workers, len(jobs)),
                                      initializer=_single_threaded_blas) as pool:
                 yield from pool.map(_run_block, jobs)
     except NumericalError as exc:
-        raise NumericalError(
-            f"replication {exc.index} failed, aborting {what}: {exc}",
-            best_estimate=exc.best_estimate,
-            achieved_rel_tol=exc.achieved_rel_tol,
-            index=exc.index,
-        ) from exc
+        raise exc.at(exc.index, f"replication {exc.index} failed, aborting {what}: ") from exc
 
 
 def run_rejection_table(cfg: SimulationConfig,

@@ -92,9 +92,7 @@ def run_sequence(eigenvalues, alpha: float, settings: QuadratureSettings | None 
             # A lower row may still fail at a later step: retry this step
             # without the failing row and every row above it.
             row = int(active[exc.index or 0])
-            failure = NumericalError(f"step k={k}: {exc}", best_estimate=exc.best_estimate,
-                                     achieved_rel_tol=exc.achieved_rel_tol, index=row)
-            failure.__cause__ = exc
+            failure = exc.at(row, f"step k={k}: ")
             active = active[active < row]
             continue
         stats[active, k - 1] = step.statistic

@@ -37,10 +37,6 @@ class Spectrum:
     eigenvectors: np.ndarray | None
     clamp_count: int
 
-    @property
-    def p(self) -> int:
-        return self.eigenvalues.shape[0]
-
 
 def as_data_matrix(data) -> np.ndarray:
     """Validate and return an n x p observation matrix as float64.

@@ -446,9 +446,7 @@ def csv_statistic(eigenvalues, k: int, scale2=None,
                                 np.repeat(spectra[q], 2, axis=0), k, np.repeat(s2[q], 2),
                                 settings)
         except NumericalError as exc:
-            raise NumericalError(str(exc), best_estimate=exc.best_estimate,
-                                 achieved_rel_tol=exc.achieved_rel_tol,
-                                 index=int(q[exc.index // 2])) from exc
+            raise exc.at(int(q[exc.index // 2])) from exc
         log_n = logs[0::2]
         log_d = np.logaddexp(log_n, logs[1::2])
         with np.errstate(invalid="ignore"):

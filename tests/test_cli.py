@@ -413,6 +413,7 @@ class TestUsage:
         ("--rel-tol", "x", "a number"),
         ("--tail-sigmas", "1e", "a number"),
         ("--threads", "two", "an integer"),
+        ("--seed", "x", "an integer"),
     ])
     def test_non_numeric_option_is_one_usage_error(self, sim_config, capsys,
                                                    flag, value, kind):
@@ -423,3 +424,10 @@ class TestUsage:
             f"covrank simulate: error: argument {flag}: must be {kind}, got {value!r}"
         ]
         assert "invalid" not in err and "_arg" not in err and "_positive_int" not in err
+
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_out_of_range_seed_is_one_usage_error(self, sim_config, capsys, seed):
+        assert run_cli(["simulate", str(sim_config), "--seed", str(seed)]) == 2
+        errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+        assert errors == [f"covrank simulate: error: argument --seed: "
+                          f"seed must be a 64-bit unsigned integer, got {seed}"]

@@ -1,3 +1,4 @@
+import concurrent.futures
 import ctypes
 import tracemalloc
 
@@ -236,7 +237,8 @@ class TestPoolSize:
     @pytest.mark.parametrize("reps, workers, pool",
                              [(6, 5000, 6), (60, 2, 2), (3, 3, 3), (0, 4, None)])
     def test_pool_has_at_most_one_worker_per_block(self, monkeypatch, reps, workers, pool):
-        monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", _RecordingPool)
+        # _map_blocks imports the pool class when it needs one.
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
         monkeypatch.setattr(_RecordingPool, "sizes", [])
         cfg = small_table_config(reps=reps)
         table = run_rejection_table(cfg, workers=workers)

@@ -73,8 +73,11 @@ class TestRunSequence:
             raise NumericalError("synthetic", best_estimate=-1.0, achieved_rel_tol=0.5)
 
         monkeypatch.setattr(seq, "csv_statistic", boom)
-        with pytest.raises(NumericalError, match="step k=1"):
+        with pytest.raises(NumericalError, match="step k=1: synthetic") as info:
             run_sequence([3.0, 2.0, 1.0], 0.05)
+        error = info.value
+        assert (error.best_estimate, error.achieved_rel_tol, error.index) == (-1.0, 0.5, 0)
+        assert str(error.__cause__) == "synthetic"
 
     def test_degenerate_flags_come_from_the_statistic(self):
         # lam_2 == lam_3: step 2 accepts by the tie rule; evaluated on its
