@@ -48,6 +48,14 @@ def _check_seed(seed: int) -> None:
         raise ValidationError(f"seed must be a 64-bit unsigned integer, got {seed}")
 
 
+def _real(name: str, value) -> float:
+    """``value`` as a float; ValidationError unless it is an int, a float or a
+    numpy number (bools are refused)."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise ValidationError(f"{name} must be a real number, got {value!r}")
+    return float(value)
+
+
 def _seed_seq(master: int, *path: int) -> np.random.SeedSequence:
     return np.random.SeedSequence((int(master), *map(int, path)))
 
@@ -80,10 +88,7 @@ class SimulationConfig:
                 raise ValidationError(f"{name} must be an integer, got {value!r}")
             object.__setattr__(self, name, int(value))
         for name in ("alpha", "t_df", "gap_c0", "local_null_tau"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
-                raise ValidationError(f"{name} must be a real number, got {value!r}")
-            object.__setattr__(self, name, float(value))
+            object.__setattr__(self, name, _real(name, getattr(self, name)))
         if self.p < 2:
             raise ValidationError(f"p must be an integer >= 2, got {self.p}")
         if not 0 <= self.true_rank <= self.p:
@@ -111,10 +116,9 @@ class SimulationConfig:
             scales = tuple(
                 float((self.true_rank - i) * self.gap_c0) for i in range(self.true_rank)
             )
-            object.__setattr__(self, "factor_scales", scales)
         else:
-            scales = tuple(float(s) for s in self.factor_scales)
-            object.__setattr__(self, "factor_scales", scales)
+            scales = tuple(_real("each factor_scales entry", s) for s in self.factor_scales)
+        object.__setattr__(self, "factor_scales", scales)
         if len(self.factor_scales) != self.true_rank:
             raise ValidationError(
                 f"factor_scales must have length true_rank={self.true_rank}, "
@@ -198,7 +202,10 @@ def sample_factors_t(k: int, n: int, t_df: float, seed) -> np.ndarray:
     rng = np.random.default_rng(seed)
     g = rng.standard_normal((n, k))
     w = rng.chisquare(t_df, size=n)
-    return g * np.sqrt((t_df - 2.0) / w)[:, None]
+    np.divide(t_df - 2.0, w, out=w)
+    np.sqrt(w, out=w)
+    g *= w[:, None]
+    return g
 
 
 @functools.lru_cache(maxsize=8)

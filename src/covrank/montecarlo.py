@@ -14,10 +14,11 @@ Replications are mutually independent with per-replication seed streams, so
 they may be executed by any number of workers in any order; aggregation is
 a commutative count sum and the results are identical regardless of
 scheduling. Each job takes a contiguous block of replications, reduces each
-dataset to its spectrum before generating the next, and evaluates the
-block's spectra together; a replication's statistics do not depend on the
-block it lands in. A job builds all of its datasets in one workspace, so
-no replication allocates an n x p array.
+dataset to its covariance before generating the next, decomposes the
+covariances in stacks, and evaluates the block's spectra together; a
+replication's statistics do not depend on the block it lands in. A job
+builds all of its datasets in one workspace, so no replication allocates an
+n x p array.
 
 Pool workers run their BLAS single-threaded (when it is OpenBLAS), so N
 workers keep N cores busy instead of each starting the parent's BLAS thread
@@ -31,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dgp import SimulationConfig, generate_dataset
+from .dgp import SimulationConfig, _design, generate_dataset
 from .errors import NumericalError, ValidationError
 from .sequential import run_sequence
 from .spectrum import sample_covariance, symmetric_eigen
@@ -84,11 +85,9 @@ class NullSample:
 # and the quadrature state of one block.
 _BLOCK_REPS = 256
 
-
-def _spectrum(cfg: SimulationConfig, replication: int, workspace: np.ndarray) -> np.ndarray:
-    """Eigenvalues of one replication's sample covariance, its data built in ``workspace``."""
-    data = generate_dataset(cfg, replication, out=workspace)
-    return symmetric_eigen(sample_covariance(data, center=False)).eigenvalues
+# Covariance entries per eigendecomposition call at most (at least one matrix):
+# a whole block at small p in one call, one matrix per call from p = 256 on.
+_MAX_EIGEN_FLOATS = 2**16
 
 
 def _table_block(cfg: SimulationConfig, spectra: np.ndarray,
@@ -113,13 +112,21 @@ def _run_block(job):
     evaluate them together; a numeric failure is re-raised with its replication.
 
     Every dataset of the block is built in one workspace (see
-    ``generate_dataset``), allocated here and freed with the block.
+    ``generate_dataset``), allocated here and freed with the block. The
+    covariances are decomposed in stacks of at most ``_MAX_EIGEN_FLOATS``
+    entries, one ``symmetric_eigen`` call per stack.
     """
     task, cfg, start, stop, args = job
     workspace = np.empty((2 if cfg.local_null_tau > 0.0 else 1, cfg.n, cfg.p))
+    chunk = max(1, _MAX_EIGEN_FLOATS // (cfg.p * cfg.p))
+    covariances = np.empty((min(chunk, stop - start), cfg.p, cfg.p))
     spectra = np.empty((stop - start, cfg.p))
-    for i in range(stop - start):
-        spectra[i] = _spectrum(cfg, start + i, workspace)
+    for lo in range(0, stop - start, chunk):
+        rows = min(chunk, stop - start - lo)
+        for i in range(rows):
+            data = generate_dataset(cfg, start + lo + i, out=workspace)
+            covariances[i] = sample_covariance(data, center=False)
+        spectra[lo:lo + rows] = symmetric_eigen(covariances[:rows]).eigenvalues
     try:
         return task(cfg, spectra, *args)
     except NumericalError as exc:
@@ -193,6 +200,9 @@ def _map_blocks(task, cfg: SimulationConfig, args: tuple, workers: int, what: st
         else:
             from concurrent.futures import ProcessPoolExecutor
 
+            # Forked workers inherit the cached design and numpy.random, which
+            # each of them would otherwise build and import under copy-on-write.
+            _design(cfg.p, cfg.true_rank, cfg.factor_scales, cfg.seed, cfg.local_null_tau > 0.0)
             with ProcessPoolExecutor(max_workers=min(workers, len(jobs)),
                                      initializer=_single_threaded_blas) as pool:
                 yield from pool.map(_run_block, jobs)

@@ -19,23 +19,26 @@ __all__ = ["Spectrum", "sample_covariance", "symmetric_eigen"]
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Eigenvalues of a symmetric matrix, sorted in descending order.
+    """Eigenvalues of a symmetric matrix, or of a stack of them, sorted in descending order.
 
     Attributes
     ----------
     eigenvalues : np.ndarray
-        Length-p vector, ``eigenvalues[0] >= ... >= eigenvalues[p-1]``.
+        Length-p vector, ``eigenvalues[0] >= ... >= eigenvalues[p-1]``; for a
+        stack, one such row per matrix, shape (rows, p).
     eigenvectors : np.ndarray or None
-        Orthonormal p x p matrix whose columns match the eigenvalue order,
-        or None when vectors were not requested.
-    clamp_count : int
+        Orthonormal p x p matrix whose columns match the eigenvalue order (for a
+        stack, one per matrix, shape (rows, p, p)), or None when vectors were not
+        requested.
+    clamp_count : int or np.ndarray
         Number of eigenvalues snapped to exact zero because their magnitude
-        was below the clamp tolerance.
+        was below the clamp tolerance: an int for one matrix, and for a stack
+        an integer array with one count per row.
     """
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray | None
-    clamp_count: int
+    clamp_count: int | np.ndarray
 
 
 def as_data_matrix(data) -> np.ndarray:
@@ -83,7 +86,7 @@ def sample_covariance(data, center: bool = False) -> np.ndarray:
 
 
 def symmetric_eigen(m, want_vectors: bool = False, clamp_tol: float | None = None) -> Spectrum:
-    """Full eigendecomposition of a symmetric matrix, descending order.
+    """Full eigendecomposition of a symmetric matrix, or of a stack of them, descending order.
 
     Eigenvalues with ``|lam| <= clamp_tol`` are snapped to exact zero and
     counted in ``clamp_count``. Exact zeros matter downstream: trailing
@@ -91,34 +94,41 @@ def symmetric_eigen(m, want_vectors: bool = False, clamp_tol: float | None = Non
     come out as 0.0, not 1e-16 noise, so that the degenerate-scale rule of
     the test statistic can fire deterministically.
 
+    A stack is validated once and decomposed in one LAPACK-backed call, which
+    still factors each matrix on its own, so every row is bit-identical to a
+    call on that matrix alone.
+
     Parameters
     ----------
-    m : array_like, shape (p, p)
-        Symmetric matrix with finite entries. Symmetry must hold exactly as
-        stored (build inputs via :func:`sample_covariance` or symmetrize
-        explicitly).
+    m : array_like, shape (p, p) or (rows, p, p)
+        Symmetric matrix, or stack of them, with finite entries. Symmetry must
+        hold exactly as stored (build inputs via :func:`sample_covariance` or
+        symmetrize explicitly).
     want_vectors : bool
-        Also return the orthonormal eigenvector matrix.
+        Also return the orthonormal eigenvector matrices.
     clamp_tol : float, optional
-        Snap threshold; defaults to ``1e-12 * max(|m|)``. Must be >= 0.
+        Snap threshold applied to every matrix; defaults to ``1e-12 * max(|m_i|)``
+        for each matrix ``m_i`` of the stack. Must be >= 0.
 
     Raises
     ------
     ValidationError
-        Non-square, non-symmetric, or non-finite input; negative clamp_tol.
+        Non-square, non-symmetric, or non-finite input (any matrix of a
+        stack); negative clamp_tol.
     NumericalError
         The underlying solver failed to converge.
     """
     a = np.asarray(m, dtype=np.float64)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValidationError(f"matrix must be square, got shape {a.shape}")
+    if a.ndim not in (2, 3) or a.shape[-1] != a.shape[-2]:
+        raise ValidationError(f"matrix must be square or a stack of square matrices, "
+                              f"got shape {a.shape}")
     if not np.all(np.isfinite(a)):
         raise ValidationError("matrix contains non-finite entries")
-    if not np.array_equal(a, a.T):
+    if not np.array_equal(a, np.swapaxes(a, -1, -2)):
         raise ValidationError("matrix is not exactly symmetric")
     if clamp_tol is None:
-        clamp_tol = 1e-12 * float(np.max(np.abs(a))) if a.size else 0.0
-    if clamp_tol < 0:
+        clamp_tol = 1e-12 * np.max(np.abs(a), axis=(-2, -1), initial=0.0)
+    elif clamp_tol < 0:
         raise ValidationError(f"clamp_tol must be >= 0, got {clamp_tol}")
 
     try:
@@ -129,15 +139,16 @@ def symmetric_eigen(m, want_vectors: bool = False, clamp_tol: float | None = Non
             vecs = None
     except np.linalg.LinAlgError as exc:
         raise NumericalError(
-            f"symmetric eigendecomposition failed to converge for p={a.shape[0]}: {exc}"
+            f"symmetric eigendecomposition failed to converge for p={a.shape[-1]}: {exc}"
         ) from exc
 
-    vals = vals[::-1].copy()
+    vals = vals[..., ::-1].copy()
     if vecs is not None:
-        vecs = np.ascontiguousarray(vecs[:, ::-1])
+        vecs = np.ascontiguousarray(vecs[..., ::-1])
 
-    snap = (np.abs(vals) <= clamp_tol) & (vals != 0.0)
-    clamp_count = int(np.count_nonzero(snap))
-    if clamp_count:
-        vals[snap] = 0.0
+    snap = (np.abs(vals) <= np.expand_dims(clamp_tol, -1)) & (vals != 0.0)
+    vals[snap] = 0.0
+    clamp_count = np.count_nonzero(snap, axis=-1)
+    if a.ndim == 2:
+        clamp_count = int(clamp_count)
     return Spectrum(eigenvalues=vals, eigenvectors=vecs, clamp_count=clamp_count)

@@ -293,6 +293,16 @@ class TestSimulateCommand:
         assert code == 1
         assert err.startswith("covrank: workflow:")
 
+    @pytest.mark.parametrize("scales", [["x", 1.0], [True], [None, 1.0]])
+    def test_non_numeric_factor_scale_is_a_workflow_error(self, tmp_path, scales):
+        path = tmp_path / "scales.json"
+        path.write_text(json.dumps({"p": 4, "true_rank": len(scales), "n": 20, "reps": 2,
+                                    "factor_scales": scales, "seed": 0}))
+        code, out, err = invoke(["simulate", str(path)])
+        assert (code, out) == (1, "")
+        assert err == ("covrank: workflow: each factor_scales entry must be a real number, "
+                       f"got {scales[0]!r}\n")
+
     def test_env_var_supplies_thread_default(self, sim_config, monkeypatch):
         base = invoke(["simulate", str(sim_config), "--format", "tsv"])[1]
         monkeypatch.setenv(THREADS_ENV_VAR, "2")

@@ -79,6 +79,17 @@ class TestSampleFactorsT:
         cov = (z.T @ z) / z.shape[0]
         np.testing.assert_allclose(cov, np.eye(2), atol=0.02)
 
+    @pytest.mark.parametrize("k", [1, 2, 5])
+    @pytest.mark.parametrize("n", [1, 7, 20000])
+    @pytest.mark.parametrize("t_df", [2.5, 5.0, 30.0])
+    def test_same_bytes_as_the_formula_with_temporaries(self, k, n, t_df):
+        seed = np.random.SeedSequence((41, k, n))
+        rng = np.random.default_rng(seed)
+        g = rng.standard_normal((n, k))
+        w = rng.chisquare(t_df, size=n)
+        expected = g * np.sqrt((t_df - 2.0) / w)[:, None]
+        assert sample_factors_t(k, n, t_df, seed).tobytes() == expected.tobytes()
+
     def test_heavy_tails_present(self):
         # Normalized t(5) has kurtosis 9, well above the Gaussian 3.
         z = sample_factors_t(1, 200_000, 5.0, seed=3)
@@ -119,6 +130,9 @@ class TestSimulationConfig:
         {"factor_scales": (1.0,)},        # wrong length for true_rank=2
         {"factor_scales": (2.0, 1.5)},    # gap below c0 = 1
         {"local_null_tau": -0.1},
+        {"factor_scales": ("3.0", 1.0)},  # entries must be numbers, not numeric text
+        {"factor_scales": (True, 0.0)},
+        {"factor_scales": (None, 1.0)},
     ])
     def test_invalid_configs_rejected(self, kwargs):
         base = dict(p=10, true_rank=2, n=100, reps=10, seed=0)

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from covrank import montecarlo
+from covrank import dgp, montecarlo
 from covrank import (
     NullSample,
     NumericalError,
@@ -192,9 +192,12 @@ def _spectra_task(cfg, spectra):
 
 
 class TestBlockWorkspace:
-    @pytest.mark.parametrize("k, tau", [(0, 0.7), (2, 0.0), (2, 0.7)])
-    def test_block_spectra_match_one_replication_at_a_time(self, k, tau):
-        cfg = SimulationConfig(p=7, true_rank=k, n=151, reps=9, local_null_tau=tau, seed=31)
+    # At p = 130 one eigendecomposition call takes 3 covariances, so the block of
+    # 7 replications spans three calls.
+    @pytest.mark.parametrize("k, tau, p", [(0, 0.7, 7), (2, 0.0, 7), (2, 0.7, 7), (2, 0.7, 130)],
+                             ids=["0-0.7", "2-0.0", "2-0.7", "2-0.7-p130"])
+    def test_block_spectra_match_one_replication_at_a_time(self, k, tau, p):
+        cfg = SimulationConfig(p=p, true_rank=k, n=151, reps=9, local_null_tau=tau, seed=31)
         block = montecarlo._run_block((_spectra_task, cfg, 2, 9, ()))
         for row, r in zip(block, range(2, 9)):
             data = generate_dataset(cfg, r)
@@ -233,6 +236,34 @@ class _RecordingPool:
         return map(fn, jobs)
 
 
+def _eigen_calls(monkeypatch):
+    """Stack sizes of the symmetric_eigen calls the Monte Carlo layer makes."""
+    sizes = []
+
+    def counting(m, *args, **kwargs):
+        sizes.append(len(m))
+        return symmetric_eigen(m, *args, **kwargs)
+
+    monkeypatch.setattr(montecarlo, "symmetric_eigen", counting)
+    return sizes
+
+
+class TestEigenChunks:
+    @pytest.mark.parametrize("p, reps, sizes", [(10, 200, [200]), (130, 7, [3, 3, 1]),
+                                                (256, 2, [1, 1]), (5, 0, [])])
+    def test_one_call_per_chunk_of_covariances(self, monkeypatch, p, reps, sizes):
+        calls = _eigen_calls(monkeypatch)
+        cfg = SimulationConfig(p=p, true_rank=1, n=p + 1, reps=reps, seed=2)
+        montecarlo._run_block((_spectra_task, cfg, 0, reps, ()))
+        assert calls == sizes
+
+    def test_table_is_one_call_per_block(self, monkeypatch):
+        calls = _eigen_calls(monkeypatch)
+        cfg = SimulationConfig(p=10, true_rank=3, n=500, reps=300, seed=1)
+        run_rejection_table(cfg)
+        assert calls == [256, 44]
+
+
 class TestPoolSize:
     @pytest.mark.parametrize("reps, workers, pool",
                              [(6, 5000, 6), (60, 2, 2), (3, 3, 3), (0, 4, None)])
@@ -244,6 +275,18 @@ class TestPoolSize:
         table = run_rejection_table(cfg, workers=workers)
         assert _RecordingPool.sizes == ([] if pool is None else [pool])
         assert table == run_rejection_table(cfg, workers=1)
+
+    def test_design_is_built_before_the_pool_starts(self, monkeypatch):
+        # Forked workers then find the design cached instead of each building it.
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
+        monkeypatch.setattr(_RecordingPool, "sizes", [])
+        built = []
+        monkeypatch.setattr(_RecordingPool, "__enter__",
+                            lambda pool: built.append(dgp._design.cache_info()) or pool)
+        dgp._design.cache_clear()
+        run_rejection_table(small_table_config(reps=6), workers=2)
+        assert built[0].currsize == 1
+        assert dgp._design.cache_info().misses == built[0].misses
 
 
 class TestKsDistance:

@@ -125,6 +125,61 @@ class TestSymmetricEigen:
             symmetric_eigen(np.eye(2), clamp_tol=-1.0)
 
 
+def covariance_stack(seed, rows=6, p=5):
+    """Sample covariances of ``rows`` random datasets; row 2 has exact rank 2."""
+    rng = np.random.default_rng(seed)
+    covs = [sample_covariance(rng.standard_normal((3 * p, p))) for _ in range(rows)]
+    covs[2] = sample_covariance(rng.standard_normal((3 * p, 2)) @ rng.standard_normal((2, p)))
+    return np.stack(covs)
+
+
+class TestSymmetricEigenStack:
+    @pytest.mark.parametrize("clamp_tol", [None, 0.5])
+    def test_rows_match_one_matrix_at_a_time(self, clamp_tol):
+        stack = covariance_stack(17)
+        for want_vectors in (False, True):
+            spec = symmetric_eigen(stack, want_vectors=want_vectors, clamp_tol=clamp_tol)
+            ones = [symmetric_eigen(m, want_vectors=want_vectors, clamp_tol=clamp_tol)
+                    for m in stack]
+            assert spec.eigenvalues.tobytes() == b"".join(o.eigenvalues.tobytes() for o in ones)
+            if want_vectors:
+                assert spec.eigenvectors.tobytes() == b"".join(o.eigenvectors.tobytes()
+                                                               for o in ones)
+            assert spec.clamp_count.tolist() == [o.clamp_count for o in ones]
+            assert ones[2].clamp_count > 0
+
+    def test_default_clamp_tolerance_is_per_matrix(self):
+        # 5e-14 is below 1e-12 * 1 but above 1e-12 * 1e-3: only the first row snaps.
+        stack = np.stack([np.diag([1.0, 5e-14]), np.diag([1e-3, 5e-14])])
+        spec = symmetric_eigen(stack)
+        np.testing.assert_array_equal(spec.eigenvalues, [[1.0, 0.0], [1e-3, 5e-14]])
+        assert spec.clamp_count.tolist() == [1, 0]
+        assert symmetric_eigen(np.diag([1.0, 5e-14])).clamp_count == 1
+
+    def test_single_matrix_count_is_an_int(self):
+        assert type(symmetric_eigen(np.diag([1.0, 1e-20])).clamp_count) is int
+
+    def test_empty_stack(self):
+        spec = symmetric_eigen(np.empty((0, 3, 3)))
+        assert spec.eigenvalues.shape == (0, 3)
+        assert spec.clamp_count.shape == (0,)
+
+    @pytest.mark.parametrize("spoil", ["asymmetric", "nan", "inf"])
+    def test_one_bad_member_rejects_the_stack(self, spoil):
+        stack = covariance_stack(3)
+        if spoil == "asymmetric":
+            stack[4, 0, 1] += 1e-9
+        else:
+            stack[4, 1, 1] = np.nan if spoil == "nan" else np.inf
+        with pytest.raises(ValidationError):
+            symmetric_eigen(stack)
+
+    @pytest.mark.parametrize("shape", [(3, 2, 4), (2, 2, 2, 2), (4,)])
+    def test_rejects_non_square_stacks_and_other_ranks(self, shape):
+        with pytest.raises(ValidationError, match="square"):
+            symmetric_eigen(np.zeros(shape))
+
+
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(5, 40), p=st.integers(2, 8))
 def test_covariance_spectrum_properties(seed, n, p):
