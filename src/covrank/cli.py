@@ -7,9 +7,10 @@ Three workflows:
     covrank nullcheck CFG.json   null-uniformity (KS) diagnostic
 
 Exit codes: 0 success, 1 statistical workflow error (e.g. a degenerate
-nullcheck configuration), 2 I/O or parse error, 3 numerical failure. Errors
-are single machine-parsable lines on stderr of the form
-``covrank: <category>: <message>``.
+nullcheck configuration), 2 I/O or parse error, 3 numerical failure,
+including float64 under- or overflow. Errors and warnings are single
+machine-parsable lines on stderr of the form ``covrank: <category>: <message>``;
+warnings come first.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import dataclasses
 import json
 import os
 import sys
+import warnings
 
 import numpy as np
 
@@ -59,22 +61,29 @@ def run_cli(argv, stdout=None, stderr=None) -> int:
         args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    try:
-        return args.handler(args, out)
-    except _InputError as exc:
-        print(f"covrank: parse: {exc}", file=err)
-        return 2
-    except OSError as exc:
-        name = getattr(exc, "filename", None)
-        detail = f"{name}: {exc.strerror}" if name else str(exc)
-        print(f"covrank: io: {detail}", file=err)
-        return 2
-    except ValidationError as exc:
-        print(f"covrank: workflow: {exc}", file=err)
-        return 1
-    except NumericalError as exc:
-        print(f"covrank: numeric: {exc}", file=err)
-        return 3
+    error = None
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            code = args.handler(args, out)
+        except _InputError as exc:
+            code, error = 2, f"parse: {exc}"
+        except OSError as exc:
+            name = getattr(exc, "filename", None)
+            code, error = 2, f"io: {name}: {exc.strerror}" if name else f"io: {exc}"
+        except ValidationError as exc:
+            code, error = 1, f"workflow: {exc}"
+        except NumericalError as exc:
+            estimates = [f"{name}={value:.6g}" for name, value in
+                         (("best_estimate", exc.best_estimate),
+                          ("achieved_rel_tol", exc.achieved_rel_tol)) if value is not None]
+            code, error = 3, "; ".join([f"numeric: {exc}", *estimates])
+    # Each distinct warning once, in the order first raised, before any error.
+    for message in dict.fromkeys(str(w.message) for w in caught):
+        print(f"covrank: warning: {message}", file=err)
+    if error is not None:
+        print(f"covrank: {error}", file=err)
+    return code
 
 
 def _checked(convert, check):

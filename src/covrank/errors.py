@@ -10,7 +10,8 @@ class ValidationError(CovrankError, ValueError):
 
 
 class NumericalError(CovrankError, RuntimeError):
-    """A numerical routine failed to converge within its budget.
+    """A numerical routine failed to converge within its budget, or float64
+    under- or overflowed where the result depends on it.
 
     Carries the best available estimate so callers can decide whether the
     partial result is still usable. When the failing call evaluated a stack

@@ -36,7 +36,7 @@ from .dgp import SimulationConfig, _design, generate_dataset
 from .errors import NumericalError, ValidationError
 from .sequential import run_sequence
 from .spectrum import sample_covariance, symmetric_eigen
-from .statistic import QuadratureSettings, csv_statistic
+from .statistic import QuadratureSettings, _check_step, csv_statistic
 
 __all__ = [
     "RejectionTable",
@@ -61,8 +61,7 @@ class RejectionTable:
     rejected: tuple[int, ...]
 
     def rate_percent(self, k: int) -> float | None:
-        if not 1 <= k <= len(self.reached):
-            raise ValidationError(f"step k must be in [1, {len(self.reached)}], got {k}")
+        k = _check_step(k, self.n_steps + 1)
         if self.reached[k - 1] == 0:
             return None
         return 100.0 * self.rejected[k - 1] / self.reached[k - 1]
@@ -114,21 +113,34 @@ def _run_block(job):
     Every dataset of the block is built in one workspace (see
     ``generate_dataset``), allocated here and freed with the block. The
     covariances are decomposed in stacks of at most ``_MAX_EIGEN_FLOATS``
-    entries, one ``symmetric_eigen`` call per stack.
+    entries, one ``symmetric_eigen`` call per stack. When a covariance fails,
+    the replications before it are still evaluated, since the lowest failing
+    replication may be one of them.
     """
     task, cfg, start, stop, args = job
     workspace = np.empty((2 if cfg.local_null_tau > 0.0 else 1, cfg.n, cfg.p))
     chunk = max(1, _MAX_EIGEN_FLOATS // (cfg.p * cfg.p))
     covariances = np.empty((min(chunk, stop - start), cfg.p, cfg.p))
     spectra = np.empty((stop - start, cfg.p))
+    failure = None
     for lo in range(0, stop - start, chunk):
         rows = min(chunk, stop - start - lo)
         for i in range(rows):
             data = generate_dataset(cfg, start + lo + i, out=workspace)
-            covariances[i] = sample_covariance(data, center=False)
+            try:
+                covariances[i] = sample_covariance(data, center=False)
+            except NumericalError as exc:
+                failure, rows = exc.at(lo + i), i
+                break
         spectra[lo:lo + rows] = symmetric_eigen(covariances[:rows]).eigenvalues
+        if failure is not None:
+            break
     try:
-        return task(cfg, spectra, *args)
+        if failure is None:
+            return task(cfg, spectra, *args)
+        if failure.index:
+            task(cfg, spectra[:failure.index], *args)
+        raise failure
     except NumericalError as exc:
         raise exc.at(start + (exc.index or 0)) from exc
 
@@ -240,8 +252,7 @@ def collect_null_statistics(cfg: SimulationConfig, k: int,
     statistic is identically 1 rather than Unif(0,1). A numeric failure
     names the lowest failing replication.
     """
-    if not 1 <= k <= cfg.p - 1:
-        raise ValidationError(f"step k must be in [1, p-1={cfg.p - 1}], got {k}")
+    k = _check_step(k, cfg.p)
     if cfg.true_rank != k - 1:
         raise ValidationError(
             f"null collection at step k={k} needs true_rank == k-1, got {cfg.true_rank}"

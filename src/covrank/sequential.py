@@ -26,11 +26,11 @@ __all__ = ["StepOutcome", "SequentialResult", "run_sequence", "rank_from_data"]
 class StepOutcome:
     """Result of one test step.
 
-    ``degenerate`` marks steps whose statistic a rule fixed without
-    quadrature, as reported by :func:`csv_statistic`: a tie
-    lam_k == lam_{k+1}, or a plug-in scale of exactly zero (an exactly
-    low-rank trailing spectrum), gives 1 and accepts; a tie
-    lam_{k-1} == lam_k with k >= 2 gives 0 and rejects.
+    ``degenerate`` marks steps whose statistic a tie fixed without
+    quadrature, as reported by :func:`csv_statistic`: lam_k == lam_{k+1}
+    (which includes an exactly low-rank trailing spectrum, whose plug-in
+    scale is 0) gives 1 and accepts; lam_{k-1} == lam_k with k >= 2 gives 0
+    and rejects.
     """
 
     k: int

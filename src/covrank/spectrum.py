@@ -8,6 +8,7 @@ the sequential rank test.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -15,6 +16,8 @@ import numpy as np
 from .errors import NumericalError, ValidationError
 
 __all__ = ["Spectrum", "sample_covariance", "symmetric_eigen"]
+
+_TINY = np.finfo(np.float64).tiny  # smallest normal float64
 
 
 @dataclass(frozen=True)
@@ -74,12 +77,25 @@ def sample_covariance(data, center: bool = False) -> np.ndarray:
     np.ndarray, shape (p, p)
         Exactly symmetric matrix (the two triangles are averaged so that
         ``C[i, j] == C[j, i]`` bit for bit). Divisor is n, not n - 1.
+
+    Raises
+    ------
+    NumericalError
+        ``x^T x`` overflowed float64, or underflowed (its largest diagonal
+        entry is below the smallest normal float) while the data are not
+        zero; ``index`` is 0.
     """
     x = as_data_matrix(data)
     if center:
         x = x - x.mean(axis=0)
     n = x.shape[0]
-    t = x.T @ x
+    with np.errstate(over="ignore", under="ignore"):
+        t = x.T @ x
+    # |t_ij| <= sqrt(t_ii t_jj), so the diagonal shows an overflow, and a
+    # largest diagonal entry below the smallest normal float shows underflow.
+    peak = t.diagonal().max()
+    if not _TINY <= peak < math.inf and x.any():
+        raise NumericalError("float64 under- or overflow in x^T x; rescale the data", index=0)
     # dgemm output is symmetric only up to rounding; averaging the triangles
     # makes symmetry exact.
     return (t + t.T) / (2.0 * n)
@@ -91,8 +107,8 @@ def symmetric_eigen(m, want_vectors: bool = False, clamp_tol: float | None = Non
     Eigenvalues with ``|lam| <= clamp_tol`` are snapped to exact zero and
     counted in ``clamp_count``. Exact zeros matter downstream: trailing
     eigenvalues of covariance matrices built from exactly low-rank data must
-    come out as 0.0, not 1e-16 noise, so that the degenerate-scale rule of
-    the test statistic can fire deterministically.
+    come out as 0.0, not 1e-16 noise, so that the tie rule of the test
+    statistic (lam_k == lam_{k+1} == 0) fires deterministically.
 
     A stack is validated once and decomposed in one LAPACK-backed call, which
     still factors each matrix on its own, so every row is bit-identical to a

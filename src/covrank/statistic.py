@@ -55,6 +55,8 @@ __all__ = [
 ]
 
 _NEG_INF = float("-inf")
+_TINY = np.finfo(np.float64).tiny  # smallest normal float64
+_MAX_TOP = math.sqrt(np.finfo(np.float64).max / 2.0)  # 2 u^2 overflows from here on
 
 # Gauss-Legendre rules used as the (coarse, fine) pair of the adaptive
 # scheme. Nodes are interior, so panel endpoints (where the integrand may
@@ -101,7 +103,7 @@ class QuadratureSettings:
 class StepStatistics(NamedTuple):
     """Step-k results of :func:`csv_statistic` on a stack of spectra, one entry per row.
 
-    ``degenerate`` is True where one of the degenerate rules fixed the
+    ``degenerate`` is True where one of the two tie rules fixed the
     statistic without quadrature.
     """
 
@@ -151,9 +153,11 @@ def _check_scale(scale2, rows: int) -> np.ndarray:
 def plug_in_scale(eigenvalues, k: int) -> float | np.ndarray:
     """Trailing-eigenvalue noise-scale estimator ``sum_{j>=k} lam_j^2 / (p (p-k+1))``.
 
-    Zero is a legal output (an exactly low-rank trailing spectrum); callers
-    decide how to handle that degeneracy. Returns a float for one spectrum
-    and an array with one scale per row for a 2-d stack.
+    Exactly 0 for an exactly low-rank trailing spectrum; 0, subnormal or
+    ``inf`` where the squares under- or overflow float64, without a warning.
+    :func:`csv_statistic` settles the first case by its tie rule and raises
+    a NumericalError on the others. Returns a float for one spectrum and an
+    array with one scale per row for a 2-d stack.
     """
     lam = _check_eigenvalues(eigenvalues)
     p = lam.shape[-1]
@@ -161,7 +165,8 @@ def plug_in_scale(eigenvalues, k: int) -> float | np.ndarray:
     if not 1 <= k <= p:
         raise ValidationError(f"k must satisfy 1 <= k <= p = {p}, got {k}")
     tail = lam[..., k - 1 :]
-    s2 = (tail * tail).sum(axis=-1) / (p * (p - k + 1))
+    with np.errstate(over="ignore", under="ignore"):
+        s2 = (tail * tail).sum(axis=-1) / (p * (p - k + 1))
     return float(s2) if lam.ndim == 1 else s2
 
 
@@ -411,18 +416,21 @@ def csv_statistic(eigenvalues, k: int, scale2=None,
     Degenerate rules
     ----------------
     - ``lam_k == lam_{k+1}``: numerator and denominator intervals coincide;
-      returns exactly 1.0 (accept).
-    - plug-in scale resolves to 0 (exactly low-rank trailing spectrum):
-      returns exactly 1.0 by continuity.
+      returns exactly 1.0 (accept). This covers an exactly low-rank trailing
+      spectrum, whose plug-in scale is 0.
     - ``lam_{k-1} == lam_k`` with k >= 2: empty numerator interval; returns
       exactly 0.0.
 
     Raises
     ------
     NumericalError
-        A quadrature ran out of split budget; ``index`` is the lowest
-        failing row.
+        A quadrature ran out of split budget, or a row without a tie met
+        float64 under- or overflow: a plug-in scale of 0, subnormal or inf,
+        an integration range whose gap factors would overflow, or a zero
+        N + M mass. ``index`` is the lowest failing row.
     """
+    if settings is None:
+        settings = QuadratureSettings()
     lam = _check_eigenvalues(eigenvalues)
     spectra = np.atleast_2d(lam)
     rows, p = spectra.shape
@@ -431,12 +439,20 @@ def csv_statistic(eigenvalues, k: int, scale2=None,
 
     upper = spectra[:, k - 2] if k >= 2 else np.full(rows, math.inf)
     lam_k, lam_next = spectra[:, k - 1], spectra[:, k]
-    accept = (lam_k == lam_next) | (s2 == 0.0)
+    accept = lam_k == lam_next
     reject = ~accept & (upper == lam_k)
     degenerate = accept | reject
     stat = np.where(reject, 0.0, 1.0)
 
-    q = np.flatnonzero(~degenerate)
+    # Off the ties, only float64 under- or overflow gives a plug-in scale
+    # outside the normal range (0, subnormal or inf), a top of integration
+    # lam_1 + tail_sigmas * sqrt(s2) at or above _MAX_TOP (gap factors, at
+    # most 2 u^2, overflow there), or a zero N + M mass. Rows from the lowest
+    # such one on are not integrated, so the error names the lowest failing row.
+    room = (_MAX_TOP - spectra[:, 0]) / settings.tail_sigmas
+    bad = np.flatnonzero(~degenerate & ~((s2 >= _TINY) & (np.sqrt(s2) < room)))
+    stop = int(bad[0]) if bad.size else rows
+    q = np.flatnonzero(~degenerate[:stop])
     if q.size:
         # N and M of one row sit next to each other, so the lowest failing
         # integral belongs to the lowest failing row.
@@ -450,7 +466,12 @@ def csv_statistic(eigenvalues, k: int, scale2=None,
         log_n = logs[0::2]
         log_d = np.logaddexp(log_n, logs[1::2])
         with np.errstate(invalid="ignore"):
-            stat[q] = np.where(log_d == _NEG_INF, 1.0, np.exp(log_n - log_d))
+            stat[q] = np.exp(log_n - log_d)
+        empty = q[log_d == _NEG_INF]
+        stop = int(empty[0]) if empty.size else stop
+    if stop < rows:
+        raise NumericalError(f"float64 under- or overflow at scale2={s2[stop]:g}, "
+                             f"lam_1={spectra[stop, 0]:g}; rescale the data", index=stop)
 
     if lam.ndim == 1:
         return float(stat[0])

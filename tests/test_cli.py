@@ -441,3 +441,63 @@ class TestUsage:
         errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
         assert errors == [f"covrank simulate: error: argument --seed: "
                           f"seed must be a 64-bit unsigned integer, got {seed}"]
+
+
+def write_csv(path, data):
+    path.write_text("\n".join(",".join(repr(float(v)) for v in row) for row in data) + "\n")
+    return path
+
+
+class TestStderrLines:
+    @pytest.mark.parametrize("scale", [1e-100, 1e100])
+    def test_rank_out_of_float_range_is_one_numeric_line(self, tmp_path, scale):
+        rng = np.random.default_rng(4)
+        data = rng.standard_normal((200, 2)) @ rng.standard_normal((2, 6))
+        path = write_csv(tmp_path / "scaled.csv", scale * data)
+        code, out, err = invoke(["rank", str(path)])
+        assert code == 3
+        assert out == ""
+        assert err.startswith("covrank: numeric: step k=1: float64 under- or overflow")
+        assert err.count("\n") == 1
+        assert "Warning" not in err
+
+    def test_n_not_above_p_is_one_warning_line(self, tmp_path):
+        path = write_csv(tmp_path / "wide.csv", np.random.default_rng(5).standard_normal((5, 8)))
+        code, out, err = invoke(["rank", str(path)])
+        assert code == 0
+        assert "rank estimate:" in out and "Warning" not in out
+        assert err.splitlines() == ["covrank: warning: n=5 observations for p=8 covariates; "
+                                    "the test's guarantees assume n > p"]
+
+    def test_low_t_df_is_one_warning_line(self, tmp_path):
+        path = tmp_path / "t3.json"
+        path.write_text(json.dumps({"p": 4, "true_rank": 1, "n": 40, "reps": 3,
+                                    "t_df": 3, "seed": 1}))
+        code, out, err = invoke(["simulate", str(path), "--format", "json"])
+        assert code == 0
+        assert json.loads(out)["config"]["t_df"] == 3
+        assert err.splitlines() == ["covrank: warning: t_df=3.0 <= 4: factor fourth moments are "
+                                    "infinite, outside the regularity conditions; "
+                                    "proceeding anyway"]
+
+    def test_warnings_are_printed_before_a_failure(self, tmp_path):
+        data = 1e-100 * np.random.default_rng(5).standard_normal((5, 8))
+        code, _, err = invoke(["rank", str(write_csv(tmp_path / "wide.csv", data))])
+        assert code == 3
+        lines = err.splitlines()
+        assert len(lines) == 2
+        assert lines[0].startswith("covrank: warning: n=5 observations")
+        assert lines[1].startswith("covrank: numeric:")
+
+    def test_numeric_line_carries_the_best_estimate(self, sim_config, monkeypatch):
+        import covrank.cli as cli_mod
+
+        def boom(*args, **kwargs):
+            raise NumericalError("quadrature did not converge", best_estimate=-2.5,
+                                 achieved_rel_tol=0.125)
+
+        monkeypatch.setattr(cli_mod, "run_rejection_table", boom)
+        code, _, err = invoke(["simulate", str(sim_config)])
+        assert code == 3
+        assert err == ("covrank: numeric: quadrature did not converge; best_estimate=-2.5; "
+                       "achieved_rel_tol=0.125\n")

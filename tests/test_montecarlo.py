@@ -54,7 +54,7 @@ class TestRunRejectionTable:
         cfg = small_table_config()  # tau = 0, true rank 2
         table = run_rejection_table(cfg)
         assert table.reached[2] > 0  # step 3 was reached
-        assert table.rejected[2] == 0  # and never rejected: zero-scale rule
+        assert table.rejected[2] == 0  # and never rejected: tie rule on the zero tail
 
     def test_rates(self):
         table = run_rejection_table(small_table_config(reps=20))
@@ -109,6 +109,14 @@ class TestCollectNullStatistics:
         with pytest.raises(ValidationError):
             collect_null_statistics(self.null_config(), 4)
 
+    def test_step_range_message_is_the_statistics_own(self):
+        table = run_rejection_table(small_table_config(reps=2))
+        for check in (lambda: collect_null_statistics(self.null_config(), 4),
+                      lambda: table.rate_percent(5),
+                      lambda: csv_statistic(np.ones(4), 4)):
+            with pytest.raises(ValidationError, match=r"^step k must satisfy 1 <= k <= p-1 = \d, got"):
+                check()
+
     def test_worker_count_does_not_change_results(self):
         s1 = collect_null_statistics(self.null_config(reps=12), 1, workers=1)
         s2 = collect_null_statistics(self.null_config(reps=12), 1, workers=2)
@@ -155,6 +163,26 @@ class TestNumericFailure:
         with pytest.raises(NumericalError, match=f"replication {expected} failed") as info:
             collect_null_statistics(self.cfg, 2, self.tight, workers=workers)
         assert info.value.index == expected
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("overflowing", [0, 4])
+    def test_covariance_overflow_names_lowest_failing_replication(self, monkeypatch,
+                                                                  workers, overflowing):
+        # Replication 1 is the first to exhaust the split budget; the data of
+        # one replication are scaled until x^T x overflows. Forked workers
+        # inherit the patch.
+        expected = self.first_failure(lambda lam: run_sequence(lam, self.cfg.alpha, self.tight))
+        assert expected == 1
+
+        def scaled(cfg, index, out=None):
+            data = generate_dataset(cfg, index, out=out)
+            return data * 1e200 if index == overflowing else data
+
+        monkeypatch.setattr(montecarlo, "generate_dataset", scaled)
+        lowest = min(expected, overflowing)
+        with pytest.raises(NumericalError, match=f"replication {lowest} failed") as info:
+            run_rejection_table(self.cfg, self.tight, workers=workers)
+        assert info.value.index == lowest
 
 
 def _blas_threads():

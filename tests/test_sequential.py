@@ -119,7 +119,7 @@ class TestRankFromData:
 
     def test_exact_collinear_data(self):
         # With p = 4 covariates on a line the first step rejects and the
-        # second hits the zero-scale rule: rank 1.
+        # second hits the tie rule on the zero tail: rank 1.
         rng = np.random.default_rng(8)
         t = rng.standard_normal(200)
         data4 = t[:, None] * np.array([1.0, -2.0, 0.5, 0.8])[None, :]

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from covrank import ValidationError, sample_covariance, symmetric_eigen
+from covrank import NumericalError, ValidationError, sample_covariance, symmetric_eigen
 from covrank.spectrum import as_data_matrix
 
 from oracles import covariance_by_loops
@@ -51,6 +51,14 @@ class TestSampleCovariance:
     def test_divisor_is_n(self):
         data = np.array([[2.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]])
         assert sample_covariance(data)[0, 0] == pytest.approx(1.0)  # 4/4, not 4/3
+
+    @pytest.mark.parametrize("scale", [1e-200, 1e-161, 1e200])
+    @pytest.mark.parametrize("center", [False, True])
+    def test_float_range_failure_is_numerical_error(self, scale, center):
+        data = scale * np.random.default_rng(6).standard_normal((20, 3))
+        with pytest.raises(NumericalError, match="under- or overflow") as info:
+            sample_covariance(data, center=center)
+        assert info.value.index == 0
 
 
 class TestSymmetricEigen:

@@ -149,6 +149,7 @@ class TestCsvStatistic:
         assert csv_statistic([3.0, 3.0, 1.0], 2) == 0.0
 
     def test_zero_plug_in_scale_returns_one(self):
+        # A zero plug-in scale means a zero tail, so the tie rule decides.
         assert csv_statistic([5.0, 0.0, 0.0, 0.0], 2) == 1.0
 
     def test_triple_tie_prefers_acceptance(self):
@@ -166,6 +167,26 @@ class TestCsvStatistic:
         got = csv_statistic(lam, 1)
         ref = midpoint_csv_statistic(lam, 1, plug_in_scale(lam, 1))
         assert got == pytest.approx(ref, abs=1e-7)
+
+    def test_float_range_failures_name_the_lowest_row(self):
+        stack = np.array([
+            [3.0, 2.0, 1.0],
+            [3.0, 3.0, 1.0],          # a tie at k = 1: no quadrature, no error
+            [3e-200, 2e-200, 1e-200],  # the plug-in scale underflows to 0
+            [3e200, 2e200, 1e200],     # ... and overflows
+        ])
+        for rows, index in ((stack, 2), (stack[[0, 1, 3]], 2), (stack[[3, 2]], 0)):
+            with pytest.raises(NumericalError, match="under- or overflow") as info:
+                csv_statistic(rows, 1)
+            assert info.value.index == index
+            assert info.value.best_estimate is None
+        assert csv_statistic(stack[:2], 1).statistic[1] == 1.0
+
+    def test_zero_mass_is_an_error(self):
+        # u^2 / (2 s2) overflows on all of [10, 20]: N and M are both zero.
+        with pytest.raises(NumericalError, match="under- or overflow") as info:
+            csv_statistic(np.array([[20.0, 10.0]] * 3), 1, scale2=[1.0, 2.3e-308, 1.0])
+        assert info.value.index == 1
 
     def test_explicit_scale_must_be_positive(self):
         with pytest.raises(ValidationError):
@@ -282,7 +303,7 @@ class TestBlockEvaluation:
     def test_degenerate_flag_covers_all_three_rules(self):
         stack = np.array([
             [3.0, 2.0, 2.0, 1.0],  # lam_2 == lam_3: 1.0
-            [5.0, 3.0, 0.0, 0.0],  # zero plug-in scale at k = 3: 1.0
+            [5.0, 3.0, 0.0, 0.0],  # lam_3 == lam_4 == 0 (zero plug-in scale) at k = 3: 1.0
             [3.0, 2.0, 2.0, 1.0],  # lam_2 == lam_3 at k = 3: 0.0
             [4.0, 3.0, 2.0, 1.0],  # regular
         ])
