@@ -20,13 +20,7 @@ from .montecarlo import (
 )
 from .sequential import SequentialResult, StepOutcome, rank_from_data, run_sequence
 from .spectrum import Spectrum, sample_covariance, symmetric_eigen
-from .statistic import (
-    QuadratureSettings,
-    csv_statistic,
-    log_integral,
-    log_integrand,
-    plug_in_scale,
-)
+from .statistic import QuadratureSettings, csv_statistic, log_integral, plug_in_scale
 
 __version__ = "0.1.0"
 
@@ -47,7 +41,6 @@ __all__ = [
     "ks_distance",
     "ks_pvalue_approx",
     "log_integral",
-    "log_integrand",
     "make_loadings",
     "plug_in_scale",
     "rank_from_data",

@@ -162,7 +162,8 @@ def make_loadings(p: int, k: int, factor_scales, seed) -> np.ndarray:
     Draws a Gaussian matrix, orthonormalizes it by QR (signs fixed so the
     result is unique), and scales column j by sqrt(factor_scales[j]). The
     Gram matrix A^T A is therefore diag(factor_scales) and A A^T has the
-    scales as its nonzero eigenvalues. Deterministic given the seed.
+    scales as its nonzero eigenvalues. Deterministic given the seed. A
+    rank-deficient draw, an event of probability zero, raises NumericalError.
     """
     if not 0 <= k <= p:
         raise ValidationError(f"need 0 <= k <= p, got k={k}, p={p}")
@@ -176,15 +177,12 @@ def make_loadings(p: int, k: int, factor_scales, seed) -> np.ndarray:
     if np.any(scales <= 0.0) or np.any(np.diff(scales) > 0.0):
         raise ValidationError("factor_scales must be positive and nonincreasing")
 
-    rng = np.random.default_rng(seed)
-    for _ in range(8):
-        m = rng.standard_normal((p, k))
-        q, r = np.linalg.qr(m)
-        d = np.diagonal(r)
-        if np.min(np.abs(d)) > 1e-10 * math.sqrt(p):
-            q = q * np.sign(d)[None, :]
-            return q * np.sqrt(scales)[None, :]
-    raise NumericalError(f"could not draw a full-rank {p}x{k} Gaussian frame in 8 attempts")
+    q, r = np.linalg.qr(np.random.default_rng(seed).standard_normal((p, k)))
+    d = np.diagonal(r)
+    if not np.min(np.abs(d)) > 1e-10 * math.sqrt(p):
+        raise NumericalError(f"drew a rank-deficient {p}x{k} Gaussian frame")
+    q = q * np.sign(d)[None, :]
+    return q * np.sqrt(scales)[None, :]
 
 
 def sample_factors_t(k: int, n: int, t_df: float, seed) -> np.ndarray:

@@ -20,7 +20,7 @@ replication's statistics do not depend on the block it lands in. A job
 builds all of its datasets in one workspace, so no replication allocates an
 n x p array.
 
-Pool workers run their BLAS single-threaded (when it is OpenBLAS), so N
+Pool workers run numpy's BLAS single-threaded (when it is OpenBLAS), so N
 workers keep N cores busy instead of each starting the parent's BLAS thread
 pool; the in-process path leaves the BLAS threads as it finds them.
 """
@@ -151,47 +151,34 @@ def _run_block(job):
 _OPENBLAS_SET_THREADS = ("scipy_openblas_set_num_threads64_", "openblas_set_num_threads")
 
 
-def _loaded_openblas() -> list:
-    """ctypes handles of the OpenBLAS libraries mapped into this process.
+def _numpy_blas():
+    """ctypes handle of numpy's linalg extension, through which the symbols of
+    the BLAS numpy links resolve (dlsym also searches a library's dependencies).
 
-    Empty when none is found, e.g. under another BLAS or without ``/proc``.
     ``ctypes`` is imported here so that importing the package does not pay for it.
     """
     import ctypes
 
-    try:
-        with open("/proc/self/maps", encoding="utf-8", errors="replace") as fh:
-            # Fields: address, perms, offset, device, inode, path (may hold spaces).
-            paths = {line.split(maxsplit=5)[5].rstrip("\n") for line in fh
-                     if "openblas" in line.rsplit("/", 1)[-1]}
-    except OSError:
-        return []
-    libs = []
-    for path in sorted(paths):
-        try:
-            libs.append(ctypes.CDLL(path))
-        except OSError:  # e.g. a mapping of a file since deleted
-            continue
-    return libs
+    return ctypes.CDLL(np.linalg._umath_linalg.__file__)
 
 
 def _single_threaded_blas() -> None:
-    """Pool-worker initializer: set every loaded OpenBLAS to one thread.
+    """Pool-worker initializer: run numpy's OpenBLAS on one thread.
 
     A forked worker inherits the parent's BLAS thread count, so 2 workers on
-    2 cores would otherwise run 4 spinning BLAS threads. Does nothing when no
-    OpenBLAS is loaded.
+    2 cores would otherwise run 4 spinning BLAS threads. Does nothing when
+    numpy's BLAS is not OpenBLAS.
     """
     import ctypes
 
-    for lib in _loaded_openblas():
-        for name in _OPENBLAS_SET_THREADS:
-            setter = getattr(lib, name, None)
-            if setter is not None:
-                setter.argtypes = [ctypes.c_int]
-                setter.restype = None
-                setter(1)
-                break
+    lib = _numpy_blas()
+    for name in _OPENBLAS_SET_THREADS:
+        setter = getattr(lib, name, None)
+        if setter is not None:
+            setter.argtypes = [ctypes.c_int]
+            setter.restype = None
+            setter(1)
+            return
 
 
 def _map_blocks(task, cfg: SimulationConfig, args: tuple, workers: int, what: str):

@@ -47,10 +47,6 @@ class SequentialResult:
     rank_estimate: int
     boundary_reached: bool
 
-    def __str__(self) -> str:
-        tail = " (boundary reached)" if self.boundary_reached else ""
-        return f"rank estimate {self.rank_estimate} after {len(self.steps)} step(s){tail}"
-
 
 def _check_alpha(alpha) -> float:
     """The test level as a float; ValidationError unless it lies in (0, 1)."""

@@ -44,22 +44,6 @@ class Spectrum:
     clamp_count: int | np.ndarray
 
 
-def as_data_matrix(data) -> np.ndarray:
-    """Validate and return an n x p observation matrix as float64.
-
-    Requires n >= 2 rows, p >= 2 columns, and finite entries.
-    """
-    arr = np.asarray(data, dtype=np.float64)
-    if arr.ndim != 2:
-        raise ValidationError(f"data must be a 2-d matrix, got ndim={arr.ndim}")
-    n, p = arr.shape
-    if n < 2 or p < 2:
-        raise ValidationError(f"data must be at least 2x2, got {n}x{p}")
-    if not np.all(np.isfinite(arr)):
-        raise ValidationError("data contains non-finite entries (NaN or Inf)")
-    return arr
-
-
 def sample_covariance(data, center: bool = False) -> np.ndarray:
     """Second-moment matrix ``(1/n) * sum_i x_i x_i^T`` of the rows of ``data``.
 
@@ -80,21 +64,30 @@ def sample_covariance(data, center: bool = False) -> np.ndarray:
 
     Raises
     ------
+    ValidationError
+        ``data`` is not an n x p matrix with n, p >= 2, or has a NaN or Inf
+        entry.
     NumericalError
         ``x^T x`` overflowed float64, or underflowed (its largest diagonal
         entry is below the smallest normal float) while the data are not
         zero; ``index`` is 0.
     """
-    x = as_data_matrix(data)
-    if center:
-        x = x - x.mean(axis=0)
-    n = x.shape[0]
-    with np.errstate(over="ignore", under="ignore"):
+    arr = np.asarray(data, dtype=np.float64)
+    if arr.ndim != 2 or min(arr.shape) < 2:
+        raise ValidationError(f"data must be an n x p matrix with n, p >= 2, got shape {arr.shape}")
+    n = arr.shape[0]
+    with np.errstate(all="ignore"):
+        x = arr - arr.mean(axis=0) if center else arr
         t = x.T @ x
-    # |t_ij| <= sqrt(t_ii t_jj), so the diagonal shows an overflow, and a
-    # largest diagonal entry below the smallest normal float shows underflow.
+    # t_jj sums the squares of column j, centered or not, so a NaN or Inf
+    # entry makes it non-finite; since |t_ij| <= sqrt(t_ii t_jj), the diagonal
+    # also shows an overflow, and a largest diagonal entry below the smallest
+    # normal float shows underflow. Only then are the entries checked, to tell
+    # invalid data from a float-range failure.
     peak = t.diagonal().max()
     if not _TINY <= peak < math.inf and x.any():
+        if not np.isfinite(arr).all():
+            raise ValidationError("data contains non-finite entries (NaN or Inf)")
         raise NumericalError("float64 under- or overflow in x^T x; rescale the data", index=0)
     # dgemm output is symmetric only up to rounding; averaging the triangles
     # makes symmetry exact.

@@ -49,7 +49,6 @@ __all__ = [
     "QuadratureSettings",
     "StepStatistics",
     "plug_in_scale",
-    "log_integrand",
     "log_integral",
     "csv_statistic",
 ]
@@ -190,28 +189,11 @@ def _log_f(u: np.ndarray, lam_others: np.ndarray, inv_two_s2,
     gaps = np.subtract(u, lam_others, out=work[:size].reshape(shape))
     np.abs(gaps, out=gaps)
     gaps *= np.add(u, lam_others, out=work[size:2 * size].reshape(shape))
-    with np.errstate(divide="ignore"):
+    # A zero gap factor gives -inf, and so does a Gaussian term that overflows
+    # (an explicit scale2 near the smallest normal float).
+    with np.errstate(divide="ignore", over="ignore"):
         np.log(gaps, out=gaps)
-    return gaps.sum(axis=0) - u * u * inv_two_s2
-
-
-def log_integrand(u, eigenvalues, k: int, scale2: float):
-    """Log of the step-k integrand at ``u``: ``-u^2/(2 s2) + sum_{j != k} log|u^2 - lam_j^2|``.
-
-    Returns exactly ``-inf`` when u coincides with some lam_j, j != k.
-    Accepts a scalar or a 1-d array of nonnegative abscissas and a single
-    spectrum.
-    """
-    lam = _check_eigenvalues(eigenvalues)
-    if lam.ndim != 1:
-        raise ValidationError("log_integrand takes a single spectrum")
-    k = _check_step(k, lam.shape[0])
-    s2 = float(_check_scale(scale2, 1)[0])
-    u_arr = np.atleast_1d(np.asarray(u, dtype=np.float64))
-    if np.any(u_arr < 0.0) or not np.all(np.isfinite(u_arr)):
-        raise ValidationError("u must be finite and >= 0")
-    g = _log_f(u_arr, np.delete(lam, k - 1)[:, None], 0.5 / s2)
-    return float(g[0]) if np.isscalar(u) or np.ndim(u) == 0 else g
+        return gaps.sum(axis=0) - u * u * inv_two_s2
 
 
 def _logsumexp(x: np.ndarray) -> np.ndarray:
@@ -462,7 +444,12 @@ def csv_statistic(eigenvalues, k: int, scale2=None,
                                 np.repeat(spectra[q], 2, axis=0), k, np.repeat(s2[q], 2),
                                 settings)
         except NumericalError as exc:
-            raise exc.at(int(q[exc.index // 2])) from exc
+            # The rows below converged, but one of them may have a zero mass:
+            # evaluated alone they raise that lower failure, if there is one.
+            row = int(q[exc.index // 2])
+            if row:
+                csv_statistic(spectra[:row], k, None if scale2 is None else s2[:row], settings)
+            raise exc.at(row) from exc
         log_n = logs[0::2]
         log_d = np.logaddexp(log_n, logs[1::2])
         with np.errstate(invalid="ignore"):

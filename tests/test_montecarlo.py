@@ -186,17 +186,15 @@ class TestNumericFailure:
 
 
 def _blas_threads():
-    """Thread counts of the OpenBLAS libraries loaded in this process."""
-    counts = []
-    for lib in montecarlo._loaded_openblas():
-        for name in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads"):
-            getter = getattr(lib, name, None)
-            if getter is not None:
-                getter.argtypes = []
-                getter.restype = ctypes.c_int
-                counts.append(getter())
-                break
-    return counts
+    """Thread count of numpy's OpenBLAS, as a list of at most one entry."""
+    lib = montecarlo._numpy_blas()
+    for name in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads"):
+        getter = getattr(lib, name, None)
+        if getter is not None:
+            getter.argtypes = []
+            getter.restype = ctypes.c_int
+            return [getter()]
+    return []
 
 
 def _blas_threads_task(cfg, spectra):

@@ -4,7 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from covrank import NumericalError, ValidationError, sample_covariance, symmetric_eigen
-from covrank.spectrum import as_data_matrix
 
 from oracles import covariance_by_loops
 
@@ -15,7 +14,12 @@ class TestSampleCovariance:
         np.testing.assert_array_equal(sample_covariance(data), [[1.0, 0.0], [0.0, 0.0]])
 
     def test_zero_rows(self):
-        np.testing.assert_array_equal(sample_covariance(np.zeros((5, 3))), np.zeros((3, 3)))
+        for center in (False, True):
+            np.testing.assert_array_equal(sample_covariance(np.zeros((5, 3)), center=center),
+                                          np.zeros((3, 3)))
+        # Constant columns center to exact zeros.
+        np.testing.assert_array_equal(sample_covariance(np.full((4, 2), 3.0), center=True),
+                                      np.zeros((2, 2)))
 
     def test_matches_loop_oracle(self):
         rng = np.random.default_rng(1234)
@@ -43,10 +47,17 @@ class TestSampleCovariance:
         np.ones((1, 5)),
         np.ones((5, 1)),
         np.ones(4),
+        np.array([[1.0, np.inf], [0.0, -np.inf], [2.0, 1.0]]),
     ])
     def test_rejects_invalid_input(self, bad):
-        with pytest.raises(ValidationError):
-            sample_covariance(bad)
+        for center in (False, True):
+            with pytest.raises(ValidationError):
+                sample_covariance(bad, center=center)
+
+    def test_finite_data_whose_mean_overflows_is_a_numerical_error(self):
+        data = np.array([[1e308, 1.0], [1e308, 2.0], [-1e308, 0.0]])
+        with pytest.raises(NumericalError, match="under- or overflow"):
+            sample_covariance(data, center=True)
 
     def test_divisor_is_n(self):
         data = np.array([[2.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]])
@@ -202,6 +213,6 @@ def test_covariance_spectrum_properties(seed, n, p):
     assert abs(float(np.sum(lam)) - trace) <= 1e-10 * max(1.0, abs(trace))
 
 
-def test_as_data_matrix_passthrough():
-    arr = as_data_matrix([[1, 2], [3, 4]])
-    assert arr.dtype == np.float64 and arr.shape == (2, 2)
+def test_integer_lists_are_read_as_float64():
+    cov = sample_covariance([[1, 2], [3, 4]])
+    assert cov.dtype == np.float64 and cov.shape == (2, 2)

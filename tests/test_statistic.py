@@ -8,13 +8,16 @@ from hypothesis import strategies as st
 from covrank import (
     NumericalError,
     QuadratureSettings,
+    SimulationConfig,
     ValidationError,
     csv_statistic,
+    generate_dataset,
     log_integral,
-    log_integrand,
     plug_in_scale,
+    sample_covariance,
+    symmetric_eigen,
 )
-from covrank.statistic import _integrate, _logsumexp
+from covrank.statistic import _integrate, _log_f, _logsumexp
 
 from oracles import midpoint_csv_statistic, midpoint_log_integral
 
@@ -57,34 +60,41 @@ class TestPlugInScale:
             plug_in_scale([2.0, 1.0], 3)
 
 
+def log_f(u, lam, k: int, s2: float) -> np.ndarray:
+    """``_log_f`` of one spectrum at step k, at a scalar or a 1-d array of abscissas."""
+    u = np.atleast_1d(np.asarray(u, dtype=np.float64))
+    return _log_f(u, np.delete(np.asarray(lam, dtype=np.float64), k - 1)[:, None], 0.5 / s2)
+
+
 class TestLogIntegrand:
     def test_zero_gap_factor_is_neg_inf(self):
         lam = np.array([4.0, 2.0, 1.0])
-        assert log_integrand(1.0, lam, 1, 0.5) == -math.inf  # u hits lam_3
+        assert log_f(1.0, lam, 1, 0.5)[0] == -math.inf  # u hits lam_3
 
     def test_all_ones_at_origin(self):
-        assert log_integrand(0.0, [1.0, 1.0, 1.0], 1, 1.0) == pytest.approx(0.0, abs=1e-15)
+        assert log_f(0.0, [1.0, 1.0, 1.0], 1, 1.0)[0] == pytest.approx(0.0, abs=1e-15)
 
     def test_matches_linear_domain_product(self):
         lam = np.array([2.5, 1.3, 0.7])
         s2 = 0.9
         for u in (0.3, 1.7, 2.9):
             linear = math.exp(-u * u / (2 * s2)) * abs(u * u - 2.5**2) * abs(u * u - 0.7**2)
-            ours = math.exp(log_integrand(u, lam, 2, s2))
+            ours = math.exp(log_f(u, lam, 2, s2)[0])
             assert ours == pytest.approx(linear, rel=1e-12)
 
     def test_vectorized(self):
         lam = np.array([2.0, 1.0])
         u = np.array([0.0, 0.5, 1.5])
-        out = log_integrand(u, lam, 1, 1.0)
+        out = log_f(u, lam, 1, 1.0)
         assert out.shape == (3,)
-        assert out[2] == pytest.approx(log_integrand(1.5, lam, 1, 1.0))
+        assert out[2] == pytest.approx(log_f(1.5, lam, 1, 1.0)[0])
 
     def test_rejects_negative_u_and_bad_scale(self):
+        # _log_f takes trusted arrays; the public entry points check them.
         with pytest.raises(ValidationError):
-            log_integrand(-0.1, [2.0, 1.0], 1, 1.0)
+            log_integral(-0.1, 1.0, [2.0, 1.0], 1, 1.0)
         with pytest.raises(ValidationError):
-            log_integrand(0.5, [2.0, 1.0], 1, 0.0)
+            log_integral(0.5, 1.0, [2.0, 1.0], 1, 0.0)
 
     def test_near_ties_keep_full_relative_precision(self):
         # Gap factors u^2 - lam_j^2 formed from squares lose about 1e-10 of
@@ -93,7 +103,7 @@ class TestLogIntegrand:
         lam = np.concatenate([[3.0], 1.0 + 1e-9 * np.arange(8.0)[::-1], [0.2]])
         k, s2 = 3, 0.5
         u = 1.0 + 1e-9 * np.random.default_rng(4).uniform(-1.0, 9.0, 40)
-        ours = log_integrand(u, lam, k, s2)
+        ours = log_f(u, lam, k, s2)
         with mpmath.workdps(50):
             for x, got in zip(u, ours):
                 x = mpmath.mpf(x)
@@ -187,6 +197,20 @@ class TestCsvStatistic:
         with pytest.raises(NumericalError, match="under- or overflow") as info:
             csv_statistic(np.array([[20.0, 10.0]] * 3), 1, scale2=[1.0, 2.3e-308, 1.0])
         assert info.value.index == 1
+
+    def test_zero_mass_below_a_quadrature_failure_names_the_lower_row(self):
+        # Row 1 exhausts its split budget; row 0, integrated in the same call,
+        # has a zero N + M mass, which is the lower failure.
+        cfg = SimulationConfig(p=6, true_rank=1, n=200, reps=2, local_null_tau=1.0,
+                               factor_scales=(3.0,), seed=5)
+        lam = symmetric_eigen(sample_covariance(generate_dataset(cfg, 1))).eigenvalues
+        tight = QuadratureSettings(rel_tol=1e-15, max_subdivisions=8)
+        with pytest.raises(NumericalError, match="did not converge"):
+            csv_statistic([lam], 2, scale2=plug_in_scale(lam, 2), settings=tight)
+        with pytest.raises(NumericalError, match="under- or overflow") as info:
+            csv_statistic([100 * lam, lam], 2, scale2=[2.3e-308, plug_in_scale(lam, 2)],
+                          settings=tight)
+        assert info.value.index == 0
 
     def test_explicit_scale_must_be_positive(self):
         with pytest.raises(ValidationError):
