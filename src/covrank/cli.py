@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import itertools
 import json
 import os
 import sys
@@ -216,11 +217,6 @@ def _nonblank_lines(fh):
             yield line
 
 
-def _prepend(first: str, lines):
-    yield first
-    yield from lines
-
-
 def _load_rows(path: str) -> np.ndarray:
     """All data rows in one streamed parse; the first line is a header if it does not parse."""
     with open(path, "r", encoding=_CSV_ENCODING) as fh:
@@ -238,7 +234,7 @@ def _load_rows(path: str) -> np.ndarray:
             if first is None:
                 raise _InputError(f"{path}: no numeric rows after the header") from None
         try:
-            return _parse_rows(_prepend(first, lines))
+            return _parse_rows(itertools.chain([first], lines))
         except ValueError as exc:
             raise _locate_parse_error(path, header, exc) from exc
 

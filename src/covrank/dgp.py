@@ -218,7 +218,7 @@ def _design(p: int, k: int, factor_scales: tuple, seed: int, local_null: bool):
     a.flags.writeable = False
     basis = None
     if local_null:
-        basis = np.linalg.qr(a, mode="complete")[0][:, k:] if k > 0 else np.eye(p)
+        basis = np.linalg.qr(a, mode="complete")[0][:, k:]
         basis.flags.writeable = False
     return a, basis
 
@@ -268,14 +268,10 @@ def generate_dataset(cfg: SimulationConfig, replication: int = 0, *,
         np.matmul(e, basis.T, out=scratch)
         scratch *= math.sqrt(cfg.local_null_tau / math.sqrt(n))
 
-    if k > 0:
-        z = sample_factors_t(k, n, cfg.t_df, _seed_seq(cfg.seed, _STREAM_FACTORS, replication))
-        np.matmul(z, a.T, out=x)
-        if scratch is not None:
-            x += scratch
-    elif scratch is not None:
-        # 0.0 + d, as a zero signal plus the disturbance: turns -0.0 into 0.0.
-        np.add(scratch, 0.0, out=x)
-    else:
-        x.fill(0.0)
+    # At rank 0 the factors are an empty n x 0 array and the signal is exactly 0.
+    z = (sample_factors_t(k, n, cfg.t_df, _seed_seq(cfg.seed, _STREAM_FACTORS, replication))
+         if k > 0 else np.empty((n, 0)))
+    np.matmul(z, a.T, out=x)
+    if scratch is not None:
+        x += scratch
     return x

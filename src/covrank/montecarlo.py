@@ -90,7 +90,7 @@ _MAX_EIGEN_FLOATS = 2**16
 
 
 def _table_block(cfg: SimulationConfig, spectra: np.ndarray,
-                 settings: QuadratureSettings | None) -> tuple[np.ndarray, np.ndarray]:
+                 settings: QuadratureSettings) -> tuple[np.ndarray, np.ndarray]:
     """Per-step reach and rejection counts of one block of replications."""
     reached = np.zeros(cfg.p - 1, dtype=np.int64)
     rejected = np.zeros(cfg.p - 1, dtype=np.int64)
@@ -102,7 +102,7 @@ def _table_block(cfg: SimulationConfig, spectra: np.ndarray,
 
 
 def _null_block(cfg: SimulationConfig, spectra: np.ndarray, k: int,
-                settings: QuadratureSettings | None) -> np.ndarray:
+                settings: QuadratureSettings) -> np.ndarray:
     return csv_statistic(spectra, k, settings=settings).statistic
 
 
@@ -210,7 +210,7 @@ def _map_blocks(task, cfg: SimulationConfig, args: tuple, workers: int, what: st
 
 
 def run_rejection_table(cfg: SimulationConfig,
-                        settings: QuadratureSettings | None = None,
+                        settings: QuadratureSettings = QuadratureSettings(),
                         workers: int = 1) -> RejectionTable:
     """Tally reach/rejection counts per step over ``cfg.reps`` replications.
 
@@ -229,7 +229,7 @@ def run_rejection_table(cfg: SimulationConfig,
 
 
 def collect_null_statistics(cfg: SimulationConfig, k: int,
-                            settings: QuadratureSettings | None = None,
+                            settings: QuadratureSettings = QuadratureSettings(),
                             workers: int = 1) -> NullSample:
     """Evaluate the step-k statistic on every replication, no gating.
 

@@ -56,7 +56,7 @@ def _check_alpha(alpha) -> float:
     return alpha
 
 
-def run_sequence(eigenvalues, alpha: float, settings: QuadratureSettings | None = None
+def run_sequence(eigenvalues, alpha: float, settings: QuadratureSettings = QuadratureSettings()
                  ) -> SequentialResult | tuple[SequentialResult, ...]:
     """Run the nested tests over k = 1..p-1 on a descending spectrum.
 
@@ -116,7 +116,7 @@ def run_sequence(eigenvalues, alpha: float, settings: QuadratureSettings | None 
 
 
 def rank_from_data(data, alpha: float, center: bool = False,
-                   settings: QuadratureSettings | None = None) -> SequentialResult:
+                   settings: QuadratureSettings = QuadratureSettings()) -> SequentialResult:
     """Estimate the covariance rank directly from an n x p data matrix.
 
     Composition of :func:`sample_covariance`, :func:`symmetric_eigen`, and

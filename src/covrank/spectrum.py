@@ -18,6 +18,7 @@ from .errors import NumericalError, ValidationError
 __all__ = ["Spectrum", "sample_covariance", "symmetric_eigen"]
 
 _TINY = np.finfo(np.float64).tiny  # smallest normal float64
+_CLAMP = 1e-12  # eigenvalues within _CLAMP * max|m_i| of zero are snapped to 0
 
 
 @dataclass(frozen=True)
@@ -33,15 +34,10 @@ class Spectrum:
         Orthonormal p x p matrix whose columns match the eigenvalue order (for a
         stack, one per matrix, shape (rows, p, p)), or None when vectors were not
         requested.
-    clamp_count : int or np.ndarray
-        Number of eigenvalues snapped to exact zero because their magnitude
-        was below the clamp tolerance: an int for one matrix, and for a stack
-        an integer array with one count per row.
     """
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray | None
-    clamp_count: int | np.ndarray
 
 
 def sample_covariance(data, center: bool = False) -> np.ndarray:
@@ -90,18 +86,20 @@ def sample_covariance(data, center: bool = False) -> np.ndarray:
             raise ValidationError("data contains non-finite entries (NaN or Inf)")
         raise NumericalError("float64 under- or overflow in x^T x; rescale the data", index=0)
     # dgemm output is symmetric only up to rounding; averaging the triangles
-    # makes symmetry exact.
-    return (t + t.T) / (2.0 * n)
+    # makes symmetry exact. Dividing by n first keeps a diagonal entry near the
+    # float64 maximum from overflowing in the sum.
+    t /= n
+    return (t + t.T) * 0.5
 
 
-def symmetric_eigen(m, want_vectors: bool = False, clamp_tol: float | None = None) -> Spectrum:
+def symmetric_eigen(m, want_vectors: bool = False) -> Spectrum:
     """Full eigendecomposition of a symmetric matrix, or of a stack of them, descending order.
 
-    Eigenvalues with ``|lam| <= clamp_tol`` are snapped to exact zero and
-    counted in ``clamp_count``. Exact zeros matter downstream: trailing
-    eigenvalues of covariance matrices built from exactly low-rank data must
-    come out as 0.0, not 1e-16 noise, so that the tie rule of the test
-    statistic (lam_k == lam_{k+1} == 0) fires deterministically.
+    Eigenvalues with ``|lam| <= 1e-12 * max|m_i|``, for each matrix ``m_i``
+    of a stack, are snapped to exact zero. Exact zeros matter downstream:
+    trailing eigenvalues of covariance matrices built from exactly low-rank
+    data must come out as 0.0, not 1e-16 noise, so that the tie rule of the
+    test statistic (lam_k == lam_{k+1} == 0) fires deterministically.
 
     A stack is validated once and decomposed in one LAPACK-backed call, which
     still factors each matrix on its own, so every row is bit-identical to a
@@ -115,15 +113,12 @@ def symmetric_eigen(m, want_vectors: bool = False, clamp_tol: float | None = Non
         symmetrize explicitly).
     want_vectors : bool
         Also return the orthonormal eigenvector matrices.
-    clamp_tol : float, optional
-        Snap threshold applied to every matrix; defaults to ``1e-12 * max(|m_i|)``
-        for each matrix ``m_i`` of the stack. Must be >= 0.
 
     Raises
     ------
     ValidationError
         Non-square, non-symmetric, or non-finite input (any matrix of a
-        stack); negative clamp_tol.
+        stack).
     NumericalError
         The underlying solver failed to converge.
     """
@@ -135,10 +130,6 @@ def symmetric_eigen(m, want_vectors: bool = False, clamp_tol: float | None = Non
         raise ValidationError("matrix contains non-finite entries")
     if not np.array_equal(a, np.swapaxes(a, -1, -2)):
         raise ValidationError("matrix is not exactly symmetric")
-    if clamp_tol is None:
-        clamp_tol = 1e-12 * np.max(np.abs(a), axis=(-2, -1), initial=0.0)
-    elif clamp_tol < 0:
-        raise ValidationError(f"clamp_tol must be >= 0, got {clamp_tol}")
 
     try:
         if want_vectors:
@@ -155,9 +146,6 @@ def symmetric_eigen(m, want_vectors: bool = False, clamp_tol: float | None = Non
     if vecs is not None:
         vecs = np.ascontiguousarray(vecs[..., ::-1])
 
-    snap = (np.abs(vals) <= np.expand_dims(clamp_tol, -1)) & (vals != 0.0)
-    vals[snap] = 0.0
-    clamp_count = np.count_nonzero(snap, axis=-1)
-    if a.ndim == 2:
-        clamp_count = int(clamp_count)
-    return Spectrum(eigenvalues=vals, eigenvectors=vecs, clamp_count=clamp_count)
+    tol = _CLAMP * np.max(np.abs(a), axis=(-2, -1), initial=0.0)
+    vals[np.abs(vals) <= np.expand_dims(tol, -1)] = 0.0
+    return Spectrum(eigenvalues=vals, eigenvectors=vecs)

@@ -304,7 +304,7 @@ def _integrate(a: np.ndarray, b: np.ndarray, count: np.ndarray, lam_others: np.n
 
 
 def log_integral(lo, hi, eigenvalues, k: int, scale2,
-                 settings: QuadratureSettings | None = None) -> float | np.ndarray:
+                 settings: QuadratureSettings = QuadratureSettings()) -> float | np.ndarray:
     """Log of the integral of the step-k integrand over [lo, hi].
 
     ``hi`` may be ``inf``; the upper limit is then truncated at
@@ -329,8 +329,6 @@ def log_integral(lo, hi, eigenvalues, k: int, scale2,
         ``best_estimate`` (the log value) and ``achieved_rel_tol`` of the
         lowest failing row, and that row's position in ``index``.
     """
-    if settings is None:
-        settings = QuadratureSettings()
     lam = _check_eigenvalues(eigenvalues)
     spectra = np.atleast_2d(lam)
     rows, p = spectra.shape
@@ -370,7 +368,7 @@ def log_integral(lo, hi, eigenvalues, k: int, scale2,
 
 
 def csv_statistic(eigenvalues, k: int, scale2=None,
-                  settings: QuadratureSettings | None = None) -> float | StepStatistics:
+                  settings: QuadratureSettings = QuadratureSettings()) -> float | StepStatistics:
     """Step-k conditional singular-value statistic, a value in [0, 1].
 
     Ratio of the integrand mass on [lam_k, lam_{k-1}] to the mass on
@@ -411,8 +409,6 @@ def csv_statistic(eigenvalues, k: int, scale2=None,
         an integration range whose gap factors would overflow, or a zero
         N + M mass. ``index`` is the lowest failing row.
     """
-    if settings is None:
-        settings = QuadratureSettings()
     lam = _check_eigenvalues(eigenvalues)
     spectra = np.atleast_2d(lam)
     rows, p = spectra.shape

@@ -110,6 +110,23 @@ class TestRankCommand:
         assert err.startswith("covrank: parse:")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("token", ["inf", "-inf", "nan"])
+    def test_non_finite_values_exit_2(self, tmp_path, token):
+        path = tmp_path / "nonfinite.csv"
+        path.write_text(f"1.0,2.0\n{token},3.0\n4.0,5.0\n")
+        assert invoke(["rank", str(path)]) == (
+            2, "", f"covrank: parse: {path}: non-finite values in data\n")
+
+    def test_human_output_reports_the_boundary(self, tmp_path):
+        # Six well-separated scales: every testable null, k = 1..5, is rejected.
+        data = np.random.default_rng(1).standard_normal((400, 6)) * 3.0 ** -np.arange(6.0)
+        code, out, err = invoke(["rank", str(write_csv(tmp_path / "full.csv", data))])
+        assert (code, err) == (0, "")
+        assert out.splitlines()[-2:] == [
+            "rank estimate: 5",
+            "boundary reached: all testable nulls rejected; the true rank may be p-1 or p",
+        ]
+
     def test_alpha_flag(self, rank1_csv):
         strict = json.loads(
             invoke(["rank", str(rank1_csv), "--format", "json", "--no-center",
@@ -279,6 +296,20 @@ class TestSimulateCommand:
         assert err.startswith(f"covrank: parse: {path}: not UTF-8 text")
         assert err.count("\n") == 1
 
+    def test_config_that_is_not_an_object_exits_2(self, tmp_path):
+        path = tmp_path / "array.json"
+        path.write_text("[1, 2]")
+        assert invoke(["simulate", str(path)]) == (
+            2, "", f"covrank: parse: {path}: config must be a JSON object\n")
+
+    @pytest.mark.parametrize("scales", [3.0, "3,2", {"0": 3.0}])
+    def test_factor_scales_that_are_not_an_array_exit_2(self, tmp_path, scales):
+        path = tmp_path / "scales.json"
+        path.write_text(json.dumps({"p": 4, "true_rank": 1, "n": 20, "reps": 2,
+                                    "factor_scales": scales}))
+        assert invoke(["simulate", str(path)]) == (
+            2, "", f"covrank: parse: {path}: factor_scales must be a JSON array\n")
+
     def test_missing_required_key_exits_2(self, tmp_path):
         path = tmp_path / "partial.json"
         path.write_text(json.dumps({"p": 4, "n": 20, "reps": 2}))
@@ -315,6 +346,12 @@ class TestSimulateCommand:
         code, _, err = invoke(["simulate", str(sim_config)])
         assert code == 2
         assert THREADS_ENV_VAR in err
+
+    def test_zero_env_thread_count_exits_2(self, sim_config, monkeypatch):
+        monkeypatch.setenv(THREADS_ENV_VAR, "0")
+        assert invoke(["simulate", str(sim_config)]) == (
+            2, "", f"covrank: parse: environment variable {THREADS_ENV_VAR}='0' "
+                   "is not a positive integer\n")
 
     def test_numerical_failure_exits_3(self, sim_config, monkeypatch):
         import covrank.cli as cli_mod
@@ -397,6 +434,14 @@ class TestNullcheckCommand:
         assert json.loads(out)["k"] == 1
 
 
+    @pytest.mark.parametrize("step", ["2", True])
+    def test_step_key_must_be_an_integer(self, tmp_path, step):
+        path = tmp_path / "step.json"
+        path.write_text(json.dumps({"p": 4, "true_rank": 1, "n": 20, "reps": 2,
+                                    "local_null_tau": 0.5, "step": step}))
+        assert invoke(["nullcheck", str(path)]) == (
+            2, "", f"covrank: parse: {path}: step must be an integer, got {step!r}\n")
+
 class TestUsage:
     def test_unknown_command_exits_2(self, capsys):
         assert run_cli(["frobnicate"]) == 2
@@ -435,6 +480,12 @@ class TestUsage:
         ]
         assert "invalid" not in err and "_arg" not in err and "_positive_int" not in err
 
+    @pytest.mark.parametrize("command", ["simulate", "nullcheck"])
+    def test_zero_threads_is_a_usage_error(self, sim_config, capsys, command):
+        assert run_cli([command, str(sim_config), "--threads", "0"]) == 2
+        errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+        assert errors == [f"covrank {command}: error: argument --threads: must be >= 1, got 0"]
+
     @pytest.mark.parametrize("seed", [-1, 2**64])
     def test_out_of_range_seed_is_one_usage_error(self, sim_config, capsys, seed):
         assert run_cli(["simulate", str(sim_config), "--seed", str(seed)]) == 2
@@ -460,6 +511,14 @@ class TestStderrLines:
         assert err.startswith("covrank: numeric: step k=1: float64 under- or overflow")
         assert err.count("\n") == 1
         assert "Warning" not in err
+
+    @pytest.mark.parametrize("center", ["--center", "--no-center"])
+    def test_gram_diagonal_near_the_float64_maximum_is_one_numeric_line(self, tmp_path, center):
+        path = write_csv(tmp_path / "huge.csv", [[8e153, 1.0], [-8e153, 0.0], [1.0, 2.0]])
+        code, out, err = invoke(["rank", str(path), center])
+        assert (code, out) == (3, "")
+        assert err.startswith("covrank: numeric: step k=1: float64 under- or overflow")
+        assert err.count("\n") == 1
 
     def test_n_not_above_p_is_one_warning_line(self, tmp_path):
         path = write_csv(tmp_path / "wide.csv", np.random.default_rng(5).standard_normal((5, 8)))

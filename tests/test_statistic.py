@@ -14,6 +14,7 @@ from covrank import (
     generate_dataset,
     log_integral,
     plug_in_scale,
+    run_sequence,
     sample_covariance,
     symmetric_eigen,
 )
@@ -370,6 +371,36 @@ def test_statistic_stays_in_unit_interval(seed, p, kseed):
     k = 1 + kseed % (p - 1)
     value = csv_statistic(lam, k)
     assert 0.0 <= value <= 1.0
+
+
+_STACK = np.array([[3.0, 2.0, 1.0], [4.0, 2.0, 0.5]])
+_BAD_SPECTRA = {
+    "unsorted": [1.0, 2.0, 0.5],
+    "negative": [2.0, 1.0, -0.5],
+    "nan": [2.0, math.nan, 0.5],
+    "inf": [math.inf, 1.0, 0.5],
+    "length_1": [1.0],
+    "empty_stack": np.empty((0, 3)),
+}
+_BOUNDARIES = {
+    "plug_in_scale": lambda lam: plug_in_scale(lam, 1),
+    "log_integral": lambda lam, lo=0.0, hi=1.0, scale2=1.0: log_integral(lo, hi, lam, 1, scale2),
+    "csv_statistic": lambda lam, scale2=None: csv_statistic(lam, 1, scale2),
+    "run_sequence": lambda lam: run_sequence(lam, 0.05),
+}
+
+
+@pytest.mark.parametrize("boundary, eigenvalues, kwargs", [
+    *(pytest.param(name, lam, {}, id=f"{name}-{case}")
+      for name in _BOUNDARIES for case, lam in _BAD_SPECTRA.items()),
+    # Three values for a stack of two spectra.
+    *(pytest.param(name, _STACK, {arg: [1.0, 1.0, 1.0]}, id=f"{name}-{arg}_length")
+      for name, arg in [("log_integral", "lo"), ("log_integral", "hi"),
+                        ("log_integral", "scale2"), ("csv_statistic", "scale2")]),
+])
+def test_public_boundaries_reject_invalid_input(boundary, eigenvalues, kwargs):
+    with pytest.raises(ValidationError):
+        _BOUNDARIES[boundary](eigenvalues, **kwargs)
 
 
 class TestQuadratureSettings:
