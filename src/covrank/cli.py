@@ -19,6 +19,7 @@ import argparse
 import dataclasses
 import itertools
 import json
+import operator
 import os
 import sys
 import warnings
@@ -182,16 +183,8 @@ def _threads(args) -> int:
         ) from None
 
 
-def _require_file(path: str) -> None:
-    if not os.path.isfile(path):
-        raise _InputError(f"{path}: no such file")
-    if not os.access(path, os.R_OK):
-        raise _InputError(f"{path}: not readable")
-
-
 def _read_data_matrix(path: str) -> np.ndarray:
     """Parse a comma-separated numeric matrix, auto-detecting one header row."""
-    _require_file(path)
     try:
         arr = _load_rows(path)
     except UnicodeDecodeError as exc:
@@ -211,16 +204,14 @@ def _parse_rows(lines) -> np.ndarray:
 
 
 def _nonblank_lines(fh):
-    for raw in fh:
-        line = raw.strip()
-        if line:
-            yield line
+    """(line number, stripped text) of every non-blank line of ``fh``."""
+    return filter(operator.itemgetter(1), enumerate(map(str.strip, fh), start=1))
 
 
 def _load_rows(path: str) -> np.ndarray:
     """All data rows in one streamed parse; the first line is a header if it does not parse."""
     with open(path, "r", encoding=_CSV_ENCODING) as fh:
-        lines = _nonblank_lines(fh)
+        lines = map(operator.itemgetter(1), _nonblank_lines(fh))
         first = next(lines, None)
         if first is None:
             raise _InputError(f"{path}: file is empty")
@@ -247,13 +238,10 @@ def _locate_parse_error(path: str, header: bool, exc: ValueError) -> _InputError
     """
     width = None
     with open(path, "r", encoding=_CSV_ENCODING) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            if header:
-                header = False
-                continue
+        lines = _nonblank_lines(fh)
+        if header:
+            next(lines)
+        for lineno, line in lines:
             try:
                 fields = _parse_rows([line]).shape[1]
             except ValueError as err:
@@ -268,7 +256,6 @@ def _locate_parse_error(path: str, header: bool, exc: ValueError) -> _InputError
 
 
 def _load_config(path: str, args) -> tuple[SimulationConfig, dict]:
-    _require_file(path)
     with open(path, "r", encoding="utf-8") as fh:
         try:
             raw = json.load(fh)

@@ -207,17 +207,18 @@ def sample_factors_t(k: int, n: int, t_df: float, seed) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=8)
-def _design(p: int, k: int, factor_scales: tuple, seed: int, local_null: bool):
+def _design(cfg: SimulationConfig):
     """Loading matrix and, in local-null mode, the basis of its orthogonal complement.
 
-    Both depend on the master seed only, so they are built once per design
-    per process instead of once per replication. The cached arrays are
-    shared by every caller and therefore read-only.
+    Both depend on the config and not on the replication, so they are built
+    once per config per process instead of once per replication. The cached
+    arrays are shared by every caller and therefore read-only.
     """
-    a = make_loadings(p, k, factor_scales, _seed_seq(seed, _STREAM_LOADINGS))
+    k = cfg.true_rank
+    a = make_loadings(cfg.p, k, cfg.factor_scales, _seed_seq(cfg.seed, _STREAM_LOADINGS))
     a.flags.writeable = False
     basis = None
-    if local_null:
+    if cfg.local_null_tau > 0.0:
         basis = np.linalg.qr(a, mode="complete")[0][:, k:]
         basis.flags.writeable = False
     return a, basis
@@ -244,7 +245,7 @@ def generate_dataset(cfg: SimulationConfig, replication: int = 0, *,
     if replication < 0:
         raise ValidationError(f"replication index must be >= 0, got {replication}")
     k, p, n = cfg.true_rank, cfg.p, cfg.n
-    a, basis = _design(p, k, cfg.factor_scales, cfg.seed, cfg.local_null_tau > 0.0)
+    a, basis = _design(cfg)
     halves = 1 if basis is None else 2
     if out is None:
         x = np.empty((n, p))

@@ -36,7 +36,7 @@ from .dgp import SimulationConfig, _design, generate_dataset
 from .errors import NumericalError, ValidationError
 from .sequential import run_sequence
 from .spectrum import sample_covariance, symmetric_eigen
-from .statistic import QuadratureSettings, _check_step, csv_statistic
+from .statistic import QuadratureSettings, _check_settings, _check_step, csv_statistic
 
 __all__ = [
     "RejectionTable",
@@ -113,34 +113,29 @@ def _run_block(job):
     Every dataset of the block is built in one workspace (see
     ``generate_dataset``), allocated here and freed with the block. The
     covariances are decomposed in stacks of at most ``_MAX_EIGEN_FLOATS``
-    entries, one ``symmetric_eigen`` call per stack. When a covariance fails,
-    the replications before it are still evaluated, since the lowest failing
-    replication may be one of them.
+    entries, one ``symmetric_eigen`` call per stack. When replication r
+    fails, the replications before it are evaluated first and their failure,
+    if any, is raised instead, so the error names the lowest failing one.
     """
     task, cfg, start, stop, args = job
     workspace = np.empty((2 if cfg.local_null_tau > 0.0 else 1, cfg.n, cfg.p))
     chunk = max(1, _MAX_EIGEN_FLOATS // (cfg.p * cfg.p))
     covariances = np.empty((min(chunk, stop - start), cfg.p, cfg.p))
     spectra = np.empty((stop - start, cfg.p))
-    failure = None
-    for lo in range(0, stop - start, chunk):
-        rows = min(chunk, stop - start - lo)
-        for i in range(rows):
-            data = generate_dataset(cfg, start + lo + i, out=workspace)
-            try:
-                covariances[i] = sample_covariance(data, center=False)
-            except NumericalError as exc:
-                failure, rows = exc.at(lo + i), i
-                break
-        spectra[lo:lo + rows] = symmetric_eigen(covariances[:rows]).eigenvalues
-        if failure is not None:
-            break
     try:
-        if failure is None:
-            return task(cfg, spectra, *args)
-        if failure.index:
-            task(cfg, spectra[:failure.index], *args)
-        raise failure
+        for lo in range(0, stop - start, chunk):
+            rows = min(chunk, stop - start - lo)
+            for i in range(rows):
+                data = generate_dataset(cfg, start + lo + i, out=workspace)
+                try:
+                    covariances[i] = sample_covariance(data, center=False)
+                except NumericalError as exc:
+                    if lo + i:
+                        spectra[lo:lo + i] = symmetric_eigen(covariances[:i]).eigenvalues
+                        task(cfg, spectra[:lo + i], *args)
+                    raise exc.at(lo + i) from exc
+            spectra[lo:lo + rows] = symmetric_eigen(covariances[:rows]).eigenvalues
+        return task(cfg, spectra, *args)
     except NumericalError as exc:
         raise exc.at(start + (exc.index or 0)) from exc
 
@@ -201,7 +196,7 @@ def _map_blocks(task, cfg: SimulationConfig, args: tuple, workers: int, what: st
 
             # Forked workers inherit the cached design and numpy.random, which
             # each of them would otherwise build and import under copy-on-write.
-            _design(cfg.p, cfg.true_rank, cfg.factor_scales, cfg.seed, cfg.local_null_tau > 0.0)
+            _design(cfg)
             with ProcessPoolExecutor(max_workers=min(workers, len(jobs)),
                                      initializer=_single_threaded_blas) as pool:
                 yield from pool.map(_run_block, jobs)
@@ -218,6 +213,7 @@ def run_rejection_table(cfg: SimulationConfig,
     index attached) rather than being skipped, since silent skips would
     bias the rates. The index is that of the lowest failing replication.
     """
+    _check_settings(settings)
     reached = np.zeros(cfg.p - 1, dtype=np.int64)
     rejected = np.zeros(cfg.p - 1, dtype=np.int64)
     for block_reached, block_rejected in _map_blocks(_table_block, cfg, (settings,),
@@ -249,6 +245,7 @@ def collect_null_statistics(cfg: SimulationConfig, k: int,
             "local_null_tau must be positive: with an exactly low-rank population the "
             "plug-in scale is zero and the statistic degenerates to the constant 1"
         )
+    _check_settings(settings)
     blocks = list(_map_blocks(_null_block, cfg, (k, settings), workers, "null sample"))
     stats = np.concatenate(blocks) if blocks else np.empty(0)
     return NullSample(statistics=stats, k=k, config=cfg)

@@ -67,7 +67,9 @@ def run_sequence(eigenvalues, alpha: float, settings: QuadratureSettings = Quadr
     A 2-d stack of spectra (one per row) gives a tuple with one result per
     row. Each step is evaluated in one :func:`csv_statistic` call for the
     rows still rejecting, and every row's result is the one it would get
-    alone. A NumericalError names the lowest failing row in ``index``.
+    alone. When row r fails, the rows below r are run first and their
+    failure, if any, is raised instead, so a NumericalError names the lowest
+    failing row in ``index``.
     """
     lam = _check_eigenvalues(eigenvalues)
     alpha = _check_alpha(alpha)
@@ -78,27 +80,24 @@ def run_sequence(eigenvalues, alpha: float, settings: QuadratureSettings = Quadr
     scale2 = np.empty((rows, p - 1))
     degenerate = np.empty((rows, p - 1), dtype=bool)
     n_steps = np.zeros(rows, dtype=np.int64)
-    failure = None
     active = np.arange(rows)
     k = 1
     while k < p and active.size:
         try:
             step = csv_statistic(spectra[active], k, settings=settings)
         except NumericalError as exc:
-            # A lower row may still fail at a later step: retry this step
-            # without the failing row and every row above it.
+            # A lower row may still fail at a later step: its own sequence
+            # raises that lower failure, if there is one.
             row = int(active[exc.index or 0])
-            failure = exc.at(row, f"step k={k}: ")
-            active = active[active < row]
-            continue
+            if row:
+                run_sequence(spectra[:row], alpha, settings)
+            raise exc.at(row, f"step k={k}: ") from exc
         stats[active, k - 1] = step.statistic
         scale2[active, k - 1] = step.scale2
         degenerate[active, k - 1] = step.degenerate
         n_steps[active] = k
         active = active[step.statistic <= alpha]
         k += 1
-    if failure is not None:
-        raise failure
 
     results = []
     for i in range(rows):

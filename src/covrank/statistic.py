@@ -127,6 +127,11 @@ def _check_eigenvalues(eigenvalues) -> np.ndarray:
     return lam
 
 
+def _check_settings(settings) -> None:
+    if not isinstance(settings, QuadratureSettings):
+        raise ValidationError(f"settings must be a QuadratureSettings, got {settings!r}")
+
+
 def _check_step(k: int, p: int) -> int:
     k = int(k)
     if not 1 <= k <= p - 1:
@@ -333,6 +338,7 @@ def log_integral(lo, hi, eigenvalues, k: int, scale2,
     spectra = np.atleast_2d(lam)
     rows, p = spectra.shape
     k = _check_step(k, p)
+    _check_settings(settings)
     s2 = _check_scale(scale2, rows)
     lo, hi = _per_row(lo, rows, "lo"), _per_row(hi, rows, "hi")
     if not np.all((0.0 <= lo) & (lo <= hi)):
@@ -413,6 +419,7 @@ def csv_statistic(eigenvalues, k: int, scale2=None,
     spectra = np.atleast_2d(lam)
     rows, p = spectra.shape
     k = _check_step(k, p)
+    _check_settings(settings)
     s2 = plug_in_scale(spectra, k) if scale2 is None else _check_scale(scale2, rows)
 
     upper = spectra[:, k - 2] if k >= 2 else np.full(rows, math.inf)

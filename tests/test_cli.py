@@ -89,8 +89,13 @@ class TestRankCommand:
         code, _, err = invoke(["rank", str(missing)])
         assert code == 2
         assert str(missing) in err
-        assert err.startswith("covrank: parse:")
+        assert err.startswith("covrank: io:")
         assert err.count("\n") == 1  # single line
+
+    @pytest.mark.parametrize("command", ["rank", "simulate"])
+    def test_directory_input_exits_2_with_path(self, tmp_path, command):
+        assert invoke([command, str(tmp_path)]) == (
+            2, "", f"covrank: io: {tmp_path}: Is a directory\n")
 
     @pytest.mark.parametrize("content", [
         "1.0,2.0\nbad,3.0\n",             # non-numeric token
@@ -323,6 +328,12 @@ class TestSimulateCommand:
         code, _, err = invoke(["simulate", str(path)])
         assert code == 1
         assert err.startswith("covrank: workflow:")
+
+    def test_non_integer_dimension_is_a_workflow_error(self, tmp_path):
+        path = tmp_path / "textp.json"
+        path.write_text(json.dumps({"p": "10", "true_rank": 1, "n": 20, "reps": 2}))
+        assert invoke(["simulate", str(path)]) == (
+            1, "", "covrank: workflow: p must be an integer, got '10'\n")
 
     @pytest.mark.parametrize("scales", [["x", 1.0], [True], [None, 1.0]])
     def test_non_numeric_factor_scale_is_a_workflow_error(self, tmp_path, scales):

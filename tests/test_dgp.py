@@ -69,6 +69,11 @@ class TestSampleFactorsT:
             with pytest.raises(ValidationError):
                 sample_factors_t(2, 10, df, seed=0)
 
+    @pytest.mark.parametrize("k, n", [(0, 10), (2, 0)])
+    def test_rejects_empty_shapes(self, k, n):
+        with pytest.raises(ValidationError, match="need k >= 1 and n >= 1"):
+            sample_factors_t(k, n, 5.0, seed=0)
+
     def test_deterministic_given_seed(self):
         z1 = sample_factors_t(3, 50, 5.0, seed=9)
         z2 = sample_factors_t(3, 50, 5.0, seed=9)
@@ -133,6 +138,8 @@ class TestSimulationConfig:
         {"factor_scales": ("3.0", 1.0)},  # entries must be numbers, not numeric text
         {"factor_scales": (True, 0.0)},
         {"factor_scales": (None, 1.0)},
+        {"p": 10.5},
+        {"factor_scales": (2.0, 0.0)},    # gap 2 >= c0, but a scale of 0
     ])
     def test_invalid_configs_rejected(self, kwargs):
         base = dict(p=10, true_rank=2, n=100, reps=10, seed=0)

@@ -184,6 +184,25 @@ class TestNumericFailure:
             run_rejection_table(self.cfg, self.tight, workers=workers)
         assert info.value.index == lowest
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("run", [
+        lambda cfg, workers: run_rejection_table(cfg, workers=workers),
+        lambda cfg, workers: collect_null_statistics(cfg, 2, workers=workers),
+    ], ids=["table", "null"])
+    def test_failure_inside_a_later_block_names_its_replication(self, monkeypatch,
+                                                                workers, run):
+        # With 2 workers the blocks hold 5 replications, so replication 7 is
+        # the third of the block that starts at 5: its index must carry that
+        # start once.
+        def scaled(cfg, index, out=None):
+            data = generate_dataset(cfg, index, out=out)
+            return data * 1e200 if index == 7 else data
+
+        monkeypatch.setattr(montecarlo, "generate_dataset", scaled)
+        with pytest.raises(NumericalError, match="replication 7 failed") as info:
+            run(self.cfg, workers)
+        assert info.value.index == 7
+
 
 def _blas_threads():
     """Thread count of numpy's OpenBLAS, as a list of at most one entry."""

@@ -79,6 +79,14 @@ class TestRunSequence:
         assert (error.best_estimate, error.achieved_rel_tol, error.index) == (-1.0, 0.5, 0)
         assert str(error.__cause__) == "synthetic"
 
+    def test_failure_names_the_lowest_row_even_at_a_later_step(self):
+        # Row 1 overflows at step 1; row 0 underflows only at step 2.
+        stack = [[1.0, 1e-200, 5e-201, 1e-201], [3e200, 2e200, 1e200, 5e199]]
+        with pytest.raises(NumericalError) as info:
+            run_sequence(stack, 0.05)
+        assert info.value.index == 0
+        assert str(info.value).startswith("step k=2:")
+
     def test_degenerate_flags_come_from_the_statistic(self):
         # lam_2 == lam_3: step 2 accepts by the tie rule; evaluated on its
         # own, step 3 would reject by the lam_{k-1} == lam_k rule.

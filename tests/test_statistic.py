@@ -10,10 +10,13 @@ from covrank import (
     QuadratureSettings,
     SimulationConfig,
     ValidationError,
+    collect_null_statistics,
     csv_statistic,
     generate_dataset,
     log_integral,
     plug_in_scale,
+    rank_from_data,
+    run_rejection_table,
     run_sequence,
     sample_covariance,
     symmetric_eigen,
@@ -401,6 +404,24 @@ _BOUNDARIES = {
 def test_public_boundaries_reject_invalid_input(boundary, eigenvalues, kwargs):
     with pytest.raises(ValidationError):
         _BOUNDARIES[boundary](eigenvalues, **kwargs)
+
+
+@pytest.mark.parametrize("settings", [None, {"rel_tol": 1e-8}])
+@pytest.mark.parametrize("call", [
+    lambda s: log_integral(1.0, 3.0, [3.0, 2.0, 1.0], 1, 1.0, settings=s),
+    lambda s: csv_statistic([3.0, 2.0, 1.0], 1, settings=s),
+    lambda s: run_sequence([3.0, 2.0, 1.0], 0.05, settings=s),
+    lambda s: rank_from_data(np.random.default_rng(0).standard_normal((20, 3)), 0.05,
+                             settings=s),
+    lambda s: run_rejection_table(SimulationConfig(p=3, true_rank=1, n=20, reps=2),
+                                  settings=s),
+    lambda s: collect_null_statistics(SimulationConfig(p=3, true_rank=1, n=20, reps=2,
+                                                       local_null_tau=0.5), 2, settings=s),
+], ids=["log_integral", "csv_statistic", "run_sequence", "rank_from_data",
+        "run_rejection_table", "collect_null_statistics"])
+def test_settings_must_be_quadrature_settings(call, settings):
+    with pytest.raises(ValidationError, match="settings must be a QuadratureSettings"):
+        call(settings)
 
 
 class TestQuadratureSettings:
