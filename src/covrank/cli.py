@@ -19,7 +19,6 @@ import argparse
 import dataclasses
 import itertools
 import json
-import operator
 import os
 import sys
 import warnings
@@ -205,13 +204,15 @@ def _parse_rows(lines) -> np.ndarray:
 
 def _nonblank_lines(fh):
     """(line number, stripped text) of every non-blank line of ``fh``."""
-    return filter(operator.itemgetter(1), enumerate(map(str.strip, fh), start=1))
+    for lineno, raw in enumerate(fh, start=1):
+        if line := raw.strip():
+            yield lineno, line
 
 
 def _load_rows(path: str) -> np.ndarray:
     """All data rows in one streamed parse; the first line is a header if it does not parse."""
     with open(path, "r", encoding=_CSV_ENCODING) as fh:
-        lines = map(operator.itemgetter(1), _nonblank_lines(fh))
+        lines = (line for _, line in _nonblank_lines(fh))
         first = next(lines, None)
         if first is None:
             raise _InputError(f"{path}: file is empty")

@@ -137,7 +137,10 @@ def _run_block(job):
             spectra[lo:lo + rows] = symmetric_eigen(covariances[:rows]).eigenvalues
         return task(cfg, spectra, *args)
     except NumericalError as exc:
-        raise exc.at(start + (exc.index or 0)) from exc
+        # A design or eigendecomposition failure names no replication.
+        if exc.index is None:
+            raise
+        raise exc.at(start + exc.index) from exc
 
 
 # Thread-count setters of the OpenBLAS builds numpy ships or links: numpy's

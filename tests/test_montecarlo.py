@@ -203,6 +203,20 @@ class TestNumericFailure:
             run(self.cfg, workers)
         assert info.value.index == 7
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("name", ["generate_dataset", "symmetric_eigen"])
+    def test_failure_without_a_row_names_no_replication(self, monkeypatch, workers, name):
+        # A rank-deficient design frame or a non-converging eigensolver names
+        # no replication, however the work is split. Forked workers inherit
+        # the patch.
+        def fail(*args, **kwargs):
+            raise NumericalError("did not converge")
+
+        monkeypatch.setattr(montecarlo, name, fail)
+        with pytest.raises(NumericalError, match="did not converge") as info:
+            run_rejection_table(self.cfg, workers=workers)
+        assert info.value.index is None
+
 
 def _blas_threads():
     """Thread count of numpy's OpenBLAS, as a list of at most one entry."""

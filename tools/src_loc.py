@@ -4,14 +4,11 @@ Code-only lines are the lines that hold a token other than a comment,
 excluding docstrings (the string that opens a module, class or function) and
 blank lines. Run from anywhere:
 
-    python3 tools/src_loc.py [PACKAGE_DIR]
-
-PACKAGE_DIR defaults to src/covrank next to this script's directory.
+    python3 tools/src_loc.py
 """
 
 import ast
 import io
-import sys
 import tokenize
 from pathlib import Path
 
@@ -39,8 +36,8 @@ def count(source: str) -> tuple[int, int]:
     return len(source.splitlines()), len(code - _docstring_lines(ast.parse(source)))
 
 
-def main(argv: list[str]) -> None:
-    package = Path(argv[0]) if argv else Path(__file__).resolve().parent.parent / "src" / "covrank"
+def main() -> None:
+    package = Path(__file__).resolve().parent.parent / "src" / "covrank"
     raw = code = 0
     for path in sorted(package.glob("*.py")):
         file_raw, file_code = count(path.read_text(encoding="utf-8"))
@@ -50,4 +47,4 @@ def main(argv: list[str]) -> None:
 
 
 if __name__ == "__main__":
-    main(sys.argv[1:])
+    main()
