@@ -26,7 +26,7 @@ import warnings
 import numpy as np
 
 from .dgp import SimulationConfig, _check_seed
-from .errors import NumericalError, ValidationError
+from .errors import NumericalError, ValidationError, _integer
 from .montecarlo import (
     collect_null_statistics,
     ks_distance,
@@ -185,16 +185,9 @@ def _threads(args) -> int:
 def _read_data_matrix(path: str) -> np.ndarray:
     """Parse a comma-separated numeric matrix, auto-detecting one header row."""
     try:
-        arr = _load_rows(path)
+        return _load_rows(path)
     except UnicodeDecodeError as exc:
         raise _InputError(f"{path}: not UTF-8 text: {exc.reason}") from None
-    if arr.shape[0] < 2 or arr.shape[1] < 2:
-        raise _InputError(
-            f"{path}: need at least 2 rows and 2 columns of data, got {arr.shape}"
-        )
-    if not np.all(np.isfinite(arr)):
-        raise _InputError(f"{path}: non-finite values in data")
-    return arr
 
 
 def _parse_rows(lines) -> np.ndarray:
@@ -306,7 +299,11 @@ def _emit_tsv(rows, out) -> None:
 def _cmd_rank(args, out) -> int:
     data = _read_data_matrix(args.data)
     alpha = 0.05 if args.alpha is None else args.alpha
-    result = rank_from_data(data, alpha, center=args.center, settings=_quad_settings(args))
+    try:
+        result = rank_from_data(data, alpha, center=args.center, settings=_quad_settings(args))
+    except ValidationError as exc:
+        # The flags are checked by the parser, so only the data can be invalid here.
+        raise _InputError(f"{args.data}: {exc}") from None
     n, p = data.shape
     columns = ("k", "statistic", "scale2", "degenerate", "rejected")
     rows = [(s.k, s.statistic, s.scale2_used, s.degenerate, s.rejected) for s in result.steps]
@@ -374,8 +371,10 @@ def _cmd_nullcheck(args, out) -> int:
     step = args.step if args.step is not None else extras.get("step")
     if step is None:
         step = cfg.true_rank + 1
-    if isinstance(step, bool) or not isinstance(step, int):
-        raise _InputError(f"{args.config}: step must be an integer, got {step!r}")
+    try:
+        step = _integer("step", step)
+    except ValidationError as exc:
+        raise _InputError(f"{args.config}: {exc}") from None
     sample = collect_null_statistics(cfg, step, settings=_quad_settings(args),
                                      workers=_threads(args))
     # ks_distance refuses an empty sample, so reps >= 1 from here on.

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalError, ValidationError
+from .errors import NumericalError, ValidationError, _integer
 from .sequential import _check_alpha
 
 __all__ = ["SimulationConfig", "make_loadings", "sample_factors_t", "generate_dataset"]
@@ -82,21 +82,12 @@ class SimulationConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("p", "true_rank", "n", "reps", "seed"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ValidationError(f"{name} must be an integer, got {value!r}")
-            object.__setattr__(self, name, int(value))
+        for name, low in (("p", 2), ("true_rank", 0), ("n", 2), ("reps", 0), ("seed", None)):
+            object.__setattr__(self, name, _integer(name, getattr(self, name), low))
         for name in ("alpha", "t_df", "gap_c0", "local_null_tau"):
             object.__setattr__(self, name, _real(name, getattr(self, name)))
-        if self.p < 2:
-            raise ValidationError(f"p must be an integer >= 2, got {self.p}")
-        if not 0 <= self.true_rank <= self.p:
+        if self.true_rank > self.p:
             raise ValidationError(f"true_rank must be in [0, p={self.p}], got {self.true_rank}")
-        if self.n < 2:
-            raise ValidationError(f"n must be an integer >= 2, got {self.n}")
-        if self.reps < 0:
-            raise ValidationError(f"reps must be an integer >= 0, got {self.reps}")
         _check_alpha(self.alpha)
         if not (math.isfinite(self.t_df) and self.t_df > 2.0):
             raise ValidationError(
@@ -165,6 +156,7 @@ def make_loadings(p: int, k: int, factor_scales, seed) -> np.ndarray:
     scales as its nonzero eigenvalues. Deterministic given the seed. A
     rank-deficient draw, an event of probability zero, raises NumericalError.
     """
+    p, k = _integer("p", p), _integer("k", k)
     if not 0 <= k <= p:
         raise ValidationError(f"need 0 <= k <= p, got k={k}, p={p}")
     scales = np.asarray(factor_scales, dtype=np.float64)
@@ -195,6 +187,7 @@ def sample_factors_t(k: int, n: int, t_df: float, seed) -> np.ndarray:
     """
     if not (math.isfinite(t_df) and t_df > 2.0):
         raise ValidationError(f"t_df must exceed 2 for finite factor variance, got {t_df}")
+    k, n = _integer("k", k), _integer("n", n)
     if k < 1 or n < 1:
         raise ValidationError(f"need k >= 1 and n >= 1, got k={k}, n={n}")
     rng = np.random.default_rng(seed)
@@ -242,8 +235,7 @@ def generate_dataset(cfg: SimulationConfig, replication: int = 0, *,
     owns its memory and no scratch outlives the call. Both ways give the same
     bytes.
     """
-    if replication < 0:
-        raise ValidationError(f"replication index must be >= 0, got {replication}")
+    replication = _integer("replication", replication, 0)
     k, p, n = cfg.true_rank, cfg.p, cfg.n
     a, basis = _design(cfg)
     halves = 1 if basis is None else 2

@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and its one integer check."""
+
+import numbers
 
 
 class CovrankError(Exception):
@@ -31,3 +33,13 @@ class NumericalError(CovrankError, RuntimeError):
                                achieved_rel_tol=self.achieved_rel_tol, index=index)
         error.__cause__ = self
         return error
+
+
+def _integer(name: str, value, low=None) -> int:
+    """``value`` as an int; ValidationError unless it is an integer (numpy
+    integers included, bools refused) and, when ``low`` is given, >= ``low``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValidationError(f"{name} must be an integer, got {value!r}")
+    if low is not None and value < low:
+        raise ValidationError(f"{name} must be an integer >= {low}, got {value}")
+    return int(value)

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dgp import SimulationConfig, _design, generate_dataset
-from .errors import NumericalError, ValidationError
+from .errors import NumericalError, ValidationError, _integer
 from .sequential import run_sequence
 from .spectrum import sample_covariance, symmetric_eigen
 from .statistic import QuadratureSettings, _check_settings, _check_step, csv_statistic
@@ -90,15 +90,15 @@ _MAX_EIGEN_FLOATS = 2**16
 
 
 def _table_block(cfg: SimulationConfig, spectra: np.ndarray,
-                 settings: QuadratureSettings) -> tuple[np.ndarray, np.ndarray]:
-    """Per-step reach and rejection counts of one block of replications."""
-    reached = np.zeros(cfg.p - 1, dtype=np.int64)
-    rejected = np.zeros(cfg.p - 1, dtype=np.int64)
+                 settings: QuadratureSettings) -> np.ndarray:
+    """Per-step reach (row 0) and rejection (row 1) counts of one block of replications."""
+    counts = np.zeros((2, cfg.p - 1), dtype=np.int64)
     for result in run_sequence(spectra, cfg.alpha, settings=settings):
-        for i, step in enumerate(result.steps):
-            reached[i] += 1
-            rejected[i] += step.rejected
-    return reached, rejected
+        # Every step before the first acceptance rejected, so the rejections
+        # are the first rank_estimate steps.
+        counts[0, :len(result.steps)] += 1
+        counts[1, :result.rank_estimate] += 1
+    return counts
 
 
 def _null_block(cfg: SimulationConfig, spectra: np.ndarray, k: int,
@@ -188,11 +188,12 @@ def _map_blocks(task, cfg: SimulationConfig, args: tuple, workers: int, what: st
     reports its lowest failing replication, so the error names the lowest
     failing replication for any number of workers.
     """
-    size = _BLOCK_REPS if workers <= 1 else min(_BLOCK_REPS, -(-cfg.reps // (4 * workers)))
+    workers = _integer("workers", workers, 1)
+    size = _BLOCK_REPS if workers == 1 else min(_BLOCK_REPS, -(-cfg.reps // (4 * workers)))
     jobs = [(task, cfg, start, min(start + size, cfg.reps), args)
             for start in range(0, cfg.reps, max(1, size))]
     try:
-        if workers <= 1 or not jobs:
+        if workers == 1 or not jobs:
             yield from map(_run_block, jobs)
         else:
             from concurrent.futures import ProcessPoolExecutor
@@ -217,14 +218,10 @@ def run_rejection_table(cfg: SimulationConfig,
     bias the rates. The index is that of the lowest failing replication.
     """
     _check_settings(settings)
-    reached = np.zeros(cfg.p - 1, dtype=np.int64)
-    rejected = np.zeros(cfg.p - 1, dtype=np.int64)
-    for block_reached, block_rejected in _map_blocks(_table_block, cfg, (settings,),
-                                                     workers, "table"):
-        reached += block_reached
-        rejected += block_rejected
-    return RejectionTable(config=cfg, reached=tuple(int(v) for v in reached),
-                          rejected=tuple(int(v) for v in rejected))
+    counts = sum(_map_blocks(_table_block, cfg, (settings,), workers, "table"),
+                 np.zeros((2, cfg.p - 1), dtype=np.int64))
+    return RejectionTable(config=cfg, reached=tuple(counts[0].tolist()),
+                          rejected=tuple(counts[1].tolist()))
 
 
 def collect_null_statistics(cfg: SimulationConfig, k: int,
@@ -259,10 +256,10 @@ def ks_distance(sample) -> float:
 
     Accepts a :class:`NullSample` or any array of values in [0, 1].
     """
-    values = sample.statistics if isinstance(sample, NullSample) else np.asarray(sample)
-    values = np.asarray(values, dtype=np.float64)
-    if values.size == 0:
-        raise ValidationError("cannot compute a KS distance from an empty sample")
+    values = np.asarray(sample.statistics if isinstance(sample, NullSample) else sample,
+                        dtype=np.float64)
+    if values.ndim != 1 or values.size == 0:
+        raise ValidationError(f"sample must be a non-empty 1-d array, got shape {values.shape}")
     if np.any(values < 0.0) or np.any(values > 1.0) or not np.all(np.isfinite(values)):
         raise ValidationError("sample values must lie in [0, 1]")
     x = np.sort(values)
@@ -280,8 +277,9 @@ def ks_pvalue_approx(distance: float, m: int) -> float:
     exp(-2 j^2 x^2) at x = sqrt(m) * distance. Approximate by nature; it is
     reported for orientation, not as an exact test.
     """
-    if m <= 0:
-        raise ValidationError(f"sample size must be positive, got {m}")
+    m = _integer("m", m, 1)
+    if not 0.0 <= distance <= 1.0:
+        raise ValidationError(f"KS distance must lie in [0, 1], got {distance}")
     x = math.sqrt(m) * float(distance)
     if x < 0.18:
         return 1.0

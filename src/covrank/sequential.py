@@ -122,13 +122,10 @@ def rank_from_data(data, alpha: float, center: bool = False,
     :func:`run_sequence`. Warns when n <= p, where the asymptotic guarantees
     behind the test do not apply.
     """
-    data = np.asarray(data, dtype=np.float64)
-    if data.ndim == 2 and data.shape[0] <= data.shape[1]:
-        warnings.warn(
-            f"n={data.shape[0]} observations for p={data.shape[1]} covariates; "
-            "the test's guarantees assume n > p",
-            stacklevel=2,
-        )
     cov = sample_covariance(data, center=center)
+    n, p = np.shape(data)
+    if n <= p:
+        warnings.warn(f"n={n} observations for p={p} covariates; "
+                      "the test's guarantees assume n > p", stacklevel=2)
     spec = symmetric_eigen(cov)
     return run_sequence(spec.eigenvalues, alpha, settings=settings)

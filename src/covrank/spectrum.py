@@ -83,7 +83,7 @@ def sample_covariance(data, center: bool = False) -> np.ndarray:
     peak = t.diagonal().max()
     if not _TINY <= peak < math.inf and x.any():
         if not np.isfinite(arr).all():
-            raise ValidationError("data contains non-finite entries (NaN or Inf)")
+            raise ValidationError("non-finite values in data")
         raise NumericalError("float64 under- or overflow in x^T x; rescale the data", index=0)
     # dgemm output is symmetric only up to rounding; averaging the triangles
     # makes symmetry exact. Dividing by n first keeps a diagonal entry near the

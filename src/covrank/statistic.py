@@ -43,7 +43,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import NumericalError, ValidationError
+from .errors import NumericalError, ValidationError, _integer
 
 __all__ = [
     "QuadratureSettings",
@@ -133,10 +133,22 @@ def _check_settings(settings) -> None:
 
 
 def _check_step(k: int, p: int) -> int:
-    k = int(k)
+    k = _integer("k", k)
     if not 1 <= k <= p - 1:
         raise ValidationError(f"step k must satisfy 1 <= k <= p-1 = {p - 1}, got {k}")
     return k
+
+
+def _in_range(s2: np.ndarray, top: np.ndarray, settings: QuadratureSettings) -> np.ndarray:
+    """Rows whose Gaussian scale is a normal float and whose truncated upper
+    limit ``top + tail_sigmas * sqrt(s2)`` stays below ``_MAX_TOP``, where gap
+    factors (at most 2 u^2) would overflow; ``top`` is at least lam_1."""
+    return (s2 >= _TINY) & (np.sqrt(s2) < (_MAX_TOP - top) / settings.tail_sigmas)
+
+
+def _range_error(s2: np.ndarray, spectra: np.ndarray, row: int) -> NumericalError:
+    return NumericalError(f"float64 under- or overflow at scale2={s2[row]:g}, "
+                          f"lam_1={spectra[row, 0]:g}; rescale the data", index=row)
 
 
 def _per_row(value, rows: int, name: str) -> np.ndarray:
@@ -165,7 +177,7 @@ def plug_in_scale(eigenvalues, k: int) -> float | np.ndarray:
     """
     lam = _check_eigenvalues(eigenvalues)
     p = lam.shape[-1]
-    k = int(k)
+    k = _integer("k", k)
     if not 1 <= k <= p:
         raise ValidationError(f"k must satisfy 1 <= k <= p = {p}, got {k}")
     tail = lam[..., k - 1 :]
@@ -332,7 +344,11 @@ def log_integral(lo, hi, eigenvalues, k: int, scale2,
         Split budget exhausted, or nothing left to split, before reaching
         rel_tol. The error carries
         ``best_estimate`` (the log value) and ``achieved_rel_tol`` of the
-        lowest failing row, and that row's position in ``index``.
+        lowest failing row, and that row's position in ``index``. A row
+        outside float64's range, with ``scale2`` below the smallest normal
+        float, or ``hi`` or ``max(lo, lam_max) + tail_sigmas * sqrt(s2)`` at
+        or above sqrt(max / 2) where gap factors overflow, is a float64
+        under- or overflow error instead, with no estimate.
     """
     lam = _check_eigenvalues(eigenvalues)
     spectra = np.atleast_2d(lam)
@@ -343,33 +359,39 @@ def log_integral(lo, hi, eigenvalues, k: int, scale2,
     lo, hi = _per_row(lo, rows, "lo"), _per_row(hi, rows, "hi")
     if not np.all((0.0 <= lo) & (lo <= hi)):
         raise ValidationError(f"integration limits must satisfy 0 <= lo <= hi, got [{lo}, {hi}]")
-    hi = np.where(np.isinf(hi), np.maximum(lo, spectra[:, 0]) + settings.tail_sigmas * np.sqrt(s2),
-                  hi)
+    # Rows from the lowest one outside float64's range on are not integrated,
+    # so the error names the lowest failing row.
+    top = np.maximum(lo, spectra[:, 0])
+    bad = np.flatnonzero(~_in_range(s2, top, settings) | ((hi >= _MAX_TOP) & (hi < math.inf)))
+    stop = int(bad[0]) if bad.size else rows
+    a, b, scale = lo[:stop], hi[:stop], s2[:stop]
+    b = np.where(np.isinf(b), top[:stop] + settings.tail_sigmas * np.sqrt(scale), b)
 
-    # Panels run from lo through the eigenvalues strictly inside (lo, hi) to
-    # hi. Zero-width panels (tied eigenvalues, or lo == hi) integrate to 0.
-    others = np.delete(spectra, k - 1, axis=1)
-    inside = (others > lo[:, None]) & (others < hi[:, None])
+    # Panels run from a through the eigenvalues strictly inside (a, b) to b.
+    # Zero-width panels (tied eigenvalues, or a == b) integrate to 0.
+    others = np.delete(spectra[:stop], k - 1, axis=1)
+    inside = (others > a[:, None]) & (others < b[:, None])
     count = inside.sum(axis=1) + 1
-    width = int(count.max())
-    cuts = np.sort(np.where(inside, others, hi[:, None]), axis=1)[:, :width - 1]
-    edges = np.concatenate([lo[:, None], cuts, hi[:, None]], axis=1)
+    width = int(count.max(initial=1))
+    cuts = np.sort(np.where(inside, others, b[:, None]), axis=1)[:, :width - 1]
+    edges = np.concatenate([a[:, None], cuts, b[:, None]], axis=1)
 
-    inv_two_s2 = 0.5 / s2
     log_total, log_err, failed = _integrate(edges[:, :-1], edges[:, 1:], count, others,
-                                            inv_two_s2, settings)
+                                            0.5 / scale, settings)
 
     if failed.any():
         i = int(np.argmax(failed))
         with np.errstate(over="ignore"):
             achieved = float(np.exp(log_err[i] - log_total[i]))
         raise NumericalError(
-            f"quadrature on [{lo[i]}, {hi[i]}] did not converge within {settings.max_subdivisions} "
+            f"quadrature on [{a[i]}, {b[i]}] did not converge within {settings.max_subdivisions} "
             f"subdivisions: relative error {achieved:.3e} (target {settings.rel_tol:.3e})",
             best_estimate=float(log_total[i]),
             achieved_rel_tol=achieved,
             index=i,
         )
+    if stop < rows:
+        raise _range_error(s2, spectra, stop)
     return float(log_total[0]) if lam.ndim == 1 else log_total
 
 
@@ -429,13 +451,12 @@ def csv_statistic(eigenvalues, k: int, scale2=None,
     degenerate = accept | reject
     stat = np.where(reject, 0.0, 1.0)
 
-    # Off the ties, only float64 under- or overflow gives a plug-in scale
-    # outside the normal range (0, subnormal or inf), a top of integration
-    # lam_1 + tail_sigmas * sqrt(s2) at or above _MAX_TOP (gap factors, at
-    # most 2 u^2, overflow there), or a zero N + M mass. Rows from the lowest
-    # such one on are not integrated, so the error names the lowest failing row.
-    room = (_MAX_TOP - spectra[:, 0]) / settings.tail_sigmas
-    bad = np.flatnonzero(~degenerate & ~((s2 >= _TINY) & (np.sqrt(s2) < room)))
+    # Off the ties, only float64 under- or overflow puts a row outside
+    # _in_range (a plug-in scale of 0, subnormal or inf, or a top of
+    # integration at or above _MAX_TOP) or gives it a zero N + M mass. Rows
+    # from the lowest such one on are not integrated, so the error names the
+    # lowest failing row.
+    bad = np.flatnonzero(~degenerate & ~_in_range(s2, spectra[:, 0], settings))
     stop = int(bad[0]) if bad.size else rows
     q = np.flatnonzero(~degenerate[:stop])
     if q.size:
@@ -460,8 +481,7 @@ def csv_statistic(eigenvalues, k: int, scale2=None,
         empty = q[log_d == _NEG_INF]
         stop = int(empty[0]) if empty.size else stop
     if stop < rows:
-        raise NumericalError(f"float64 under- or overflow at scale2={s2[stop]:g}, "
-                             f"lam_1={spectra[stop, 0]:g}; rescale the data", index=stop)
+        raise _range_error(s2, spectra, stop)
 
     if lam.ndim == 1:
         return float(stat[0])

@@ -122,6 +122,13 @@ class TestRankCommand:
         assert invoke(["rank", str(path)]) == (
             2, "", f"covrank: parse: {path}: non-finite values in data\n")
 
+    def test_one_row_is_one_parse_line_and_no_warning(self, tmp_path):
+        path = tmp_path / "one_row.csv"
+        path.write_text("1.0,2.0,3.0\n")
+        assert invoke(["rank", str(path)]) == (
+            2, "", f"covrank: parse: {path}: data must be an n x p matrix with n, p >= 2, "
+                   "got shape (1, 3)\n")
+
     def test_human_output_reports_the_boundary(self, tmp_path):
         # Six well-separated scales: every testable null, k = 1..5, is rejected.
         data = np.random.default_rng(1).standard_normal((400, 6)) * 3.0 ** -np.arange(6.0)
@@ -445,7 +452,7 @@ class TestNullcheckCommand:
         assert json.loads(out)["k"] == 1
 
 
-    @pytest.mark.parametrize("step", ["2", True])
+    @pytest.mark.parametrize("step", ["2", True, 1.5])
     def test_step_key_must_be_an_integer(self, tmp_path, step):
         path = tmp_path / "step.json"
         path.write_text(json.dumps({"p": 4, "true_rank": 1, "n": 20, "reps": 2,

@@ -377,6 +377,10 @@ class TestKsDistance:
         with pytest.raises(ValidationError):
             ks_distance(np.array([0.5, np.nan]))
 
+    def test_two_dimensional_sample_rejected(self):
+        with pytest.raises(ValidationError, match="sample must be a non-empty 1-d array"):
+            ks_distance([[0.1, 0.2], [0.3, 0.9]])
+
     def test_extremes(self):
         # A point mass at either end is as far from uniform as possible: the
         # empirical CDF disagrees with the identity by 1 at one endpoint.
@@ -396,6 +400,15 @@ class TestKsPvalue:
     def test_rejects_bad_sample_size(self):
         with pytest.raises(ValidationError):
             ks_pvalue_approx(0.1, 0)
+
+    @pytest.mark.parametrize("distance", [np.nan, -0.5, 1.5, np.inf])
+    def test_rejects_a_distance_outside_the_unit_interval(self, distance):
+        with pytest.raises(ValidationError, match="KS distance must lie in"):
+            ks_pvalue_approx(distance, 10)
+
+    def test_unit_interval_endpoints(self):
+        assert ks_pvalue_approx(0.0, 10) == 1.0
+        assert ks_pvalue_approx(1.0, 10) == pytest.approx(0.0, abs=1e-8)
 
     def test_calibration_on_uniform_draws(self):
         rng = np.random.default_rng(2023)

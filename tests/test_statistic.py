@@ -154,6 +154,23 @@ class TestLogIntegral:
         assert info.value.best_estimate is not None
         assert info.value.achieved_rel_tol > 1e-10
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("lo, hi, lam, scale2", [
+        (0.0, 2.0, [3.0, 1.0], 1e-320),           # subnormal scale: the Gaussian underflows
+        (1.0, math.inf, [1.7e308, 1.0], 1.0),     # truncated tail beyond sqrt(max / 2)
+        (0.0, 1e300, [3.0, 1.0], 1.0),            # finite limit beyond sqrt(max / 2)
+    ])
+    def test_float_range_is_a_typed_error_without_warnings(self, lo, hi, lam, scale2):
+        with pytest.raises(NumericalError, match="float64 under- or overflow at scale2=") as info:
+            log_integral(lo, hi, lam, 1, scale2)
+        assert (info.value.index, info.value.best_estimate) == (0, None)
+
+    @pytest.mark.filterwarnings("error")
+    def test_float_range_error_names_the_lowest_failing_row(self):
+        with pytest.raises(NumericalError, match="scale2=1e-310,") as info:
+            log_integral(0.0, 2.0, np.tile([3.0, 1.0], (4, 1)), 1, [1.0, 1.0, 1e-310, 1e-320])
+        assert info.value.index == 2
+
 
 class TestCsvStatistic:
     def test_tied_lower_pair_returns_one(self):
