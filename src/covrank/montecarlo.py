@@ -21,13 +21,19 @@ builds all of its datasets in one workspace, so no replication allocates an
 n x p array.
 
 Pool workers run numpy's BLAS single-threaded (when it is OpenBLAS), so N
-workers keep N cores busy instead of each starting the parent's BLAS thread
-pool; the in-process path leaves the BLAS threads as it finds them.
+workers keep N cores busy. The parent sets its own BLAS thread count to one
+while the pool is open, so each forked worker inherits that count and never
+starts a BLAS thread; the in-process path leaves the BLAS threads as it finds
+them. The warnings a worker raises are returned with its block's result or
+error and raised again in the parent, in block order, so any number of
+workers shows the same warnings.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -143,10 +149,11 @@ def _run_block(job):
         raise exc.at(start + exc.index) from exc
 
 
-# Thread-count setters of the OpenBLAS builds numpy ships or links: numpy's
-# bundled scipy-openblas (64-bit integers, prefixed and suffixed symbols), then
-# a plain system OpenBLAS.
-_OPENBLAS_SET_THREADS = ("scipy_openblas_set_num_threads64_", "openblas_set_num_threads")
+# Thread-count getters and setters of the OpenBLAS builds numpy ships or links:
+# numpy's bundled scipy-openblas (64-bit integers, prefixed and suffixed
+# symbols), then a plain system OpenBLAS.
+_OPENBLAS_THREADS = (("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+                     ("openblas_get_num_threads", "openblas_set_num_threads"))
 
 
 def _numpy_blas():
@@ -160,23 +167,47 @@ def _numpy_blas():
     return ctypes.CDLL(np.linalg._umath_linalg.__file__)
 
 
-def _single_threaded_blas() -> None:
-    """Pool-worker initializer: run numpy's OpenBLAS on one thread.
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run numpy's OpenBLAS on one thread in this process inside the block, and
+    restore its thread count on leaving it.
 
-    A forked worker inherits the parent's BLAS thread count, so 2 workers on
-    2 cores would otherwise run 4 spinning BLAS threads. Does nothing when
-    numpy's BLAS is not OpenBLAS.
+    A process forked inside inherits the count of one, and fork has already shut
+    down the child's copy of the BLAS thread pool, so the child never starts a
+    BLAS thread. Setting the count inside the child instead rebuilds the pool
+    there, and its helper thread busy-waits for about 0.1 s of CPU before it
+    sleeps. Does nothing when numpy's BLAS is not OpenBLAS or already runs on
+    one thread.
     """
     import ctypes
 
-    lib = _numpy_blas()
-    for name in _OPENBLAS_SET_THREADS:
-        setter = getattr(lib, name, None)
-        if setter is not None:
-            setter.argtypes = [ctypes.c_int]
-            setter.restype = None
-            setter(1)
-            return
+    lib, threads = _numpy_blas(), 1
+    for get, put in _OPENBLAS_THREADS:
+        if hasattr(lib, get) and hasattr(lib, put):
+            get_threads, set_threads = getattr(lib, get), getattr(lib, put)
+            get_threads.argtypes, get_threads.restype = [], ctypes.c_int
+            set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+            threads = get_threads()
+            break
+    if threads == 1:
+        yield
+        return
+    set_threads(1)
+    try:
+        yield
+    finally:
+        set_threads(threads)
+
+
+def _run_block_in_worker(job):
+    """``_run_block`` in a pool worker: its result, or the error it raised, and
+    the warnings raised before, which the worker cannot show itself."""
+    with warnings.catch_warnings(record=True) as caught:
+        try:
+            outcome = _run_block(job)
+        except Exception as exc:
+            outcome = exc
+    return outcome, [w.message for w in caught]
 
 
 def _map_blocks(task, cfg: SimulationConfig, args: tuple, workers: int, what: str):
@@ -196,14 +227,22 @@ def _map_blocks(task, cfg: SimulationConfig, args: tuple, workers: int, what: st
         if workers == 1 or not jobs:
             yield from map(_run_block, jobs)
         else:
+            import multiprocessing
             from concurrent.futures import ProcessPoolExecutor
 
             # Forked workers inherit the cached design and numpy.random, which
-            # each of them would otherwise build and import under copy-on-write.
+            # each of them would otherwise build and import under copy-on-write,
+            # and the parent's BLAS thread count of one.
             _design(cfg)
-            with ProcessPoolExecutor(max_workers=min(workers, len(jobs)),
-                                     initializer=_single_threaded_blas) as pool:
-                yield from pool.map(_run_block, jobs)
+            with _one_blas_thread(), ProcessPoolExecutor(
+                    max_workers=min(workers, len(jobs)),
+                    mp_context=multiprocessing.get_context("fork")) as pool:
+                for outcome, caught in pool.map(_run_block_in_worker, jobs):
+                    for message in caught:
+                        warnings.warn(message)
+                    if isinstance(outcome, Exception):
+                        raise outcome
+                    yield outcome
     except NumericalError as exc:
         raise exc.at(exc.index, f"replication {exc.index} failed, aborting {what}: ") from exc
 

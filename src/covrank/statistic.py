@@ -55,6 +55,7 @@ __all__ = [
 
 _NEG_INF = float("-inf")
 _TINY = np.finfo(np.float64).tiny  # smallest normal float64
+_LOWEST = np.finfo(np.float64).min  # most negative finite float64
 _MAX_TOP = math.sqrt(np.finfo(np.float64).max / 2.0)  # 2 u^2 overflows from here on
 
 # Gauss-Legendre rules used as the (coarse, fine) pair of the adaptive
@@ -93,8 +94,8 @@ class QuadratureSettings:
     def __post_init__(self):
         if not (0.0 < self.rel_tol <= 1e-2):
             raise ValidationError(f"rel_tol must be in (0, 1e-2], got {self.rel_tol}")
-        if self.max_subdivisions < 8:
-            raise ValidationError(f"max_subdivisions must be >= 8, got {self.max_subdivisions}")
+        object.__setattr__(self, "max_subdivisions",
+                           _integer("max_subdivisions", self.max_subdivisions, 8))
         if not (6.0 <= self.tail_sigmas < math.inf):
             raise ValidationError(f"tail_sigmas must be finite and >= 6, got {self.tail_sigmas}")
 
@@ -285,7 +286,11 @@ def _integrate(a: np.ndarray, b: np.ndarray, count: np.ndarray, lam_others: np.n
     while live.size:
         total, error = _logsumexp(val[live]), _logsumexp(err[live])
         log_total[live], log_err[live] = total, error
-        still_open = ~(error <= total + log_rel_tol)
+        # Closed within rel_tol; a NaN total stays open. The test takes the
+        # difference, since once |total| passes about 1e17 adding log(rel_tol)
+        # to it changes nothing and any error would pass. The floor on the
+        # total closes an exact zero (both -inf) instead of making a NaN.
+        still_open = ~(error - np.maximum(total, _LOWEST) <= log_rel_tol)
         # An open row with no error estimate left has every panel at
         # floating-point resolution (its total is NaN): nothing can close it.
         spent = still_open & ((splits[live] >= settings.max_subdivisions) | (error == _NEG_INF))

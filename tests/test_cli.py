@@ -1,5 +1,6 @@
 import io
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -556,6 +557,22 @@ class TestStderrLines:
         assert err.splitlines() == ["covrank: warning: t_df=3.0 <= 4: factor fourth moments are "
                                     "infinite, outside the regularity conditions; "
                                     "proceeding anyway"]
+
+    def test_a_warning_in_a_block_is_one_line_at_any_thread_count(self, sim_config,
+                                                                   monkeypatch):
+        from covrank import montecarlo
+
+        sequence = montecarlo.run_sequence
+
+        def warning_sequence(*args, **kwargs):
+            warnings.warn("a block warned")
+            return sequence(*args, **kwargs)
+
+        # Pool workers are forked after the patch, so they warn too.
+        monkeypatch.setattr(montecarlo, "run_sequence", warning_sequence)
+        one, two = (invoke(["simulate", str(sim_config), "--threads", t]) for t in ("1", "2"))
+        assert one == two
+        assert one[2] == "covrank: warning: a block warned\n"
 
     def test_warnings_are_printed_before_a_failure(self, tmp_path):
         data = 1e-100 * np.random.default_rng(5).standard_normal((5, 8))

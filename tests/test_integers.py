@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from covrank import (
+    QuadratureSettings,
     RejectionTable,
     SimulationConfig,
     ValidationError,
@@ -51,6 +52,8 @@ _ARGUMENTS = {
                        .rate_percent(v)),
     "collect_null_statistics-k": ("k", 2, lambda v: collect_null_statistics(_NULL_CONFIG, v)),
     "ks_pvalue_approx-m": ("m", 10, lambda v: ks_pvalue_approx(0.2, v)),
+    "QuadratureSettings-max_subdivisions": (
+        "max_subdivisions", 8, lambda v: QuadratureSettings(max_subdivisions=v)),
     "run_rejection_table-workers": (
         "workers", 1, lambda v: run_rejection_table(_TABLE_CONFIG, workers=v)),
     "collect_null_statistics-workers": (

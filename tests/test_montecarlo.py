@@ -1,6 +1,8 @@
 import concurrent.futures
 import ctypes
+import os
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -221,7 +223,7 @@ class TestNumericFailure:
 def _blas_threads():
     """Thread count of numpy's OpenBLAS, as a list of at most one entry."""
     lib = montecarlo._numpy_blas()
-    for name in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads"):
+    for name, _ in montecarlo._OPENBLAS_THREADS:
         getter = getattr(lib, name, None)
         if getter is not None:
             getter.argtypes = []
@@ -244,6 +246,56 @@ class TestPoolBlasThreads:
         assert len(per_block) == 4
         assert all(counts == [1] * len(before) for counts in per_block)
         assert _blas_threads() == before
+
+    def test_workers_start_no_blas_thread(self):
+        # A worker that sets its own BLAS thread count rebuilds the BLAS thread
+        # pool that fork shut down, and a 300 x 300 product then runs on it.
+        if not _blas_threads() or not os.path.isdir("/proc/self/task"):
+            pytest.skip("needs OpenBLAS and /proc")
+        cfg = SimulationConfig(p=3, true_rank=1, n=10, reps=4, seed=1)
+        assert list(montecarlo._map_blocks(_os_threads_task, cfg, (), 2, "probe")) == [1] * 4
+
+
+def _os_threads_task(cfg, spectra):
+    square = np.ones((300, 300))
+    square @ square
+    return len(os.listdir("/proc/self/task"))
+
+
+def _warning_task(cfg, spectra, failing_top):
+    warnings.warn(f"top eigenvalue {spectra[0, 0]!r}")
+    if spectra[0, 0] == failing_top:
+        raise NumericalError("probe failure", index=0)
+    return spectra
+
+
+class TestWorkerWarnings:
+    cfg = SimulationConfig(p=3, true_rank=1, n=10, reps=8, seed=1)
+
+    def run(self, failing_top=None):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                blocks = list(montecarlo._map_blocks(_warning_task, self.cfg, (failing_top,), 2,
+                                                     "probe"))
+            except NumericalError as exc:
+                blocks = exc
+        return blocks, [str(w.message) for w in caught]
+
+    def tops(self):
+        spectra = montecarlo._run_block((_spectra_task, self.cfg, 0, self.cfg.reps, ()))
+        return spectra[:, 0]
+
+    def test_warnings_are_raised_again_in_block_order(self):
+        blocks, messages = self.run()
+        assert len(blocks) == self.cfg.reps
+        assert messages == [f"top eigenvalue {top!r}" for top in self.tops()]
+
+    def test_warnings_before_a_failing_block_are_kept(self):
+        tops = self.tops()
+        error, messages = self.run(tops[5])
+        assert isinstance(error, NumericalError) and error.index == 5
+        assert messages == [f"top eigenvalue {top!r}" for top in tops[:6]]
 
 
 def _spectra_task(cfg, spectra):
@@ -282,7 +334,7 @@ class _RecordingPool:
 
     sizes: list = []
 
-    def __init__(self, max_workers, initializer=None):
+    def __init__(self, max_workers, mp_context=None):
         self.sizes.append(max_workers)
 
     def __enter__(self):

@@ -117,6 +117,16 @@ class TestLogIntegrand:
                 assert abs((got - exact) / exact) < 1e-14
 
 
+def mp_mass(lo, hi, lam, k: int, s2: float, points=()):
+    """mpmath.quad of the step-k integrand over [lo, hi] at 40 digits, split at ``points``."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        others = [mpmath.mpf(v) for j, v in enumerate(lam) if j != k - 1]
+        s2 = mpmath.mpf(s2)
+        return mpmath.quad(lambda u: mpmath.exp(-u * u / (2 * s2))
+                           * mpmath.fprod(abs(u * u - v * v) for v in others), [lo, *points, hi])
+
+
 class TestLogIntegral:
     def test_empty_interval(self):
         assert log_integral(1.0, 1.0, [2.0, 1.0], 1, 0.5) == -math.inf
@@ -153,6 +163,14 @@ class TestLogIntegral:
             log_integral(0.0, 0.5, [1.0, 0.9], 1, 1e-12, tight)
         assert info.value.best_estimate is not None
         assert info.value.achieved_rel_tol > 1e-10
+
+    def test_peak_far_narrower_than_the_panel_against_mpmath(self):
+        # The node values reach about -1e24 across [0, 2], so the log total
+        # starts far below -1e17; the stopping rule must still compare the
+        # error with the total.
+        got = log_integral(0.0, 2.0, [3.0, 1.0], 1, 1e-26)
+        exact = mp_mass(0.0, 2.0, [3.0, 1.0], 1, 1e-26, [1e-13 * 2**i for i in range(7)])
+        assert got == pytest.approx(math.log(exact), rel=1e-10)
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("lo, hi, lam, scale2", [
@@ -198,6 +216,14 @@ class TestCsvStatistic:
         got = csv_statistic(lam, 1)
         ref = midpoint_csv_statistic(lam, 1, plug_in_scale(lam, 1))
         assert got == pytest.approx(ref, abs=1e-7)
+
+    def test_wide_upper_panel_against_mpmath(self):
+        # N's one panel [1, 1e12] is about 3e12 Gaussian widths wide.
+        lam = [1e12, 1.0, 0.5, 0.2]
+        s2 = plug_in_scale(lam, 2)
+        n = mp_mass(1.0, 1e12, lam, 2, s2, [1.0 + math.sqrt(s2) * 2**i for i in range(7)])
+        m = mp_mass(0.5, 1.0, lam, 2, s2)
+        assert csv_statistic(lam, 2) == pytest.approx(float(n / (n + m)), rel=1e-9)
 
     def test_float_range_failures_name_the_lowest_row(self):
         stack = np.array([
