@@ -182,14 +182,6 @@ def _threads(args) -> int:
         ) from None
 
 
-def _read_data_matrix(path: str) -> np.ndarray:
-    """Parse a comma-separated numeric matrix, auto-detecting one header row."""
-    try:
-        return _load_rows(path)
-    except UnicodeDecodeError as exc:
-        raise _InputError(f"{path}: not UTF-8 text: {exc.reason}") from None
-
-
 def _parse_rows(lines) -> np.ndarray:
     """Comma-separated float rows as an (n, width) array; ValueError on any bad row."""
     return np.loadtxt(lines, delimiter=",", comments=None, ndmin=2, dtype=np.float64)
@@ -202,26 +194,30 @@ def _nonblank_lines(fh):
             yield lineno, line
 
 
-def _load_rows(path: str) -> np.ndarray:
-    """All data rows in one streamed parse; the first line is a header if it does not parse."""
-    with open(path, "r", encoding=_CSV_ENCODING) as fh:
-        lines = (line for _, line in _nonblank_lines(fh))
-        first = next(lines, None)
-        if first is None:
-            raise _InputError(f"{path}: file is empty")
-        try:
-            _parse_rows([first])
-            header = False
-        except ValueError:
-            header = True
+def _read_data_matrix(path: str) -> np.ndarray:
+    """A comma-separated numeric matrix, parsed in one streamed pass; the first
+    line is a header if it does not parse."""
+    try:
+        with open(path, "r", encoding=_CSV_ENCODING) as fh:
+            lines = (line for _, line in _nonblank_lines(fh))
             first = next(lines, None)
-            # Checked here because loadtxt only warns on an empty input.
             if first is None:
-                raise _InputError(f"{path}: no numeric rows after the header") from None
-        try:
-            return _parse_rows(itertools.chain([first], lines))
-        except ValueError as exc:
-            raise _locate_parse_error(path, header, exc) from exc
+                raise _InputError(f"{path}: file is empty")
+            try:
+                _parse_rows([first])
+                header = False
+            except ValueError:
+                header = True
+                first = next(lines, None)
+                # Checked here because loadtxt only warns on an empty input.
+                if first is None:
+                    raise _InputError(f"{path}: no numeric rows after the header") from None
+            try:
+                return _parse_rows(itertools.chain([first], lines))
+            except ValueError as exc:
+                raise _locate_parse_error(path, header, exc) from exc
+    except UnicodeDecodeError as exc:
+        raise _InputError(f"{path}: not UTF-8 text: {exc.reason}") from None
 
 
 def _locate_parse_error(path: str, header: bool, exc: ValueError) -> _InputError:

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalError, ValidationError, _integer
+from .errors import NumericalError, ValidationError, _integer, _real, _real_array
 from .sequential import _check_alpha
 
 __all__ = ["SimulationConfig", "make_loadings", "sample_factors_t", "generate_dataset"]
@@ -46,14 +46,6 @@ def _check_seed(seed: int) -> None:
     """ValidationError unless the master seed is a 64-bit unsigned integer."""
     if not 0 <= seed <= _MAX_SEED:
         raise ValidationError(f"seed must be a 64-bit unsigned integer, got {seed}")
-
-
-def _real(name: str, value) -> float:
-    """``value`` as a float; ValidationError unless it is an int, a float or a
-    numpy number (bools are refused)."""
-    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
-        raise ValidationError(f"{name} must be a real number, got {value!r}")
-    return float(value)
 
 
 def _seed_seq(master: int, *path: int) -> np.random.SeedSequence:
@@ -159,7 +151,7 @@ def make_loadings(p: int, k: int, factor_scales, seed) -> np.ndarray:
     p, k = _integer("p", p), _integer("k", k)
     if not 0 <= k <= p:
         raise ValidationError(f"need 0 <= k <= p, got k={k}, p={p}")
-    scales = np.asarray(factor_scales, dtype=np.float64)
+    scales = _real_array("factor_scales", factor_scales)
     if scales.shape != (k,):
         raise ValidationError(f"factor_scales must have length k={k}")
     if k == 0:
@@ -185,6 +177,7 @@ def sample_factors_t(k: int, n: int, t_df: float, seed) -> np.ndarray:
     multiplied by sqrt((df - 2) / df) to undo the t-distribution's variance
     inflation. Requires t_df > 2. Deterministic given the seed.
     """
+    t_df = _real("t_df", t_df)
     if not (math.isfinite(t_df) and t_df > 2.0):
         raise ValidationError(f"t_df must exceed 2 for finite factor variance, got {t_df}")
     k, n = _integer("k", k), _integer("n", n)

@@ -1,6 +1,9 @@
-"""Exception types shared across the package, and its one integer check."""
+"""Exception types shared across the package, and its one integer rule and
+one real-number rule for public arguments."""
 
 import numbers
+
+import numpy as np
 
 
 class CovrankError(Exception):
@@ -43,3 +46,27 @@ def _integer(name: str, value, low=None) -> int:
     if low is not None and value < low:
         raise ValidationError(f"{name} must be an integer >= {low}, got {value}")
     return int(value)
+
+
+def _real(name: str, value) -> float:
+    """``value`` as a float; ValidationError unless it is a Python or numpy
+    integer or float. Bools, 0-d arrays and Python ints beyond numpy's 64-bit
+    integers are refused, as ``_real_array`` refuses them."""
+    if (isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating))
+            or np.asarray(value).dtype.kind not in "iuf"):
+        raise ValidationError(f"{name} must be a real number, got {value!r}")
+    return float(value)
+
+
+def _real_array(name: str, value) -> np.ndarray:
+    """``value`` as a float64 array (the same object when it already is one);
+    ValidationError unless numpy reads it as a non-ragged array of integers or
+    floats. Bools, strings, None, complex numbers and object arrays are refused."""
+    try:
+        arr = np.asarray(value)
+    except ValueError:
+        raise ValidationError(f"{name} must be an array of real numbers, "
+                              "got a ragged sequence") from None
+    if arr.dtype.kind not in "iuf":
+        raise ValidationError(f"{name} must be an array of real numbers, got dtype {arr.dtype}")
+    return arr.astype(np.float64, copy=False)

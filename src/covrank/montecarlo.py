@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dgp import SimulationConfig, _design, generate_dataset
-from .errors import NumericalError, ValidationError, _integer
+from .errors import NumericalError, ValidationError, _integer, _real, _real_array
 from .sequential import run_sequence
 from .spectrum import sample_covariance, symmetric_eigen
 from .statistic import QuadratureSettings, _check_settings, _check_step, csv_statistic
@@ -228,16 +228,15 @@ def _map_blocks(task, cfg: SimulationConfig, args: tuple, workers: int, what: st
             yield from map(_run_block, jobs)
         else:
             import multiprocessing
-            from concurrent.futures import ProcessPoolExecutor
 
             # Forked workers inherit the cached design and numpy.random, which
             # each of them would otherwise build and import under copy-on-write,
-            # and the parent's BLAS thread count of one.
+            # and the parent's BLAS thread count of one. Leaving the pool's block
+            # terminates its workers, so a failing block cancels the queued ones.
             _design(cfg)
-            with _one_blas_thread(), ProcessPoolExecutor(
-                    max_workers=min(workers, len(jobs)),
-                    mp_context=multiprocessing.get_context("fork")) as pool:
-                for outcome, caught in pool.map(_run_block_in_worker, jobs):
+            with _one_blas_thread(), multiprocessing.get_context("fork").Pool(
+                    min(workers, len(jobs))) as pool:
+                for outcome, caught in pool.imap(_run_block_in_worker, jobs):
                     for message in caught:
                         warnings.warn(message)
                     if isinstance(outcome, Exception):
@@ -295,8 +294,7 @@ def ks_distance(sample) -> float:
 
     Accepts a :class:`NullSample` or any array of values in [0, 1].
     """
-    values = np.asarray(sample.statistics if isinstance(sample, NullSample) else sample,
-                        dtype=np.float64)
+    values = _real_array("sample", sample.statistics if isinstance(sample, NullSample) else sample)
     if values.ndim != 1 or values.size == 0:
         raise ValidationError(f"sample must be a non-empty 1-d array, got shape {values.shape}")
     if np.any(values < 0.0) or np.any(values > 1.0) or not np.all(np.isfinite(values)):
@@ -316,10 +314,10 @@ def ks_pvalue_approx(distance: float, m: int) -> float:
     exp(-2 j^2 x^2) at x = sqrt(m) * distance. Approximate by nature; it is
     reported for orientation, not as an exact test.
     """
-    m = _integer("m", m, 1)
+    m, distance = _integer("m", m, 1), _real("distance", distance)
     if not 0.0 <= distance <= 1.0:
         raise ValidationError(f"KS distance must lie in [0, 1], got {distance}")
-    x = math.sqrt(m) * float(distance)
+    x = math.sqrt(m) * distance
     if x < 0.18:
         return 1.0
     total = 0.0

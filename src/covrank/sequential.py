@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NumericalError, ValidationError
+from .errors import NumericalError, ValidationError, _real
 from .spectrum import sample_covariance, symmetric_eigen
 from .statistic import QuadratureSettings, _check_eigenvalues, csv_statistic
 
@@ -49,8 +49,8 @@ class SequentialResult:
 
 
 def _check_alpha(alpha) -> float:
-    """The test level as a float; ValidationError unless it lies in (0, 1)."""
-    alpha = float(alpha)
+    """The test level as a float; ValidationError unless it is a real number in (0, 1)."""
+    alpha = _real("alpha", alpha)
     if not 0.0 < alpha < 1.0:
         raise ValidationError(f"alpha must be in (0, 1), got {alpha}")
     return alpha

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalError, ValidationError
+from .errors import NumericalError, ValidationError, _real_array
 
 __all__ = ["Spectrum", "sample_covariance", "symmetric_eigen"]
 
@@ -61,14 +61,14 @@ def sample_covariance(data, center: bool = False) -> np.ndarray:
     Raises
     ------
     ValidationError
-        ``data`` is not an n x p matrix with n, p >= 2, or has a NaN or Inf
-        entry.
+        ``data`` is not an n x p matrix of real numbers with n, p >= 2, or
+        has a NaN or Inf entry.
     NumericalError
         ``x^T x`` overflowed float64, or underflowed (its largest diagonal
         entry is below the smallest normal float) while the data are not
         zero; ``index`` is 0.
     """
-    arr = np.asarray(data, dtype=np.float64)
+    arr = _real_array("data", data)
     if arr.ndim != 2 or min(arr.shape) < 2:
         raise ValidationError(f"data must be an n x p matrix with n, p >= 2, got shape {arr.shape}")
     n = arr.shape[0]
@@ -117,12 +117,12 @@ def symmetric_eigen(m, want_vectors: bool = False) -> Spectrum:
     Raises
     ------
     ValidationError
-        Non-square, non-symmetric, or non-finite input (any matrix of a
-        stack).
+        Non-real, non-square, non-symmetric, or non-finite input (any matrix
+        of a stack).
     NumericalError
         The underlying solver failed to converge.
     """
-    a = np.asarray(m, dtype=np.float64)
+    a = _real_array("m", m)
     if a.ndim not in (2, 3) or a.shape[-1] != a.shape[-2]:
         raise ValidationError(f"matrix must be square or a stack of square matrices, "
                               f"got shape {a.shape}")

@@ -43,7 +43,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import NumericalError, ValidationError, _integer
+from .errors import NumericalError, ValidationError, _integer, _real, _real_array
 
 __all__ = [
     "QuadratureSettings",
@@ -92,6 +92,8 @@ class QuadratureSettings:
     tail_sigmas: float = 12.0
 
     def __post_init__(self):
+        for name in ("rel_tol", "tail_sigmas"):
+            object.__setattr__(self, name, _real(name, getattr(self, name)))
         if not (0.0 < self.rel_tol <= 1e-2):
             raise ValidationError(f"rel_tol must be in (0, 1e-2], got {self.rel_tol}")
         object.__setattr__(self, "max_subdivisions",
@@ -114,7 +116,7 @@ class StepStatistics(NamedTuple):
 
 def _check_eigenvalues(eigenvalues) -> np.ndarray:
     """Validated spectra: a 1-d vector, or a 2-d stack with one spectrum per row."""
-    lam = np.asarray(eigenvalues, dtype=np.float64)
+    lam = _real_array("eigenvalues", eigenvalues)
     if lam.ndim not in (1, 2) or lam.shape[-1] < 2 or lam.shape[0] < 1:
         raise ValidationError(
             "eigenvalues must be a vector of length >= 2 or a non-empty 2-d stack of such rows"
@@ -154,9 +156,10 @@ def _range_error(s2: np.ndarray, spectra: np.ndarray, row: int) -> NumericalErro
 
 def _per_row(value, rows: int, name: str) -> np.ndarray:
     """A scalar or one value per spectrum, as a length-``rows`` float array."""
+    value = _real_array(name, value)
     try:
-        return np.broadcast_to(np.asarray(value, dtype=np.float64), (rows,))
-    except (TypeError, ValueError):
+        return np.broadcast_to(value, (rows,))
+    except ValueError:
         raise ValidationError(f"{name} must be a real scalar or one value per spectrum") from None
 
 
@@ -362,8 +365,9 @@ def log_integral(lo, hi, eigenvalues, k: int, scale2,
     _check_settings(settings)
     s2 = _check_scale(scale2, rows)
     lo, hi = _per_row(lo, rows, "lo"), _per_row(hi, rows, "hi")
-    if not np.all((0.0 <= lo) & (lo <= hi)):
-        raise ValidationError(f"integration limits must satisfy 0 <= lo <= hi, got [{lo}, {hi}]")
+    if not np.all((0.0 <= lo) & (lo <= hi) & (lo < math.inf)):
+        raise ValidationError(f"integration limits must satisfy 0 <= lo <= hi and lo < inf, "
+                              f"got [{lo}, {hi}]")
     # Rows from the lowest one outside float64's range on are not integrated,
     # so the error names the lowest failing row.
     top = np.maximum(lo, spectra[:, 0])

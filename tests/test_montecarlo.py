@@ -1,6 +1,7 @@
-import concurrent.futures
 import ctypes
+import multiprocessing.context
 import os
+import time
 import tracemalloc
 import warnings
 
@@ -302,6 +303,26 @@ def _spectra_task(cfg, spectra):
     return spectra
 
 
+def _slow_task(cfg, spectra, failing_top, done):
+    if spectra[0, 0] == failing_top:
+        raise NumericalError("probe failure", index=0)
+    time.sleep(0.3)
+    (done / str(spectra[0, 0])).touch()
+    return spectra
+
+
+class TestPoolFailure:
+    def test_a_failing_block_cancels_the_queued_ones(self, tmp_path):
+        # 8 blocks of 2 replications; the first fails at once and every other
+        # one sleeps. Waiting for all of them would finish 7.
+        cfg = SimulationConfig(p=3, true_rank=1, n=10, reps=16, seed=1)
+        first = montecarlo._run_block((_spectra_task, cfg, 0, 2, ()))[0, 0]
+        with pytest.raises(NumericalError, match="replication 0 failed"):
+            list(montecarlo._map_blocks(_slow_task, cfg, (first, tmp_path), 2, "probe"))
+        assert len(list(tmp_path.iterdir())) <= 2
+        assert multiprocessing.active_children() == []
+
+
 class TestBlockWorkspace:
     # At p = 130 one eigendecomposition call takes 3 covariances, so the block of
     # 7 replications spans three calls.
@@ -330,12 +351,12 @@ class TestBlockWorkspace:
 
 
 class _RecordingPool:
-    """Stands in for ProcessPoolExecutor: records max_workers, maps in-process."""
+    """Stands in for the fork context's Pool: records processes, maps in-process."""
 
     sizes: list = []
 
-    def __init__(self, max_workers, mp_context=None):
-        self.sizes.append(max_workers)
+    def __init__(self, processes):
+        self.sizes.append(processes)
 
     def __enter__(self):
         return self
@@ -343,7 +364,7 @@ class _RecordingPool:
     def __exit__(self, *exc):
         return False
 
-    def map(self, fn, jobs):
+    def imap(self, fn, jobs):
         return map(fn, jobs)
 
 
@@ -379,8 +400,8 @@ class TestPoolSize:
     @pytest.mark.parametrize("reps, workers, pool",
                              [(6, 5000, 6), (60, 2, 2), (3, 3, 3), (0, 4, None)])
     def test_pool_has_at_most_one_worker_per_block(self, monkeypatch, reps, workers, pool):
-        # _map_blocks imports the pool class when it needs one.
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
+        # _map_blocks imports multiprocessing when it needs a pool.
+        monkeypatch.setattr(multiprocessing.context.ForkContext, "Pool", _RecordingPool)
         monkeypatch.setattr(_RecordingPool, "sizes", [])
         cfg = small_table_config(reps=reps)
         table = run_rejection_table(cfg, workers=workers)
@@ -389,7 +410,7 @@ class TestPoolSize:
 
     def test_design_is_built_before_the_pool_starts(self, monkeypatch):
         # Forked workers then find the design cached instead of each building it.
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
+        monkeypatch.setattr(multiprocessing.context.ForkContext, "Pool", _RecordingPool)
         monkeypatch.setattr(_RecordingPool, "sizes", [])
         built = []
         monkeypatch.setattr(_RecordingPool, "__enter__",

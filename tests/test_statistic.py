@@ -154,6 +154,15 @@ class TestLogIntegral:
         with pytest.raises(ValidationError):
             log_integral(0.0, 1.0, [2.0, 1.0], 1, -1.0)
 
+    @pytest.mark.parametrize("hi", [math.inf, [math.inf, 4.0]], ids=["scalar-hi", "per-row-hi"])
+    def test_infinite_lower_limit_is_invalid(self, hi):
+        # Not a float-range failure: no rescaling of the data makes it finite.
+        with pytest.raises(ValidationError, match=r"^integration limits must satisfy "
+                                                  r"0 <= lo <= hi and lo < inf"):
+            log_integral([math.inf, 1.0], hi, [[3.0, 2.0, 1.0]] * 2, 1, 1.0)
+        with pytest.raises(ValidationError, match=r"and lo < inf"):
+            log_integral(math.inf, math.inf, [3.0, 2.0, 1.0], 1, 1.0)
+
     def test_budget_exhaustion_reports_estimate(self):
         # A Gaussian spike of width ~1e-6 at the edge of [0, 0.5], far from
         # any eigenvalue breakpoint, needs ~17 bisection levels; a budget of

@@ -11,9 +11,13 @@ Run from anywhere inside the repository:
 (``git stash create`` names a commit of the uncommitted tracked changes
 without touching the working tree.) For every end-to-end metric of
 ``BENCHMARK.json`` it prints each side's median and quartiles, the median
-change, and the pairs the change won; rows marked ``raw`` are the unscaled
-values that perfbench keeps on its ``# metadata:`` line beside the
-host-scaled ones. Nothing in the checkout is written.
+change, the pairs the change won, and a verdict: "within" unless the change's
+median is worse than the base's by more than the metric's ``bound`` (a
+fraction of the base median), then "worse than bound". Rows marked ``raw``
+are the unscaled values that perfbench keeps on its ``# metadata:`` line
+beside the host-scaled ones. The ``failed`` row, the share of failed
+operations, has a bound of 0: any rise is worse. Nothing in the checkout is
+written.
 """
 
 from __future__ import annotations
@@ -62,19 +66,24 @@ def quartiles(values: list) -> tuple[float, float, float]:
     return q1, q2, q3
 
 
-def report(runs: dict, better: dict) -> None:
+def report(runs: dict, metrics: dict) -> None:
+    """One row per metric; ``metrics`` maps each end-to-end name to its
+    ``(better, bound)``."""
     print(f"{'metric':22} {'base q1/median/q3':>30} {'change q1/median/q3':>30} "
-          f"{'change':>8} {'wins':>6}")
-    names = [n for metric in better for n in (metric, f"{metric} raw") if n in runs["base"][0]]
+          f"{'change':>8} {'wins':>6}  verdict")
+    names = [n for metric in metrics for n in (metric, f"{metric} raw") if n in runs["base"][0]]
     for name in names + ["failed"]:
         base = [r[name] for r in runs["base"]]
         change = [r[name] for r in runs["change"]]
-        lower = better.get(name.removesuffix(" raw"), "lower") == "lower"
+        better, bound = metrics.get(name.removesuffix(" raw"), ("lower", 0.0))
+        lower = better == "lower"
         wins = sum((c < b) if lower else (c > b) for b, c in zip(base, change))
         (b1, b2, b3), (c1, c2, c3) = quartiles(base), quartiles(change)
         delta = f"{100.0 * (c2 / b2 - 1.0):+.1f}%" if b2 else "n/a"
+        worse = (c2 - b2) if lower else (b2 - c2)
+        verdict = "worse than bound" if worse > bound * abs(b2) else "within"
         print(f"{name:22} {b1:9.4g} {b2:9.4g} {b3:9.4g}  {c1:9.4g} {c2:9.4g} {c3:9.4g} "
-              f"{delta:>8} {wins:>3}/{len(base)}")
+              f"{delta:>8} {wins:>3}/{len(base)}  {verdict}")
 
 
 def main(argv=None) -> int:
@@ -88,7 +97,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
-    better = {m["name"]: m["better"] for m in benchmark["end_to_end"]}
+    metrics = {m["name"]: (m["better"], m["bound"]) for m in benchmark["end_to_end"]}
     runs = {"base": [], "change": []}
     with tempfile.TemporaryDirectory(prefix="covrank-ab-") as tmp:
         sides = {}
@@ -103,7 +112,7 @@ def main(argv=None) -> int:
                                             args.seconds))
             print(f"# pair {pair + 1}: " + json.dumps(
                 {label: runs[label][-1] for label in runs}, sort_keys=True), flush=True)
-    report(runs, better)
+    report(runs, metrics)
     return 0
 
 
