@@ -26,14 +26,14 @@ import warnings
 import numpy as np
 
 from .dgp import SimulationConfig, _check_seed
-from .errors import NumericalError, ValidationError, _integer
+from .errors import NumericalError, ValidationError, _check_alpha
 from .montecarlo import (
     collect_null_statistics,
     ks_distance,
     ks_pvalue_approx,
     run_rejection_table,
 )
-from .sequential import _check_alpha, rank_from_data
+from .sequential import rank_from_data
 from .statistic import QuadratureSettings
 
 __all__ = ["main", "run_cli"]
@@ -245,7 +245,9 @@ def _locate_parse_error(path: str, header: bool, exc: ValueError) -> _InputError
     return _InputError(f"{path}: {exc}")
 
 
-def _load_config(path: str, args) -> tuple[SimulationConfig, dict]:
+def _load_config(path: str, args) -> SimulationConfig:
+    """The config in ``path`` with the ``--alpha`` and ``--seed`` flags that were
+    set merged in, validated once as a whole."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             raw = json.load(fh)
@@ -255,18 +257,16 @@ def _load_config(path: str, args) -> tuple[SimulationConfig, dict]:
             raise _InputError(f"{path}: invalid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise _InputError(f"{path}: config must be a JSON object")
-    extras = {k: raw.pop(k) for k in list(raw) if k not in _CONFIG_FIELDS}
-    unknown = set(extras) - {"step"}
+    unknown = set(raw) - _CONFIG_FIELDS
     if unknown:
         raise _InputError(f"{path}: unknown config keys: {sorted(unknown)}")
     # SimulationConfig turns the list into a tuple of floats.
     if raw.get("factor_scales") is not None and not isinstance(raw["factor_scales"], list):
         raise _InputError(f"{path}: factor_scales must be a JSON array")
     try:
-        cfg = SimulationConfig(**raw)
+        return SimulationConfig(**{**raw, **_given(alpha=args.alpha, seed=args.seed)})
     except TypeError as exc:
         raise _InputError(f"{path}: {exc}") from exc
-    return dataclasses.replace(cfg, **_given(alpha=args.alpha, seed=args.seed)), extras
 
 
 def _emit_json(payload: dict, out) -> None:
@@ -333,7 +333,7 @@ def _cmd_rank(args, out) -> int:
 
 
 def _cmd_simulate(args, out) -> int:
-    cfg, _ = _load_config(args.config, args)
+    cfg = _load_config(args.config, args)
     table = run_rejection_table(cfg, settings=_quad_settings(args), workers=_threads(args))
     rows = [(k, table.reached[k - 1], table.rejected[k - 1], table.rate_percent(k))
             for k in range(1, table.n_steps + 1)]
@@ -363,14 +363,8 @@ def _cmd_simulate(args, out) -> int:
 
 
 def _cmd_nullcheck(args, out) -> int:
-    cfg, extras = _load_config(args.config, args)
-    step = args.step if args.step is not None else extras.get("step")
-    if step is None:
-        step = cfg.true_rank + 1
-    try:
-        step = _integer("step", step)
-    except ValidationError as exc:
-        raise _InputError(f"{args.config}: {exc}") from None
+    cfg = _load_config(args.config, args)
+    step = cfg.true_rank + 1 if args.step is None else args.step
     sample = collect_null_statistics(cfg, step, settings=_quad_settings(args),
                                      workers=_threads(args))
     # ks_distance refuses an empty sample, so reps >= 1 from here on.

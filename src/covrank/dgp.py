@@ -30,8 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalError, ValidationError, _integer, _real, _real_array
-from .sequential import _check_alpha
+from .errors import NumericalError, ValidationError, _check_alpha, _integer, _real, _real_array
 
 __all__ = ["SimulationConfig", "make_loadings", "sample_factors_t", "generate_dataset"]
 
@@ -42,10 +41,19 @@ _STREAM_NOISE = 3
 _MAX_SEED = 2**64 - 1
 
 
-def _check_seed(seed: int) -> None:
-    """ValidationError unless the master seed is a 64-bit unsigned integer."""
+def _check_seed(seed) -> int:
+    """The master seed as an int; ValidationError unless it is a 64-bit unsigned integer."""
+    seed = _integer("seed", seed)
     if not 0 <= seed <= _MAX_SEED:
         raise ValidationError(f"seed must be a 64-bit unsigned integer, got {seed}")
+    return seed
+
+
+def _rng(seed) -> np.random.Generator:
+    """numpy's generator for ``seed``: a SeedSequence, or else a master seed
+    (see ``_check_seed``)."""
+    return np.random.default_rng(
+        seed if isinstance(seed, np.random.SeedSequence) else _check_seed(seed))
 
 
 def _seed_seq(master: int, *path: int) -> np.random.SeedSequence:
@@ -99,6 +107,9 @@ class SimulationConfig:
             scales = tuple(
                 float((self.true_rank - i) * self.gap_c0) for i in range(self.true_rank)
             )
+        elif isinstance(self.factor_scales, str) or not np.iterable(self.factor_scales):
+            raise ValidationError(f"factor_scales must be a sequence of real numbers, "
+                                  f"got {self.factor_scales!r}")
         else:
             scales = tuple(_real("each factor_scales entry", s) for s in self.factor_scales)
         object.__setattr__(self, "factor_scales", scales)
@@ -139,14 +150,20 @@ class SimulationConfig:
         )
 
 
+def _check_config(cfg) -> None:
+    if not isinstance(cfg, SimulationConfig):
+        raise ValidationError(f"cfg must be a SimulationConfig, got {cfg!r}")
+
+
 def make_loadings(p: int, k: int, factor_scales, seed) -> np.ndarray:
     """Random p x k loading matrix with orthogonal columns of given squared norms.
 
     Draws a Gaussian matrix, orthonormalizes it by QR (signs fixed so the
     result is unique), and scales column j by sqrt(factor_scales[j]). The
     Gram matrix A^T A is therefore diag(factor_scales) and A A^T has the
-    scales as its nonzero eigenvalues. Deterministic given the seed. A
-    rank-deficient draw, an event of probability zero, raises NumericalError.
+    scales as its nonzero eigenvalues. Deterministic given the seed, a
+    SeedSequence or a 64-bit unsigned integer. A rank-deficient draw, an
+    event of probability zero, raises NumericalError.
     """
     p, k = _integer("p", p), _integer("k", k)
     if not 0 <= k <= p:
@@ -154,6 +171,7 @@ def make_loadings(p: int, k: int, factor_scales, seed) -> np.ndarray:
     scales = _real_array("factor_scales", factor_scales)
     if scales.shape != (k,):
         raise ValidationError(f"factor_scales must have length k={k}")
+    rng = _rng(seed)
     if k == 0:
         return np.zeros((p, 0))
     # Ties are allowed here (isotropic designs); the strict eigen-gap
@@ -161,7 +179,7 @@ def make_loadings(p: int, k: int, factor_scales, seed) -> np.ndarray:
     if np.any(scales <= 0.0) or np.any(np.diff(scales) > 0.0):
         raise ValidationError("factor_scales must be positive and nonincreasing")
 
-    q, r = np.linalg.qr(np.random.default_rng(seed).standard_normal((p, k)))
+    q, r = np.linalg.qr(rng.standard_normal((p, k)))
     d = np.diagonal(r)
     if not np.min(np.abs(d)) > 1e-10 * math.sqrt(p):
         raise NumericalError(f"drew a rank-deficient {p}x{k} Gaussian frame")
@@ -175,7 +193,8 @@ def sample_factors_t(k: int, n: int, t_df: float, seed) -> np.ndarray:
     Each row is G / sqrt(W / df) with G standard Gaussian and W an
     independent chi-square(df) shared across the row's components, then
     multiplied by sqrt((df - 2) / df) to undo the t-distribution's variance
-    inflation. Requires t_df > 2. Deterministic given the seed.
+    inflation. Requires t_df > 2. Deterministic given the seed, a
+    SeedSequence or a 64-bit unsigned integer.
     """
     t_df = _real("t_df", t_df)
     if not (math.isfinite(t_df) and t_df > 2.0):
@@ -183,7 +202,7 @@ def sample_factors_t(k: int, n: int, t_df: float, seed) -> np.ndarray:
     k, n = _integer("k", k), _integer("n", n)
     if k < 1 or n < 1:
         raise ValidationError(f"need k >= 1 and n >= 1, got k={k}, n={n}")
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed)
     g = rng.standard_normal((n, k))
     w = rng.chisquare(t_df, size=n)
     np.divide(t_df - 2.0, w, out=w)
@@ -228,6 +247,7 @@ def generate_dataset(cfg: SimulationConfig, replication: int = 0, *,
     owns its memory and no scratch outlives the call. Both ways give the same
     bytes.
     """
+    _check_config(cfg)
     replication = _integer("replication", replication, 0)
     k, p, n = cfg.true_rank, cfg.p, cfg.n
     a, basis = _design(cfg)

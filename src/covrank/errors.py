@@ -1,5 +1,5 @@
-"""Exception types shared across the package, and its one integer rule and
-one real-number rule for public arguments."""
+"""Exception types shared across the package, and its one rule each for
+public integer, real-number, bool and test-level arguments."""
 
 import numbers
 
@@ -56,6 +56,22 @@ def _real(name: str, value) -> float:
             or np.asarray(value).dtype.kind not in "iuf"):
         raise ValidationError(f"{name} must be a real number, got {value!r}")
     return float(value)
+
+
+def _bool(name: str, value) -> bool:
+    """``value`` as a bool; ValidationError unless it is a Python or numpy bool.
+    Truthy stand-ins such as ``"no"``, ``1`` and ``None`` are refused."""
+    if not isinstance(value, (bool, np.bool_)):
+        raise ValidationError(f"{name} must be a bool, got {value!r}")
+    return bool(value)
+
+
+def _check_alpha(alpha) -> float:
+    """The test level as a float; ValidationError unless it is a real number in (0, 1)."""
+    alpha = _real("alpha", alpha)
+    if not 0.0 < alpha < 1.0:
+        raise ValidationError(f"alpha must be in (0, 1), got {alpha}")
+    return alpha
 
 
 def _real_array(name: str, value) -> np.ndarray:

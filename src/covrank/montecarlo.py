@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dgp import SimulationConfig, _design, generate_dataset
+from .dgp import SimulationConfig, _check_config, _design, generate_dataset
 from .errors import NumericalError, ValidationError, _integer, _real, _real_array
 from .sequential import run_sequence
 from .spectrum import sample_covariance, symmetric_eigen
@@ -243,6 +243,9 @@ def _map_blocks(task, cfg: SimulationConfig, args: tuple, workers: int, what: st
                         raise outcome
                     yield outcome
     except NumericalError as exc:
+        # A failure that belongs to no replication keeps its own message.
+        if exc.index is None:
+            raise
         raise exc.at(exc.index, f"replication {exc.index} failed, aborting {what}: ") from exc
 
 
@@ -255,6 +258,7 @@ def run_rejection_table(cfg: SimulationConfig,
     index attached) rather than being skipped, since silent skips would
     bias the rates. The index is that of the lowest failing replication.
     """
+    _check_config(cfg)
     _check_settings(settings)
     counts = sum(_map_blocks(_table_block, cfg, (settings,), workers, "table"),
                  np.zeros((2, cfg.p - 1), dtype=np.int64))
@@ -273,6 +277,7 @@ def collect_null_statistics(cfg: SimulationConfig, k: int,
     statistic is identically 1 rather than Unif(0,1). A numeric failure
     names the lowest failing replication.
     """
+    _check_config(cfg)
     k = _check_step(k, cfg.p)
     if cfg.true_rank != k - 1:
         raise ValidationError(

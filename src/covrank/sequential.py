@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NumericalError, ValidationError, _real
+from .errors import NumericalError, _check_alpha
 from .spectrum import sample_covariance, symmetric_eigen
 from .statistic import QuadratureSettings, _check_eigenvalues, csv_statistic
 
@@ -46,14 +46,6 @@ class SequentialResult:
     steps: tuple[StepOutcome, ...] = field(repr=False)
     rank_estimate: int
     boundary_reached: bool
-
-
-def _check_alpha(alpha) -> float:
-    """The test level as a float; ValidationError unless it is a real number in (0, 1)."""
-    alpha = _real("alpha", alpha)
-    if not 0.0 < alpha < 1.0:
-        raise ValidationError(f"alpha must be in (0, 1), got {alpha}")
-    return alpha
 
 
 def run_sequence(eigenvalues, alpha: float, settings: QuadratureSettings = QuadratureSettings()

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalError, ValidationError, _real_array
+from .errors import NumericalError, ValidationError, _bool, _real_array
 
 __all__ = ["Spectrum", "sample_covariance", "symmetric_eigen"]
 
@@ -62,13 +62,14 @@ def sample_covariance(data, center: bool = False) -> np.ndarray:
     ------
     ValidationError
         ``data`` is not an n x p matrix of real numbers with n, p >= 2, or
-        has a NaN or Inf entry.
+        has a NaN or Inf entry; ``center`` is not a bool.
     NumericalError
         ``x^T x`` overflowed float64, or underflowed (its largest diagonal
         entry is below the smallest normal float) while the data are not
         zero; ``index`` is 0.
     """
     arr = _real_array("data", data)
+    center = _bool("center", center)
     if arr.ndim != 2 or min(arr.shape) < 2:
         raise ValidationError(f"data must be an n x p matrix with n, p >= 2, got shape {arr.shape}")
     n = arr.shape[0]
@@ -118,11 +119,12 @@ def symmetric_eigen(m, want_vectors: bool = False) -> Spectrum:
     ------
     ValidationError
         Non-real, non-square, non-symmetric, or non-finite input (any matrix
-        of a stack).
+        of a stack); ``want_vectors`` is not a bool.
     NumericalError
         The underlying solver failed to converge.
     """
     a = _real_array("m", m)
+    want_vectors = _bool("want_vectors", want_vectors)
     if a.ndim not in (2, 3) or a.shape[-1] != a.shape[-2]:
         raise ValidationError(f"matrix must be square or a stack of square matrices, "
                               f"got shape {a.shape}")

@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from covrank import NumericalError
+from covrank import NumericalError, SimulationConfig
 from covrank.cli import THREADS_ENV_VAR, _read_data_matrix, run_cli
 
 
@@ -444,22 +444,50 @@ class TestNullcheckCommand:
         assert len(json.loads(outputs[0])["statistics"]) == 8
         assert outputs[0] == outputs[1]
 
-    def test_step_key_in_config(self, tmp_path):
+
+
+class TestConfigFile:
+    """What ``simulate`` and ``nullcheck`` share: every config key is a
+    SimulationConfig field, and the flags are merged in before it is built."""
+
+    @pytest.mark.parametrize("command", ["simulate", "nullcheck"])
+    def test_config_is_built_once_per_command(self, null_config, monkeypatch, command):
+        built = []
+        post_init = SimulationConfig.__post_init__
+
+        def counting(cfg):
+            built.append(cfg)
+            post_init(cfg)
+
+        monkeypatch.setattr(SimulationConfig, "__post_init__", counting)
+        code, _, err = invoke([command, str(null_config), "--alpha", "0.1", "--seed", "5"])
+        assert code == 0, err
+        assert len(built) == 1
+        assert (built[0].alpha, built[0].seed) == (0.1, 5)
+
+    @pytest.mark.parametrize("command", ["simulate", "nullcheck"])
+    @pytest.mark.parametrize("field, bad, flag, value", [
+        ("alpha", 2.0, "--alpha", 0.05),
+        ("seed", -1, "--seed", 3),
+    ])
+    def test_flag_overrides_an_invalid_config_value(self, tmp_path, command,
+                                                    field, bad, flag, value):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"p": 4, "true_rank": 0, "n": 100, "reps": 5,
+                                    "local_null_tau": 0.5, field: bad}))
+        assert invoke([command, str(path)])[0] == 1
+        code, out, err = invoke([command, str(path), flag, str(value), "--format", "json"])
+        assert (code, err) == (0, "")
+        assert json.loads(out)["config"][field] == value
+
+    @pytest.mark.parametrize("command", ["simulate", "nullcheck"])
+    def test_step_key_is_an_unknown_key(self, tmp_path, command):
         path = tmp_path / "step.json"
         path.write_text(json.dumps({"p": 4, "true_rank": 0, "n": 100, "reps": 5,
-                                    "local_null_tau": 0.5, "seed": 11, "step": 1}))
-        code, out, _ = invoke(["nullcheck", str(path), "--format", "json"])
-        assert code == 0
-        assert json.loads(out)["k"] == 1
+                                    "local_null_tau": 0.5, "step": 1}))
+        assert invoke([command, str(path)]) == (
+            2, "", f"covrank: parse: {path}: unknown config keys: ['step']\n")
 
-
-    @pytest.mark.parametrize("step", ["2", True, 1.5])
-    def test_step_key_must_be_an_integer(self, tmp_path, step):
-        path = tmp_path / "step.json"
-        path.write_text(json.dumps({"p": 4, "true_rank": 1, "n": 20, "reps": 2,
-                                    "local_null_tau": 0.5, "step": step}))
-        assert invoke(["nullcheck", str(path)]) == (
-            2, "", f"covrank: parse: {path}: step must be an integer, got {step!r}\n")
 
 class TestUsage:
     def test_unknown_command_exits_2(self, capsys):

@@ -63,6 +63,18 @@ class TestMakeLoadings:
             make_loadings(5, 2, [1.0, -1.0], seed=0)  # nonpositive
 
 
+@pytest.mark.parametrize("seed", [-1, 2**64])
+@pytest.mark.parametrize("draw", [
+    lambda seed: make_loadings(4, 2, [2.0, 1.0], seed),
+    lambda seed: make_loadings(4, 0, [], seed),
+    lambda seed: sample_factors_t(2, 5, 5.0, seed),
+], ids=["make_loadings", "make_loadings-k0", "sample_factors_t"])
+def test_seed_outside_64_bits_is_refused(draw, seed):
+    with pytest.raises(ValidationError) as info:
+        draw(seed)
+    assert str(info.value) == f"seed must be a 64-bit unsigned integer, got {seed}"
+
+
 class TestSampleFactorsT:
     def test_rejects_small_df(self):
         for df in (2.0, 1.0, 0.5):
@@ -156,6 +168,13 @@ class TestSimulationConfig:
         with pytest.raises(ValidationError):
             SimulationConfig(p=3, true_rank=3, n=100, reps=1,
                              local_null_tau=0.1, seed=0)
+
+    @pytest.mark.parametrize("scales", [5, 2.0, "21", np.array(3.0)])
+    def test_factor_scales_that_are_not_a_sequence_are_refused(self, scales):
+        with pytest.raises(ValidationError) as info:
+            SimulationConfig(p=4, true_rank=1, n=20, reps=2, factor_scales=scales)
+        assert str(info.value) == (
+            f"factor_scales must be a sequence of real numbers, got {scales!r}")
 
     def test_low_df_warns_but_proceeds(self):
         with pytest.warns(UserWarning, match="fourth moments"):

@@ -43,8 +43,10 @@ _ARGUMENTS = {
         "replication", 1, lambda v: generate_dataset(SimulationConfig(**_CONFIG), v)),
     "make_loadings-p": ("p", 4, lambda v: make_loadings(v, 2, [2.0, 1.0], 0)),
     "make_loadings-k": ("k", 2, lambda v: make_loadings(4, v, [2.0, 1.0], 0)),
+    "make_loadings-seed": ("seed", 7, lambda v: make_loadings(4, 2, [2.0, 1.0], v)),
     "sample_factors_t-k": ("k", 2, lambda v: sample_factors_t(v, 5, 5.0, 0)),
     "sample_factors_t-n": ("n", 5, lambda v: sample_factors_t(2, v, 5.0, 0)),
+    "sample_factors_t-seed": ("seed", 7, lambda v: sample_factors_t(2, 5, 5.0, v)),
     "plug_in_scale-k": ("k", 2, lambda v: plug_in_scale([3.0, 2.0, 1.0], v)),
     "log_integral-k": ("k", 1, lambda v: log_integral(1.0, 3.0, [3.0, 2.0, 1.0], v, 1.0)),
     "csv_statistic-k": ("k", 2, lambda v: csv_statistic([3.0, 2.0, 1.0], v)),

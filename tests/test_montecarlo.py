@@ -33,6 +33,19 @@ def small_table_config(**overrides):
     return SimulationConfig(**base)
 
 
+@pytest.mark.parametrize("cfg", ["cfg", {"p": 4, "true_rank": 1, "n": 20, "reps": 2}, None],
+                         ids=["str", "dict", "None"])
+@pytest.mark.parametrize("run", [
+    lambda cfg: generate_dataset(cfg),
+    lambda cfg: run_rejection_table(cfg),
+    lambda cfg: collect_null_statistics(cfg, 2),
+], ids=["generate_dataset", "run_rejection_table", "collect_null_statistics"])
+def test_config_that_is_not_a_simulation_config_is_refused(run, cfg):
+    with pytest.raises(ValidationError) as info:
+        run(cfg)
+    assert str(info.value) == f"cfg must be a SimulationConfig, got {cfg!r}"
+
+
 class TestRunRejectionTable:
     def test_empty_run(self):
         table = run_rejection_table(small_table_config(reps=0))
@@ -210,14 +223,15 @@ class TestNumericFailure:
     @pytest.mark.parametrize("name", ["generate_dataset", "symmetric_eigen"])
     def test_failure_without_a_row_names_no_replication(self, monkeypatch, workers, name):
         # A rank-deficient design frame or a non-converging eigensolver names
-        # no replication, however the work is split. Forked workers inherit
-        # the patch.
+        # no replication, in its index or its message, however the work is
+        # split. Forked workers inherit the patch.
         def fail(*args, **kwargs):
             raise NumericalError("did not converge")
 
         monkeypatch.setattr(montecarlo, name, fail)
-        with pytest.raises(NumericalError, match="did not converge") as info:
+        with pytest.raises(NumericalError) as info:
             run_rejection_table(self.cfg, workers=workers)
+        assert str(info.value) == "did not converge"
         assert info.value.index is None
 
 

@@ -1,4 +1,4 @@
-"""Paired A/B comparison of two git revisions on one perfbench workload.
+"""Paired A/B comparison of two git revisions on perfbench workloads.
 
 Both revisions are exported with ``git archive`` into fresh temporary
 directories, so the two sides are built the same way, and each pair runs
@@ -7,9 +7,12 @@ Run from anywhere inside the repository:
 
     python3 tools/ab.py --workload null_local_t2 --base HEAD~1 --change HEAD
     python3 tools/ab.py --workload sim_p10 --change "$(git stash create)" --pairs 4
+    python3 tools/ab.py --pairs 4 --seconds 10
 
 (``git stash create`` names a commit of the uncommitted tracked changes
-without touching the working tree.) For every end-to-end metric of
+without touching the working tree.) Without ``--workload`` every workload of
+``BENCHMARK.json`` runs, one after the other, with the same pairs and seconds,
+and each gets its own report. For every end-to-end metric of
 ``BENCHMARK.json`` it prints each side's median and quartiles, the median
 change, the pairs the change won, and a verdict: "within" unless the change's
 median is worse than the base's by more than the metric's ``bound`` (a
@@ -88,7 +91,8 @@ def report(runs: dict, metrics: dict) -> None:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("--workload", required=True)
+    parser.add_argument("--workload", default=None,
+                        help="one workload (default: every workload of BENCHMARK.json)")
     parser.add_argument("--base", default="HEAD~1", help="revision A (default HEAD~1)")
     parser.add_argument("--change", default="HEAD", help="revision B (default HEAD)")
     parser.add_argument("--pairs", type=int, default=10)
@@ -98,21 +102,25 @@ def main(argv=None) -> int:
 
     benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
     metrics = {m["name"]: (m["better"], m["bound"]) for m in benchmark["end_to_end"]}
-    runs = {"base": [], "change": []}
+    workloads = ([args.workload] if args.workload is not None
+                 else [w["name"] for w in benchmark["workloads"]])
     with tempfile.TemporaryDirectory(prefix="covrank-ab-") as tmp:
         sides = {}
-        for label in runs:
+        for label in ("base", "change"):
             sides[label] = Path(tmp) / label
             sides[label].mkdir()
             export(getattr(args, label), sides[label])
-        for pair in range(args.pairs):
-            order = ("base", "change") if pair % 2 == 0 else ("change", "base")
-            for label in order:
-                runs[label].append(run_once(sides[label], args.workload, args.seed,
-                                            args.seconds))
-            print(f"# pair {pair + 1}: " + json.dumps(
-                {label: runs[label][-1] for label in runs}, sort_keys=True), flush=True)
-    report(runs, metrics)
+        for workload in workloads:
+            runs = {"base": [], "change": []}
+            for pair in range(args.pairs):
+                order = ("base", "change") if pair % 2 == 0 else ("change", "base")
+                for label in order:
+                    runs[label].append(run_once(sides[label], workload, args.seed,
+                                                args.seconds))
+                print(f"# {workload} pair {pair + 1}: " + json.dumps(
+                    {label: runs[label][-1] for label in runs}, sort_keys=True), flush=True)
+            print(f"## {workload}")
+            report(runs, metrics)
     return 0
 
 
