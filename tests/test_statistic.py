@@ -100,6 +100,18 @@ class TestLogIntegrand:
         with pytest.raises(ValidationError):
             log_integral(0.5, 1.0, [2.0, 1.0], 1, 0.0)
 
+    @pytest.mark.filterwarnings("error")
+    def test_zero_power_term_leaves_rows_without_zeros_alone(self):
+        # u^2 underflows at the first node. Only the second row has a zero
+        # among its other eigenvalues; the first must not get 0 * log(0).
+        u = np.array([1e-170, 0.5, 2.5])
+        others = np.array([[2.0, 1.0], [2.0, 0.0]])
+        zeros = np.array([0, 1])
+        block = _log_f(u, others.T[:, :, None], 0.5, zeros[:, None])
+        assert block[0].tolist() == log_f(u, [3.0, 2.0, 1.0], 1, 1.0).tolist()
+        assert block[1].tolist() == _log_f(u, others[1][:, None], 0.5, 1).tolist()
+        assert block[1, 0] == -math.inf and np.isfinite(block[:, 1:]).all()
+
     def test_near_ties_keep_full_relative_precision(self):
         # Gap factors u^2 - lam_j^2 formed from squares lose about 1e-10 of
         # relative precision here to cancellation.
@@ -115,6 +127,37 @@ class TestLogIntegrand:
                     mpmath.log(abs(x * x - mpmath.mpf(v) ** 2))
                     for j, v in enumerate(lam) if j != k - 1)
                 assert abs((got - exact) / exact) < 1e-14
+
+
+class TestRankOneClosedForm:
+    """On [d, 0, ..., 0] at step 1 every gap factor is u^2, so the integrand is
+    u^(2p - 2) exp(-u^2 / (2 s)) and the statistic is the regularized upper
+    incomplete gamma Q(p - 1/2, d^2 / (2 s))."""
+
+    @staticmethod
+    def q(p: int, x) -> float:
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(40):
+            return float(mpmath.gammainc(mpmath.mpf(p) - 0.5, x, regularized=True))
+
+    @pytest.mark.parametrize("s", [0.5, 1.0])
+    @pytest.mark.parametrize("d", [0.3, 1.0, 2.5, 7.0])
+    @pytest.mark.parametrize("p", [2, 3, 5, 10, 20])
+    def test_explicit_scale(self, p, d, s):
+        mpmath = pytest.importorskip("mpmath")
+        lam = np.where(np.arange(p) == 0, d, 0.0)
+        with mpmath.workdps(40):
+            exact = self.q(p, mpmath.mpf(d) ** 2 / (2 * mpmath.mpf(s)))
+        assert abs(csv_statistic(lam, 1, scale2=s) / exact - 1.0) <= 1e-12
+
+    @pytest.mark.parametrize("d", [0.3, 1.0, 7.0, 1e3])
+    def test_plug_in_scale_is_criterion_1c_constant(self, d):
+        # The plug-in scale is d^2 / p^2, so every exactly rank-1 spectrum
+        # at p = 10 gives Q(9.5, 50), whatever d.
+        exact = self.q(10, 50)
+        assert exact == pytest.approx(5.3556e-13, rel=1e-4)
+        lam = np.where(np.arange(10) == 0, d, 0.0)
+        assert abs(csv_statistic(lam, 1) / exact - 1.0) <= 1e-12
 
 
 def mp_mass(lo, hi, lam, k: int, s2: float, points=()):
@@ -354,6 +397,25 @@ def sample_spectra(rows: int, p: int, seed: int) -> np.ndarray:
 HEAVY = np.array([3.0] + list(1.0 + 1e-9 * np.arange(8, -1, -1)))
 
 
+# BASE with its last z entries set to exactly 0, for z = 0, 1, 2, 5 and 9.
+BASE = np.array([5.0, 4.1, 3.3, 2.6, 2.0, 1.5, 1.1, 0.8, 0.5, 0.3])
+ZERO_TAILS = [np.where(np.arange(10) < 10 - z, BASE, 0.0) for z in (0, 1, 2, 5, 9)]
+# Near-tied eigenvalues above four exact zeros.
+NEAR_TIED_ZEROS = np.concatenate([HEAVY[:6], np.zeros(4)])
+# csv_statistic at steps 1-9 of ZERO_TAILS[0], ZERO_TAILS[1] and HEAVY.
+RECORDED = {
+    0: ["0x1.a802721cb36a7p-3", "0x1.93641b25d7b3dp-4", "0x1.01c5ca41a276ep-4",
+        "0x1.76bdd68d69128p-5", "0x1.3400ce9158640p-5", "0x1.22cf1530401d6p-5",
+        "0x1.333b4623b9234p-5", "0x1.777953b7e4d26p-7", "0x1.49cd82ac04b9cp-6"],
+    1: ["0x1.a57b9e5c0d7cdp-3", "0x1.8f2b4e6a6c6efp-4", "0x1.f9fc084149ed9p-5",
+        "0x1.6a5474fca1733p-5", "0x1.2192be8ace2c6p-5", "0x1.032ef76f34c25p-5",
+        "0x1.ed0a4774967f8p-6", "0x1.805bc2d8901bap-8", "0x1.08bed3636b1a0p-14"],
+    5: ["0x1.d2cfd2d574075p-11", "0x1.0000000000000p+0", "0x1.87749b50eff8ep-1",
+        "0x1.5438ec1dde977p-1", "0x1.28b2133922751p-1", "0x1.fffff8ec1d2b8p-2",
+        "0x1.ae9bdf3a9298ap-2", "0x1.578e284a0cad7p-2", "0x1.e22d93804b421p-3"],
+}
+
+
 class TestBlockEvaluation:
     def test_rows_are_bit_identical_alone_in_blocks_and_beside_heavy_rows(self):
         spectra = sample_spectra(12, 10, seed=31)
@@ -392,6 +454,37 @@ class TestBlockEvaluation:
         assert at_3.statistic[1] == 1.0 and at_3.degenerate[1] and at_3.scale2[1] == 0.0
         assert at_3.statistic[2] == 0.0 and at_3.degenerate[2]
         assert 0.0 < at_3.statistic[3] < 1.0 and not at_3.degenerate[3]
+
+    def test_rows_with_exact_zeros_are_bit_identical_alone_and_in_blocks(self):
+        # Rows with 0, 1, 2, p // 2 and p - 1 exact zeros (the last leaves no
+        # gap factor at step 1), beside near-tied rows, in several orders and
+        # block sizes.
+        stack = np.array([*ZERO_TAILS, HEAVY, ZERO_TAILS[2], NEAR_TIED_ZEROS])
+        orders = [np.arange(len(stack)), np.random.default_rng(17).permutation(len(stack))]
+        for k in range(1, 10):
+            alone = [csv_statistic(lam, k) for lam in stack]
+            for order in orders:
+                for size in (3, len(stack)):
+                    parts = [csv_statistic(stack[order[i:i + size]], k).statistic
+                             for i in range(0, len(stack), size)]
+                    assert np.concatenate(parts).tolist() == [alone[i] for i in order]
+        sequences = [run_sequence(lam, 0.5) for lam in stack]
+        for order in orders:
+            assert list(run_sequence(stack[order], 0.5)) == [sequences[i] for i in order]
+
+    def test_rows_with_at_most_one_zero_keep_their_recorded_values(self):
+        # RECORDED holds the values of the product with every zero as its own
+        # gap factor u^2. A row with at most one zero among the other
+        # eigenvalues keeps those bits, alone and beside rows with more zeros.
+        recorded = {0: ZERO_TAILS[0], 1: ZERO_TAILS[1], 5: HEAVY}
+        stack = np.array([*ZERO_TAILS, HEAVY])
+        for k in range(1, 10):
+            block = csv_statistic(stack, k).statistic
+            for row, lam in recorded.items():
+                want = float.fromhex(RECORDED[row][k - 1])
+                assert csv_statistic(lam, k) == want and block[row] == want
+        # The one other eigenvalue is the zero: no gap factor is left.
+        assert csv_statistic([2.0, 0.0], 1) == float.fromhex("0x1.0bbd40bcd5865p-2")
 
     def test_stacked_scale_and_integral_match_single_calls(self):
         spectra = sample_spectra(6, 5, seed=8)
