@@ -6,6 +6,12 @@ Three workflows:
     covrank simulate CFG.json    Monte Carlo rejection table for a config
     covrank nullcheck CFG.json   null-uniformity (KS) diagnostic
 
+``rank`` parses its file in blocks of lines, in worker processes forked from
+the command: ``$COVRANK_THREADS`` of them, else one per available CPU, and
+never more than blocks. Blocks are cut at byte offsets alone, so the matrix,
+and every output, is byte-identical for any worker count. ``simulate`` and
+``nullcheck`` take ``--threads`` (default ``$COVRANK_THREADS``, else 1).
+
 Exit codes: 0 success, 1 statistical workflow error (e.g. a degenerate
 nullcheck configuration), 2 I/O or parse error, 3 numerical failure,
 including float64 under- or overflow. Errors and warnings are single
@@ -17,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import io
 import itertools
 import json
 import os
@@ -28,6 +35,7 @@ import numpy as np
 from .dgp import SimulationConfig, _check_seed
 from .errors import NumericalError, ValidationError, _check_alpha
 from .montecarlo import (
+    _fork_map,
     collect_null_statistics,
     ks_distance,
     ks_pvalue_approx,
@@ -45,6 +53,11 @@ _CONFIG_FIELDS = {f.name for f in dataclasses.fields(SimulationConfig)}
 # utf-8-sig drops a leading byte-order mark, which would otherwise spoil the
 # first token of a CSV file and turn its first data row into a "header".
 _CSV_ENCODING = "utf-8-sig"
+
+# Bytes of a CSV file parsed by one job, up to the end of the line they end in.
+# The parent's heap keeps the buffers it received parts in, so larger blocks
+# raise the command's peak RSS: by 7% at 4 MiB and 3% at 1 MiB on a 44 MB file.
+_BLOCK_BYTES = 1 << 20
 
 
 class _InputError(Exception):
@@ -170,16 +183,28 @@ def _quad_settings(args) -> QuadratureSettings:
     return QuadratureSettings(**_given(rel_tol=args.rel_tol, tail_sigmas=args.tail_sigmas))
 
 
-def _threads(args) -> int:
-    if args.threads is not None:
-        return args.threads
-    raw = os.environ.get(THREADS_ENV_VAR, "1")
+def _threads(given: int | None, default: int) -> int:
+    """Worker processes: ``given`` (a ``--threads`` flag), else ``$COVRANK_THREADS``,
+    else ``default``."""
+    if given is not None:
+        return given
+    raw = os.environ.get(THREADS_ENV_VAR)
+    if raw is None:
+        return default
     try:
         return _positive_int(raw)
     except argparse.ArgumentTypeError:
         raise _InputError(
             f"environment variable {THREADS_ENV_VAR}={raw!r} is not a positive integer"
         ) from None
+
+
+def _cpus() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
 
 
 def _parse_rows(lines) -> np.ndarray:
@@ -194,13 +219,54 @@ def _nonblank_lines(fh):
             yield lineno, line
 
 
-def _read_data_matrix(path: str) -> np.ndarray:
-    """A comma-separated numeric matrix, parsed in one streamed pass; the first
-    line is a header if it does not parse."""
+def _text(data: bytes, at: int) -> io.TextIOWrapper:
+    """``data``, the bytes from offset ``at`` of a CSV file, as text; only a
+    file's first byte may start a byte-order mark. Bytes cut after newline
+    bytes give the same lines as the whole file, since no UTF-8 character and
+    no line end spans a newline byte."""
+    return io.TextIOWrapper(io.BytesIO(data), encoding=_CSV_ENCODING if at == 0 else "utf-8")
+
+
+def _first_line(fh) -> tuple[int, str | None]:
+    """The first non-blank line of the binary file ``fh``, or None, and the offset
+    of the newline-ended line of bytes that holds it (every line before is blank)."""
+    start = 0
+    for raw in fh:
+        for _, line in _nonblank_lines(_text(raw, start)):
+            return start, line
+        start += len(raw)
+    return start, None
+
+
+def _parse_block(job) -> np.ndarray | None:
+    """Rows of the non-blank lines in bytes lo..hi-1 of a file, after the first
+    of them when ``header`` is set; None when no line is left."""
+    path, lo, hi, header = job
+    with open(path, "rb") as fh:
+        fh.seek(lo)
+        data = fh.read(hi - lo)
+    lines = (line for _, line in _nonblank_lines(_text(data, lo)))
+    if header:
+        next(lines)
+    first = next(lines, None)
+    # Checked here because loadtxt warns on an empty input.
+    if first is None:
+        return None
+    return _parse_rows(itertools.chain([first], lines))
+
+
+def _read_data_matrix(path: str, workers: int = 1) -> np.ndarray:
+    """A comma-separated numeric matrix; the first non-blank line is a header if
+    it does not parse.
+
+    The lines are parsed in blocks of about ``_BLOCK_BYTES`` that end after a
+    newline byte, by up to ``workers`` processes, and copied in file order into one
+    array that has room for the most rows the bytes can hold (its pages that
+    are never written take no memory).
+    """
     try:
-        with open(path, "r", encoding=_CSV_ENCODING) as fh:
-            lines = (line for _, line in _nonblank_lines(fh))
-            first = next(lines, None)
+        with open(path, "rb") as fh:
+            start, first = _first_line(fh)
             if first is None:
                 raise _InputError(f"{path}: file is empty")
             try:
@@ -208,14 +274,31 @@ def _read_data_matrix(path: str) -> np.ndarray:
                 header = False
             except ValueError:
                 header = True
-                first = next(lines, None)
-                # Checked here because loadtxt only warns on an empty input.
-                if first is None:
-                    raise _InputError(f"{path}: no numeric rows after the header") from None
-            try:
-                return _parse_rows(itertools.chain([first], lines))
-            except ValueError as exc:
-                raise _locate_parse_error(path, header, exc) from exc
+            size = fh.seek(0, os.SEEK_END)
+            cuts = [start]
+            while cuts[-1] + _BLOCK_BYTES < size:
+                fh.seek(cuts[-1] + _BLOCK_BYTES)
+                cuts.append(fh.tell() + len(fh.readline()))
+            if cuts[-1] < size:
+                cuts.append(size)
+        jobs = [(path, lo, hi, header and lo == start) for lo, hi in zip(cuts, cuts[1:])]
+        data, rows = None, 0
+        try:
+            for part in _fork_map(_parse_block, jobs, min(workers, len(jobs))):
+                if part is None:
+                    continue
+                if data is None:
+                    # A row of w fields takes at least 2w - 1 bytes.
+                    data = np.empty(((size - start) // (2 * part.shape[1]) + 1, part.shape[1]))
+                elif part.shape[1] != data.shape[1]:
+                    raise ValueError("blocks of rows of different widths")
+                data[rows:rows + len(part)] = part
+                rows += len(part)
+        except ValueError as exc:
+            raise _locate_parse_error(path, header, exc) from exc
+        if data is None:
+            raise _InputError(f"{path}: no numeric rows after the header")
+        return data[:rows]
     except UnicodeDecodeError as exc:
         raise _InputError(f"{path}: not UTF-8 text: {exc.reason}") from None
 
@@ -293,7 +376,7 @@ def _emit_tsv(rows, out) -> None:
 
 
 def _cmd_rank(args, out) -> int:
-    data = _read_data_matrix(args.data)
+    data = _read_data_matrix(args.data, _threads(None, _cpus()))
     alpha = 0.05 if args.alpha is None else args.alpha
     try:
         result = rank_from_data(data, alpha, center=args.center, settings=_quad_settings(args))
@@ -334,7 +417,8 @@ def _cmd_rank(args, out) -> int:
 
 def _cmd_simulate(args, out) -> int:
     cfg = _load_config(args.config, args)
-    table = run_rejection_table(cfg, settings=_quad_settings(args), workers=_threads(args))
+    table = run_rejection_table(cfg, settings=_quad_settings(args),
+                                workers=_threads(args.threads, 1))
     rows = [(k, table.reached[k - 1], table.rejected[k - 1], table.rate_percent(k))
             for k in range(1, table.n_steps + 1)]
 
@@ -366,7 +450,7 @@ def _cmd_nullcheck(args, out) -> int:
     cfg = _load_config(args.config, args)
     step = cfg.true_rank + 1 if args.step is None else args.step
     sample = collect_null_statistics(cfg, step, settings=_quad_settings(args),
-                                     workers=_threads(args))
+                                     workers=_threads(args.threads, 1))
     # ks_distance refuses an empty sample, so reps >= 1 from here on.
     dist = ks_distance(sample)
     rate = float(np.mean(sample.statistics <= cfg.alpha))

@@ -199,49 +199,80 @@ def _one_blas_thread():
         set_threads(threads)
 
 
-def _run_block_in_worker(job):
-    """``_run_block`` in a pool worker: its result, or the error it raised, and
-    the warnings raised before, which the worker cannot show itself."""
+# In a pool worker, the event its _fork_map sets once it stops reading results.
+_cancelled = None
+
+
+def _start_worker(cancelled) -> None:
+    global _cancelled
+    _cancelled = cancelled
+
+
+def _in_worker(call):
+    """``fn(job)`` in a pool worker: its result, or the error it raised, and the
+    warnings raised before, which the worker cannot show itself; nothing once
+    its pool is cancelled."""
+    fn, job = call
+    if _cancelled is not None and _cancelled.is_set():
+        return None, []
     with warnings.catch_warnings(record=True) as caught:
         try:
-            outcome = _run_block(job)
+            outcome = fn(job)
         except Exception as exc:
             outcome = exc
     return outcome, [w.message for w in caught]
+
+
+def _fork_map(fn, jobs: list, workers: int):
+    """Results of ``fn`` on each job, in job order, from up to ``workers`` processes.
+
+    One worker maps in-process. More run a fork pool with at most one process
+    per job, opened under :func:`_one_blas_thread`. A job's warnings are raised
+    again here, in job order, so any number of workers shows the same ones.
+    Results are read in order, so the lowest failing job's error is raised.
+    Once reading stops, the workers finish the jobs they run and skip the
+    queued ones: a worker killed while it writes its result would leave the
+    pool's result pipe locked or cut, and the pool would hang on closing.
+    """
+    if workers == 1 or not jobs:
+        yield from map(fn, jobs)
+        return
+    import multiprocessing
+
+    context = multiprocessing.get_context("fork")
+    cancelled = context.Event()
+    with _one_blas_thread(), context.Pool(min(workers, len(jobs)), initializer=_start_worker,
+                                          initargs=(cancelled,)) as pool:
+        try:
+            for outcome, caught in pool.imap(_in_worker, [(fn, job) for job in jobs]):
+                for message in caught:
+                    warnings.warn(message)
+                if isinstance(outcome, Exception):
+                    raise outcome
+                yield outcome
+        finally:
+            cancelled.set()
+            pool.close()
+            pool.join()
 
 
 def _map_blocks(task, cfg: SimulationConfig, args: tuple, workers: int, what: str):
     """Results of ``task`` on consecutive blocks of replications, in order.
 
     Results do not depend on the blocks, so the block size only balances the
-    workers. The pool has at most one worker per block, since with fork every
-    worker process is started up front. Blocks are consumed in order and each
-    reports its lowest failing replication, so the error names the lowest
-    failing replication for any number of workers.
+    workers. Each block reports its lowest failing replication, so the error
+    names the lowest failing replication for any number of workers.
     """
     workers = _integer("workers", workers, 1)
     size = _BLOCK_REPS if workers == 1 else min(_BLOCK_REPS, -(-cfg.reps // (4 * workers)))
     jobs = [(task, cfg, start, min(start + size, cfg.reps), args)
             for start in range(0, cfg.reps, max(1, size))]
+    if workers > 1 and jobs:
+        # Forked workers inherit the cached design and numpy.random, which
+        # each of them would otherwise build and import under copy-on-write.
+        _design(cfg)
     try:
-        if workers == 1 or not jobs:
-            yield from map(_run_block, jobs)
-        else:
-            import multiprocessing
-
-            # Forked workers inherit the cached design and numpy.random, which
-            # each of them would otherwise build and import under copy-on-write,
-            # and the parent's BLAS thread count of one. Leaving the pool's block
-            # terminates its workers, so a failing block cancels the queued ones.
-            _design(cfg)
-            with _one_blas_thread(), multiprocessing.get_context("fork").Pool(
-                    min(workers, len(jobs))) as pool:
-                for outcome, caught in pool.imap(_run_block_in_worker, jobs):
-                    for message in caught:
-                        warnings.warn(message)
-                    if isinstance(outcome, Exception):
-                        raise outcome
-                    yield outcome
+        yield from _fork_map(_run_block, jobs, workers)
     except NumericalError as exc:
         # A failure that belongs to no replication keeps its own message.
         if exc.index is None:

