@@ -1,6 +1,8 @@
 import io
 import json
+import mmap
 import multiprocessing
+import types
 import warnings
 
 import numpy as np
@@ -258,6 +260,27 @@ def one_block(argv):
         return invoke(argv)
 
 
+class _Mapping(mmap.mmap):
+    """A mapping that records the child processes still alive when it is closed."""
+
+    def close(self):
+        self.children_at_close = multiprocessing.active_children()
+        super().close()
+
+
+@pytest.fixture
+def mappings(monkeypatch):
+    """Every mapping the parse opens, in order."""
+    opened = []
+
+    def recording(*args):
+        opened.append(_Mapping(*args))
+        return opened[-1]
+
+    monkeypatch.setattr(cli, "mmap", types.SimpleNamespace(mmap=recording))
+    return opened
+
+
 class TestParallelParse:
     """The CSV parse in byte-range blocks: the same matrix, messages and line
     numbers for any block size and any number of worker processes."""
@@ -343,6 +366,76 @@ class TestParallelParse:
         monkeypatch.setattr(cli, "_BLOCK_BYTES", 2)
         monkeypatch.setenv(THREADS_ENV_VAR, "2")
         assert invoke(["rank", str(path)]) == (2, "", f"covrank: parse: {path}: {message}\n")
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_only_shapes_go_through_the_pool(self, field_csv, monkeypatch, threads):
+        results = []
+        fork_map = cli._fork_map
+
+        def recording(fn, jobs, workers):
+            for result in fork_map(fn, jobs, workers):
+                results.append(result)
+                yield result
+
+        monkeypatch.setattr(cli, "_fork_map", recording)
+        monkeypatch.setattr(cli, "_BLOCK_BYTES", 256)
+        monkeypatch.setenv(THREADS_ENV_VAR, threads)
+        assert invoke(["rank", str(field_csv)])[0] == 0
+        assert len(results) > 2
+        for result in results:
+            assert result is None or (len(result) == 2
+                                      and all(type(v) is int for v in result)), result
+
+    @pytest.mark.parametrize("content", ["1\n" * 30, "1\n" * 29 + "1", "1\r\n" * 20 + "2",
+                                         "1,2\n" * 20, "1,2\r\n" * 16 + "3,4"],
+                             ids=["one-field", "one-field-no-newline", "one-field-crlf",
+                                  "two-field", "two-field-crlf-no-newline"])
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_densest_rows_fit_their_region_at_every_block_size(self, tmp_path, monkeypatch,
+                                                               content, threads):
+        path = tmp_path / "dense.csv"
+        path.write_bytes(content.encode())
+        expected = _read_data_matrix(str(path))
+        assert expected.shape[0] == content.count("\n") + (not content.endswith("\n"))
+        if threads > 1:
+            # Every block is written, in-process, before any region is read, as
+            # pool workers may do; so regions that overlap show.
+            monkeypatch.setattr(cli, "_fork_map", lambda fn, jobs, workers: list(map(fn, jobs)))
+        for size in range(1, len(content) + 1):
+            monkeypatch.setattr(cli, "_BLOCK_BYTES", size)
+            got = _read_data_matrix(str(path), threads)
+            assert got.shape == expected.shape and got.tobytes() == expected.tobytes(), size
+
+    @pytest.mark.parametrize("edit", [
+        lambda raw: raw,
+        lambda raw: raw.replace(raw.splitlines()[50], b"1.0,2.0,x,4.0,5.0"),
+        lambda raw: raw + b"\xff1,2,3,4,5\n",
+        lambda raw: raw + b"1.5\n" * 40,
+    ], ids=["parsed", "bad-field", "non-utf8", "width-change"])
+    def test_the_mapping_is_released(self, field_csv, monkeypatch, mappings, edit):
+        field_csv.write_bytes(edit(field_csv.read_bytes()))
+        monkeypatch.setattr(cli, "_BLOCK_BYTES", 256)
+        monkeypatch.setenv(THREADS_ENV_VAR, "2")
+        invoke(["rank", str(field_csv)])
+        assert len(mappings) == 1 and mappings[0].closed
+        assert mappings[0].children_at_close == []
+        assert cli._rows_out is None
+        assert multiprocessing.active_children() == []
+
+    def test_the_mapping_is_released_on_interrupt(self, field_csv, monkeypatch, mappings):
+        parse_block = cli._parse_block
+
+        def interrupted(job):
+            if job[1] > 0:
+                raise KeyboardInterrupt
+            return parse_block(job)
+
+        monkeypatch.setattr(cli, "_parse_block", interrupted)
+        monkeypatch.setattr(cli, "_BLOCK_BYTES", 256)
+        with pytest.raises(KeyboardInterrupt):
+            _read_data_matrix(str(field_csv))
+        assert len(mappings) == 1 and mappings[0].closed
+        assert cli._rows_out is None
 
     def test_one_block_file_starts_no_pool(self, field_csv, monkeypatch):
         def no_pool(*args, **kwargs):
