@@ -6,19 +6,22 @@ Three workflows:
     covrank simulate CFG.json    Monte Carlo rejection table for a config
     covrank nullcheck CFG.json   null-uniformity (KS) diagnostic
 
+``python3 -m covrank.cli ARGS`` runs the same commands.
+
 ``rank`` parses its file in blocks of lines, in worker processes forked from
 the command: ``$COVRANK_THREADS`` of them, else one per available CPU, and
 never more than blocks. They write the parsed rows into one shared memory
-mapping, from which the command copies them in file order. Blocks are cut at
-byte offsets alone, so the matrix, and every output, is byte-identical for
-any worker count. ``simulate`` and ``nullcheck`` take ``--threads`` (default
+mapping, from which the command copies them in file order into one array of
+exactly the parsed rows once every block is parsed. Blocks are cut at byte
+offsets alone, so the matrix, and every output, is byte-identical for any
+worker count. ``simulate`` and ``nullcheck`` take ``--threads`` (default
 ``$COVRANK_THREADS``, else 1).
 
 Exit codes: 0 success, 1 statistical workflow error (e.g. a degenerate
-nullcheck configuration), 2 I/O or parse error, 3 numerical failure,
-including float64 under- or overflow. Errors and warnings are single
-machine-parsable lines on stderr of the form ``covrank: <category>: <message>``;
-warnings come first.
+nullcheck configuration), 2 I/O or parse error (a worker process that dies
+is an I/O error), 3 numerical failure, including float64 under- or overflow.
+Errors and warnings are single machine-parsable lines on stderr of the form
+``covrank: <category>: <message>``; warnings come first.
 """
 
 from __future__ import annotations
@@ -283,10 +286,10 @@ def _read_data_matrix(path: str, workers: int = 1) -> np.ndarray:
     The lines are parsed in blocks of about ``_BLOCK_BYTES`` that end after a
     newline byte, by up to ``workers`` processes. A block writes its rows to
     its region of one anonymous shared mapping, and only their shape goes back
-    through the pool. The regions are copied in file order into one private
-    array that has room for the most rows the bytes can hold (its pages that
-    are never written take no memory), and the mapping is closed. A view of
-    the mapping would keep its pages resident through the covariance.
+    through the pool. Once every block is parsed, the regions are copied in
+    file order into one private array of exactly the parsed rows, and the
+    mapping is closed. A view of the mapping would keep its pages resident
+    through the covariance.
     """
     global _rows_out
     try:
@@ -310,34 +313,27 @@ def _read_data_matrix(path: str, workers: int = 1) -> np.ndarray:
             (_room(hi - lo) for lo, hi in zip(cuts, cuts[1:])), initial=0)
         jobs = [(path, lo, hi, header and lo == start, at)
                 for lo, hi, at in zip(cuts, cuts[1:], offsets)]
-        data, rows = None, 0
         # Forked workers inherit the mapping; jobs, which are pickled, cannot hold it.
         _rows_out = mmap.mmap(-1, total)
-        workers = min(workers, len(jobs))
         try:
-            # No name holds the generator, so leaving the loop ends the pool before
-            # the mapping is closed.
-            for at, shape in zip(offsets, _fork_map(_parse_block, jobs, workers)):
-                if shape is None:
-                    continue
-                n, width = shape
-                if data is None:
-                    # A row of w fields takes at least 2w - 1 bytes.
-                    data = np.empty(((size - start) // (2 * width) + 1, width))
-                elif width != data.shape[1]:
-                    raise ValueError("blocks of rows of different widths")
-                # A temporary view: the mapping cannot be closed while one is alive.
-                data[rows:rows + n] = np.frombuffer(_rows_out, count=n * width,
-                                                    offset=at).reshape(n, width)
-                rows += n
+            # The generator comes first, so it has run out, and its pool has
+            # ended, when zip stops.
+            blocks = [(at, shape) for shape, at in
+                      zip(_fork_map(_parse_block, jobs, min(workers, len(jobs))), offsets)
+                      if shape is not None]
+            if not blocks:
+                raise _InputError(f"{path}: no numeric rows after the header")
+            width = blocks[0][1][1]
+            if any(shape[1] != width for _, shape in blocks):
+                raise ValueError("blocks of rows of different widths")
+            # Temporary views: the mapping cannot be closed while one is alive.
+            return np.concatenate([np.frombuffer(_rows_out, count=n * width, offset=at)
+                                   .reshape(n, width) for at, (n, _) in blocks])
         except ValueError as exc:
             raise _locate_parse_error(path, header, exc) from exc
         finally:
             mapping, _rows_out = _rows_out, None
             mapping.close()
-        if data is None:
-            raise _InputError(f"{path}: no numeric rows after the header")
-        return data[:rows]
     except UnicodeDecodeError as exc:
         raise _InputError(f"{path}: not UTF-8 text: {exc.reason}") from None
 
@@ -515,3 +511,7 @@ def _cmd_nullcheck(args, out) -> int:
         if args.include_statistics:
             out.write("  statistics: " + " ".join(f"{v:.6g}" for v in statistics) + "\n")
     return 0
+
+
+if __name__ == "__main__":
+    main()

@@ -232,28 +232,37 @@ def _fork_map(fn, jobs: list, workers: int):
     Results are read in order, so the lowest failing job's error is raised.
     Once reading stops, the workers finish the jobs they run and skip the
     queued ones: a worker killed while it writes its result would leave the
-    pool's result pipe locked or cut, and the pool would hang on closing.
+    result pipe locked or cut, and the pool would hang on closing. The queued
+    jobs are skipped, not cancelled: after a cancelling shutdown, CPython
+    3.11's executor loses track of a job that then fails to pickle and waits
+    for it forever. A worker that dies is a ChildProcessError.
+
+    The executor forks every worker at the first submit, before its manager
+    thread starts, so no worker is forked beside a running thread of its own.
     """
     if workers == 1 or not jobs:
         yield from map(fn, jobs)
         return
     import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
 
     context = multiprocessing.get_context("fork")
     cancelled = context.Event()
-    with _one_blas_thread(), context.Pool(min(workers, len(jobs)), initializer=_start_worker,
-                                          initargs=(cancelled,)) as pool:
+    with _one_blas_thread(), ProcessPoolExecutor(min(workers, len(jobs)), mp_context=context,
+                                                 initializer=_start_worker,
+                                                 initargs=(cancelled,)) as pool:
         try:
-            for outcome, caught in pool.imap(_in_worker, [(fn, job) for job in jobs]):
+            for outcome, caught in pool.map(_in_worker, [(fn, job) for job in jobs]):
                 for message in caught:
                     warnings.warn(message)
                 if isinstance(outcome, Exception):
                     raise outcome
                 yield outcome
+        except BrokenProcessPool as exc:
+            raise ChildProcessError(f"a worker process died: {exc}") from exc
         finally:
             cancelled.set()
-            pool.close()
-            pool.join()
 
 
 def _map_blocks(task, cfg: SimulationConfig, args: tuple, workers: int, what: str):

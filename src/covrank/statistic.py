@@ -36,11 +36,12 @@ alone or in a block of any size, beside any other rows.
 
 Exact zeros. An eigenvalue clamped to exactly 0 contributes the gap factor
 |u - 0| (u + 0) = u^2, so the z zeros among the others enter as one power
-term z log(u^2) per node, added after the sum over the other gap factors. A
-block does not evaluate the trailing columns that are 0 in every row, and a
-zero it still holds for one row adds log 1 = 0 there. Rows with at most one
-zero get the same bits as a sum of every gap factor; rows with two or more
-move by rounding only, since one product z log(u^2) replaces z additions.
+term z log(u^2) per node, added after the sum over the other gap factors.
+Every block takes that term, and a row without zeros adds +0.0. A block does
+not evaluate the trailing columns that are 0 in every row, and a zero it
+still holds for one row adds log 1 = 0 there. Rows with at most one zero get
+the same bits as a sum of every gap factor; rows with two or more move by
+rounding only, since one product z log(u^2) replaces z additions.
 """
 
 from __future__ import annotations
@@ -199,7 +200,7 @@ def plug_in_scale(eigenvalues, k: int) -> float | np.ndarray:
     return float(s2) if lam.ndim == 1 else s2
 
 
-def _log_f(u: np.ndarray, lam_others: np.ndarray, inv_two_s2, zeros=None,
+def _log_f(u: np.ndarray, lam_others: np.ndarray, inv_two_s2, zeros=0,
            work: np.ndarray | None = None) -> np.ndarray:
     """log f at abscissas ``u``; -inf where a gap factor is zero.
 
@@ -215,8 +216,8 @@ def _log_f(u: np.ndarray, lam_others: np.ndarray, inv_two_s2, zeros=None,
     ``zeros`` counts the exact zeros among the other eigenvalues. Their gap
     factors are all u^2, so they enter once, as ``zeros * log(u^2)`` added
     after the sum over j, and a zero that ``lam_others`` still holds adds
-    log 1 = 0 there in place of its own factor. With ``zeros`` None, every
-    gap factor is taken as it is.
+    log 1 = 0 there in place of its own factor. A row without zeros adds
+    +0.0, which leaves its bits as they are.
     """
     shape = np.broadcast_shapes(lam_others.shape, u.shape)
     size = math.prod(shape)
@@ -229,16 +230,13 @@ def _log_f(u: np.ndarray, lam_others: np.ndarray, inv_two_s2, zeros=None,
     # (an explicit scale2 near the smallest normal float).
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         np.log(gaps, out=gaps)
-        if zeros is None:
-            return gaps.sum(axis=0) - u * u * inv_two_s2
         held = lam_others == 0.0
         if held.any():
             np.copyto(gaps, 0.0, where=held)
         uu = u * u
         power = zeros * np.log(uu)
-        if not np.all(zeros):
-            # Rows without zeros add nothing: 0 * log(u^2) is NaN where u^2 underflows.
-            np.copyto(power, 0.0, where=zeros == 0.0)
+        # Rows without zeros add +0.0: 0 * log(u^2) is NaN where u^2 underflows.
+        np.copyto(power, 0.0, where=zeros == 0.0)
         return gaps.sum(axis=0) + power - uu * inv_two_s2
 
 
@@ -254,29 +252,29 @@ def _logsumexp(x: np.ndarray) -> np.ndarray:
         return np.where(m == _NEG_INF, _NEG_INF, m + np.log(s))
 
 
-def _panels(a: np.ndarray, b: np.ndarray, lam_others: np.ndarray, zeros: np.ndarray | None,
+def _panels(a: np.ndarray, b: np.ndarray, lam_others: np.ndarray, zeros: np.ndarray,
             inv_two_s2: np.ndarray, work: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Fine-rule log value and log error estimate of every panel [a, b].
 
     ``a`` and ``b`` are (rows, panels), ``lam_others`` is (rows, gap
-    factors), and ``zeros`` (None, or the exact zeros of each row, see
+    factors), and ``zeros`` (the exact zeros of each row, see
     :func:`_integrate`) and ``inv_two_s2`` are (rows,). The error estimate is
     log |fine - coarse|. Rows are evaluated in chunks of at most
     ``_MAX_FACTORS`` factors, with ``work`` as the scratch space of
     :func:`_log_f`.
     """
-    # With zeros, the power term's u^2 and z log(u^2) count as two more factors.
-    factors = lam_others.shape[1] + (0 if zeros is None else 2)
+    # The power term's u^2 and z log(u^2) count as two more factors.
+    factors = lam_others.shape[1] + 2
     chunk = max(1, _MAX_FACTORS // (a.shape[1] * _NODES.size * factors))
     if a.shape[0] > chunk:
         parts = [_panels(a[i:i + chunk], b[i:i + chunk], lam_others[i:i + chunk],
-                         None if zeros is None else zeros[i:i + chunk],
-                         inv_two_s2[i:i + chunk], work) for i in range(0, a.shape[0], chunk)]
+                         zeros[i:i + chunk], inv_two_s2[i:i + chunk], work)
+                 for i in range(0, a.shape[0], chunk)]
         return tuple(np.concatenate(x) for x in zip(*parts))
     half = 0.5 * (b - a)
     u = (0.5 * (a + b))[..., None] + half[..., None] * _NODES
     g = _log_f(u, lam_others.T[:, :, None, None], inv_two_s2[:, None, None],
-               None if zeros is None else zeros[:, None, None], work) + _LOG_WEIGHTS
+               zeros[:, None, None], work) + _LOG_WEIGHTS
     m = g.max(axis=-1, keepdims=True)
     with np.errstate(invalid="ignore", divide="ignore"):
         sums = np.add.reduceat(np.exp(g - m), _RULE_STARTS, axis=-1)
@@ -303,14 +301,11 @@ def _integrate(a: np.ndarray, b: np.ndarray, count: np.ndarray, lam_others: np.n
     n, cap = a.shape
     a, b, count = a.copy(), b.copy(), count.copy()
     # Spectra are descending and nonnegative, so a row's exact zeros are
-    # trailing. The columns that are 0 in every row are left to the power
-    # term of _log_f; without zeros, every gap factor is taken as it is.
+    # trailing. The columns that are 0 in every row (none in an empty block)
+    # are left to the power term of _log_f.
     zeros = np.count_nonzero(lam_others == 0.0, axis=1)
-    if zeros.any():
-        lam_others = lam_others[:, :lam_others.shape[1] - zeros.min()]
-        zeros = zeros.astype(np.float64)
-    else:
-        zeros = None
+    lam_others = lam_others[:, :lam_others.shape[1] - zeros.min(initial=lam_others.shape[1])]
+    zeros = zeros.astype(np.float64)
     # Scratch for the gap factors, shared by every round: allocated afresh per
     # round, the allocator handed it back to the OS and page-faulted it in
     # again each time, which made p = 10 blocks about a third slower.
@@ -356,8 +351,7 @@ def _integrate(a: np.ndarray, b: np.ndarray, count: np.ndarray, lam_others: np.n
                               for x, fill in ((a, 0.0), (b, 0.0), (val, _NEG_INF), (err, _NEG_INF)))
             cap *= 2
         new_val, new_err = _panels(np.stack([lo, mid], axis=1), np.stack([mid, hi], axis=1),
-                                   lam_others[split], None if zeros is None else zeros[split],
-                                   inv_two_s2[split], work)
+                                   lam_others[split], zeros[split], inv_two_s2[split], work)
         # The left half replaces the split panel; the right half is appended.
         end = count[split]
         b[split, worst] = mid

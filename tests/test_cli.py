@@ -1,9 +1,16 @@
+import concurrent.futures
 import io
 import json
 import mmap
 import multiprocessing
+import os
+import signal
+import subprocess
+import sys
+import threading
 import types
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -281,6 +288,17 @@ def mappings(monkeypatch):
     return opened
 
 
+_PARSE_BLOCK = cli._parse_block
+
+
+def _killed_after_the_first_block(job):
+    """``_parse_block``, but a job after the first block kills its own process.
+    Module-level, so that it is sent to pool workers by name."""
+    if job[1] > 0:
+        os.kill(os.getpid(), signal.SIGKILL)
+    return _PARSE_BLOCK(job)
+
+
 class TestParallelParse:
     """The CSV parse in byte-range blocks: the same matrix, messages and line
     numbers for any block size and any number of worker processes."""
@@ -437,11 +455,36 @@ class TestParallelParse:
         assert len(mappings) == 1 and mappings[0].closed
         assert cli._rows_out is None
 
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_the_matrix_owns_exactly_the_parsed_rows(self, field_csv, monkeypatch, threads):
+        expected = np.loadtxt(field_csv, delimiter=",", skiprows=1)
+        monkeypatch.setattr(cli, "_BLOCK_BYTES", 256)
+        got = _read_data_matrix(str(field_csv), threads)
+        assert got.base is None and got.flags.c_contiguous
+        assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
+
+    def test_a_dead_worker_is_one_io_error(self, field_csv, monkeypatch):
+        # Pool workers are forked after the patch, so a later block kills its worker.
+        monkeypatch.setattr(cli, "_parse_block", _killed_after_the_first_block)
+        monkeypatch.setattr(cli, "_BLOCK_BYTES", 256)
+        monkeypatch.setenv(THREADS_ENV_VAR, "2")
+        results = []
+        runner = threading.Thread(target=lambda: results.append(invoke(["rank", str(field_csv)])),
+                                  daemon=True)
+        runner.start()
+        runner.join(60.0)
+        assert not runner.is_alive()
+        code, out, err = results[0]
+        assert (code, out) == (2, "")
+        assert err.startswith("covrank: io: a worker process died: ") and err.count("\n") == 1
+        assert cli._rows_out is None
+        assert multiprocessing.active_children() == []
+
     def test_one_block_file_starts_no_pool(self, field_csv, monkeypatch):
         def no_pool(*args, **kwargs):
             raise AssertionError("a one-block file started a pool")
 
-        monkeypatch.setattr(multiprocessing.context.ForkContext, "Pool", no_pool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
         monkeypatch.setenv(THREADS_ENV_VAR, "4")
         assert invoke(["rank", str(field_csv)])[0] == 0
 
@@ -770,6 +813,19 @@ class TestUsage:
         assert run_cli([command, str(sim_config), "--threads", "0"]) == 2
         errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
         assert errors == [f"covrank {command}: error: argument --threads: must be >= 1, got 0"]
+
+    @pytest.mark.parametrize("args", [["--format", "json"], ["--alpha", "2"]],
+                             ids=["json", "usage-error"])
+    def test_module_run_prints_what_run_cli_prints(self, rank1_csv, args):
+        argv = ["rank", str(rank1_csv), *args]
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+        proc = subprocess.run([sys.executable, "-m", "covrank.cli", *argv], env=env,
+                              capture_output=True, text=True, timeout=120)
+        code, out, _ = invoke(argv)
+        assert (proc.returncode, proc.stdout) == (code, out)
+        assert out or code == 2
 
     @pytest.mark.parametrize("seed", [-1, 2**64])
     def test_out_of_range_seed_is_one_usage_error(self, sim_config, capsys, seed):

@@ -1,6 +1,9 @@
+import concurrent.futures
 import ctypes
-import multiprocessing.context
+import multiprocessing
 import os
+import pickle
+import signal
 import threading
 import time
 import tracemalloc
@@ -333,7 +336,40 @@ def _large_unless_first(i):
     return np.ones(1 << 18)
 
 
+def _killed_at_three(i):
+    if i == 3:
+        os.kill(os.getpid(), signal.SIGKILL)
+    time.sleep(0.01)
+    return i
+
+
+_unpicklable = lambda i: i  # noqa: E731 -- a lambda is not found by its name
+
+
 class TestPoolFailure:
+    @pytest.mark.parametrize("job, error", [(_killed_at_three, ChildProcessError),
+                                            (_unpicklable, pickle.PicklingError)],
+                             ids=["dead-worker", "unpicklable-job"])
+    def test_a_broken_job_is_an_error_and_leaves_no_child(self, job, error):
+        # A pool that replaces a dead worker waited forever for the result of
+        # the job that killed it. Cancelling the queued jobs when the pool
+        # closes made the executor lose track of the jobs that failed to
+        # pickle, and wait for them.
+        errors = []
+
+        def run():
+            try:
+                list(montecarlo._fork_map(job, list(range(8)), 2))
+            except error as exc:
+                errors.append(exc)
+
+        runner = threading.Thread(target=run, daemon=True)
+        runner.start()
+        runner.join(60.0)
+        assert not runner.is_alive()
+        assert len(errors) == 1
+        assert multiprocessing.active_children() == []
+
     def test_a_failure_while_workers_send_large_results_does_not_hang(self):
         # Killing the workers at the first failure left a worker that was
         # sending a 2 MB result holding the pool's result lock, and closing
@@ -393,12 +429,12 @@ class TestBlockWorkspace:
 
 
 class _RecordingPool:
-    """Stands in for the fork context's Pool: records processes, maps in-process."""
+    """Stands in for the process pool executor: records processes, maps in-process."""
 
     sizes: list = []
 
-    def __init__(self, processes, initializer=None, initargs=()):
-        self.sizes.append(processes)
+    def __init__(self, max_workers, mp_context=None, initializer=None, initargs=()):
+        self.sizes.append(max_workers)
 
     def __enter__(self):
         return self
@@ -406,14 +442,8 @@ class _RecordingPool:
     def __exit__(self, *exc):
         return False
 
-    def imap(self, fn, jobs):
+    def map(self, fn, jobs):
         return map(fn, jobs)
-
-    def close(self):
-        pass
-
-    def join(self):
-        pass
 
 
 def _eigen_calls(monkeypatch):
@@ -448,8 +478,8 @@ class TestPoolSize:
     @pytest.mark.parametrize("reps, workers, pool",
                              [(6, 5000, 6), (60, 2, 2), (3, 3, 3), (0, 4, None)])
     def test_pool_has_at_most_one_worker_per_block(self, monkeypatch, reps, workers, pool):
-        # _map_blocks imports multiprocessing when it needs a pool.
-        monkeypatch.setattr(multiprocessing.context.ForkContext, "Pool", _RecordingPool)
+        # _fork_map imports the executor when it needs a pool.
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
         monkeypatch.setattr(_RecordingPool, "sizes", [])
         cfg = small_table_config(reps=reps)
         table = run_rejection_table(cfg, workers=workers)
@@ -458,7 +488,7 @@ class TestPoolSize:
 
     def test_design_is_built_before_the_pool_starts(self, monkeypatch):
         # Forked workers then find the design cached instead of each building it.
-        monkeypatch.setattr(multiprocessing.context.ForkContext, "Pool", _RecordingPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
         monkeypatch.setattr(_RecordingPool, "sizes", [])
         built = []
         monkeypatch.setattr(_RecordingPool, "__enter__",

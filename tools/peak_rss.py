@@ -3,9 +3,9 @@
     python3 tools/peak_rss.py rank data.csv --format json
     python3 tools/peak_rss.py --runs 5 --src /path/to/other/checkout/src rank data.csv
 
-The command runs ``covrank.cli.main`` in a fresh interpreter, with ``--src``
-(default: this checkout's ``src``) first on ``PYTHONPATH``, and its stdout and
-stderr are discarded. ``os.wait4`` reports the largest resident set of the
+The command runs as ``python3 -m covrank.cli ARGS`` in a fresh interpreter,
+with ``--src`` (default: this checkout's ``src``) first on ``PYTHONPATH``, and
+its stdout and stderr are discarded. ``os.wait4`` reports the largest resident set of the
 command and of the worker processes it waited for. On Linux a forked child's
 peak starts from its parent's resident set, so the figure is the command's
 own only when the parent is small: this one imports nothing beyond the
@@ -25,15 +25,12 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
-_MAIN = "import sys; from covrank.cli import main; sys.argv[0] = 'covrank'; main()"
-
-
 def peak_mb(src: Path, args: list) -> tuple[int, float]:
     """Exit code and peak resident set, in MB, of one command."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(src)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-    proc = subprocess.Popen([sys.executable, "-c", _MAIN, *args], env=env,
+    proc = subprocess.Popen([sys.executable, "-m", "covrank.cli", *args], env=env,
                             stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
     _, status, usage = os.wait4(proc.pid, 0)
     proc.returncode = os.waitstatus_to_exitcode(status)
