@@ -3,7 +3,10 @@
 ``run_rejection_table`` replays the sequential test over many independent
 replications of a simulation configuration and tallies, per step, how many
 replications reached the step and how many rejected its null. Counts chain:
-a replication reaches step k+1 exactly when it rejected at step k.
+a replication reaches step k+1 exactly when it rejected at step k. The
+stopping rule is ``run_sequence``'s alone: a block's table counts, per step
+column of its stacked statistics, the entries that are set (reached) and
+those at or below alpha (rejected).
 
 ``collect_null_statistics`` instead evaluates the statistic at one fixed
 step on every replication, with no sequential gating, to probe the claim
@@ -33,6 +36,7 @@ from __future__ import annotations
 
 import contextlib
 import math
+import os
 import warnings
 from dataclasses import dataclass
 
@@ -98,13 +102,9 @@ _MAX_EIGEN_FLOATS = 2**16
 def _table_block(cfg: SimulationConfig, spectra: np.ndarray,
                  settings: QuadratureSettings) -> np.ndarray:
     """Per-step reach (row 0) and rejection (row 1) counts of one block of replications."""
-    counts = np.zeros((2, cfg.p - 1), dtype=np.int64)
-    for result in run_sequence(spectra, cfg.alpha, settings=settings):
-        # Every step before the first acceptance rejected, so the rejections
-        # are the first rank_estimate steps.
-        counts[0, :len(result.steps)] += 1
-        counts[1, :result.rank_estimate] += 1
-    return counts
+    stats = run_sequence(spectra, cfg.alpha, settings=settings).statistic
+    return np.stack([np.count_nonzero(~np.isnan(stats), axis=0),
+                     np.count_nonzero(stats <= cfg.alpha, axis=0)])
 
 
 def _null_block(cfg: SimulationConfig, spectra: np.ndarray, k: int,
@@ -202,10 +202,29 @@ def _one_blas_thread():
 # In a pool worker, the event its _fork_map sets once it stops reading results.
 _cancelled = None
 
+_PR_SET_PDEATHSIG = 1  # prctl option: the signal a process gets when its parent dies
 
-def _start_worker(cancelled) -> None:
+
+def _start_worker(cancelled, parent: int) -> None:
+    """Pool initializer: keep the pool's cancel event, and end with process ``parent``.
+
+    A worker blocks on the pool's call queue, whose write end it holds too, so
+    it would outlive a parent that ends abruptly. Where ``prctl`` exists, the
+    worker asks for SIGKILL when the thread that forked it exits; the executor
+    forks in the thread that calls ``pool.map``, which lives as long as the
+    pool. A parent that died before that request is caught by the parent id.
+    """
+    import ctypes
+    import signal
+
     global _cancelled
     _cancelled = cancelled
+    libc = ctypes.CDLL(None)
+    if hasattr(libc, "prctl"):
+        libc.prctl.argtypes, libc.prctl.restype = [ctypes.c_int, ctypes.c_ulong], ctypes.c_int
+        libc.prctl(_PR_SET_PDEATHSIG, signal.SIGKILL)
+    if os.getppid() != parent:
+        os._exit(1)
 
 
 def _in_worker(call):
@@ -235,7 +254,8 @@ def _fork_map(fn, jobs: list, workers: int):
     result pipe locked or cut, and the pool would hang on closing. The queued
     jobs are skipped, not cancelled: after a cancelling shutdown, CPython
     3.11's executor loses track of a job that then fails to pickle and waits
-    for it forever. A worker that dies is a ChildProcessError.
+    for it forever. A worker that dies is a ChildProcessError, and the workers
+    end with this process (see :func:`_start_worker`).
 
     The executor forks every worker at the first submit, before its manager
     thread starts, so no worker is forked beside a running thread of its own.
@@ -251,7 +271,7 @@ def _fork_map(fn, jobs: list, workers: int):
     cancelled = context.Event()
     with _one_blas_thread(), ProcessPoolExecutor(min(workers, len(jobs)), mp_context=context,
                                                  initializer=_start_worker,
-                                                 initargs=(cancelled,)) as pool:
+                                                 initargs=(cancelled, os.getpid())) as pool:
         try:
             for outcome, caught in pool.map(_in_worker, [(fn, job) for job in jobs]):
                 for message in caught:

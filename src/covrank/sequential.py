@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -19,7 +20,8 @@ from .errors import NumericalError, _check_alpha
 from .spectrum import sample_covariance, symmetric_eigen
 from .statistic import QuadratureSettings, _check_eigenvalues, csv_statistic
 
-__all__ = ["StepOutcome", "SequentialResult", "run_sequence", "rank_from_data"]
+__all__ = ["StepOutcome", "SequentialResult", "SequenceStatistics", "run_sequence",
+           "rank_from_data"]
 
 
 @dataclass(frozen=True)
@@ -48,30 +50,43 @@ class SequentialResult:
     boundary_reached: bool
 
 
+class SequenceStatistics(NamedTuple):
+    """Results of :func:`run_sequence` on a stack of spectra, one row per spectrum.
+
+    Column k - 1 of ``statistic``, ``scale2`` and ``degenerate`` holds step k
+    (see :class:`StepOutcome`); past a row's last step they hold NaN and False.
+    """
+
+    statistic: np.ndarray
+    scale2: np.ndarray
+    degenerate: np.ndarray
+    rank_estimate: np.ndarray
+    boundary_reached: np.ndarray
+
+
 def run_sequence(eigenvalues, alpha: float, settings: QuadratureSettings = QuadratureSettings()
-                 ) -> SequentialResult | tuple[SequentialResult, ...]:
+                 ) -> SequentialResult | SequenceStatistics:
     """Run the nested tests over k = 1..p-1 on a descending spectrum.
 
     Stops at the first step whose statistic exceeds alpha; every earlier
     step is a rejection. The plug-in scale is recomputed at each step from
     the trailing eigenvalues lam_k..lam_p.
 
-    A 2-d stack of spectra (one per row) gives a tuple with one result per
-    row. Each step is evaluated in one :func:`csv_statistic` call for the
-    rows still rejecting, and every row's result is the one it would get
-    alone. When row r fails, the rows below r are run first and their
-    failure, if any, is raised instead, so a NumericalError names the lowest
-    failing row in ``index``.
+    A 2-d stack of spectra (one per row) gives a :class:`SequenceStatistics`
+    of arrays in place of the per-step objects. Each step is evaluated in one
+    :func:`csv_statistic` call for the rows still rejecting, and every row's
+    values are the ones it would get alone. When row r fails, the rows below
+    r are run first and their failure, if any, is raised instead, so a
+    NumericalError names the lowest failing row in ``index``.
     """
     lam = _check_eigenvalues(eigenvalues)
     alpha = _check_alpha(alpha)
 
     spectra = np.atleast_2d(lam)
     rows, p = spectra.shape
-    stats = np.empty((rows, p - 1))
-    scale2 = np.empty((rows, p - 1))
-    degenerate = np.empty((rows, p - 1), dtype=bool)
-    n_steps = np.zeros(rows, dtype=np.int64)
+    stats = np.full((rows, p - 1), np.nan)
+    scale2 = np.full((rows, p - 1), np.nan)
+    degenerate = np.zeros((rows, p - 1), dtype=bool)
     active = np.arange(rows)
     k = 1
     while k < p and active.size:
@@ -87,23 +102,23 @@ def run_sequence(eigenvalues, alpha: float, settings: QuadratureSettings = Quadr
         stats[active, k - 1] = step.statistic
         scale2[active, k - 1] = step.scale2
         degenerate[active, k - 1] = step.degenerate
-        n_steps[active] = k
         active = active[step.statistic <= alpha]
         k += 1
 
-    results = []
-    for i in range(rows):
-        m = int(n_steps[i])
-        steps = tuple(
-            StepOutcome(k=j + 1, statistic=s, rejected=s <= alpha, scale2_used=s2, degenerate=d)
-            for j, (s, s2, d) in enumerate(zip(stats[i, :m].tolist(), scale2[i, :m].tolist(),
-                                               degenerate[i, :m].tolist()))
-        )
-        rank_estimate = sum(1 for s in steps if s.rejected)
-        boundary = m == p - 1 and steps[-1].rejected
-        results.append(SequentialResult(alpha=alpha, steps=steps, rank_estimate=rank_estimate,
-                                        boundary_reached=boundary))
-    return results[0] if lam.ndim == 1 else tuple(results)
+    # Every step before the first acceptance rejected; NaN is no rejection.
+    rejected = stats <= alpha
+    if lam.ndim == 2:
+        return SequenceStatistics(statistic=stats, scale2=scale2, degenerate=degenerate,
+                                  rank_estimate=rejected.sum(axis=1),
+                                  boundary_reached=rejected[:, -1])
+    # One row ran steps 1..k-1.
+    steps = tuple(
+        StepOutcome(k=j + 1, statistic=s, rejected=s <= alpha, scale2_used=s2, degenerate=d)
+        for j, (s, s2, d) in enumerate(zip(stats[0, :k - 1].tolist(), scale2[0, :k - 1].tolist(),
+                                           degenerate[0, :k - 1].tolist()))
+    )
+    return SequentialResult(alpha=alpha, steps=steps, rank_estimate=int(rejected.sum()),
+                            boundary_reached=bool(rejected[0, -1]))
 
 
 def rank_from_data(data, alpha: float, center: bool = False,

@@ -4,10 +4,13 @@ import multiprocessing
 import os
 import pickle
 import signal
+import subprocess
+import sys
 import threading
 import time
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -92,6 +95,25 @@ class TestRunRejectionTable:
         assert t1.reached == t2.reached
         assert t1.rejected == t2.rejected
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_counts_are_those_of_each_replication_run_alone(self, monkeypatch, workers):
+        # Replications cycle through a sequence that rejects every step, one
+        # that accepts step 1, and one that stops at a degenerate tie.
+        cfg = SimulationConfig(p=5, true_rank=1, n=60, reps=12, seed=3)
+        monkeypatch.setattr(montecarlo, "generate_dataset", _three_designs)
+        results = [run_sequence(symmetric_eigen(sample_covariance(_three_designs(cfg, r),
+                                                                  center=False)).eigenvalues,
+                                cfg.alpha) for r in range(cfg.reps)]
+        assert {(r.rank_estimate, r.boundary_reached, r.steps[-1].degenerate)
+                for r in results} == {(4, True, False), (0, False, False), (1, False, True)}
+        reached, rejected = [0] * (cfg.p - 1), [0] * (cfg.p - 1)
+        for result in results:
+            for step in result.steps:
+                reached[step.k - 1] += 1
+                rejected[step.k - 1] += step.rejected
+        table = run_rejection_table(cfg, workers=workers)
+        assert (table.reached, table.rejected) == (tuple(reached), tuple(rejected))
+
     def test_rank_estimates_concentrate_at_true_rank(self):
         # Three well-separated factors, n = 500: the estimate should be 3 in
         # the overwhelming majority of replications.
@@ -99,6 +121,17 @@ class TestRunRejectionTable:
         table = run_rejection_table(cfg)
         exactly_three = table.rejected[2] - table.rejected[3]
         assert exactly_three / cfg.reps >= 0.90
+
+
+def _three_designs(cfg, index, out=None):
+    """Data of replication ``index``: well-separated scales (every step
+    rejects), isotropic noise (step 1 accepts) or one exact factor (step 2
+    is a tie on the zero tail), in turn."""
+    rng = np.random.default_rng([cfg.seed, index])
+    if index % 3 == 2:
+        return rng.standard_normal((cfg.n, 1)) * rng.standard_normal(cfg.p)
+    noise = rng.standard_normal((cfg.n, cfg.p))
+    return noise * 10.0 ** -np.arange(cfg.p) if index % 3 == 0 else noise
 
 
 class TestCollectNullStatistics:
@@ -346,6 +379,31 @@ def _killed_at_three(i):
 _unpicklable = lambda i: i  # noqa: E731 -- a lambda is not found by its name
 
 
+# Runs two pool workers whose jobs write their process id to DIR/0 and DIR/1
+# and then block.
+_BLOCKED_POOL = """
+import os, sys, time
+from covrank.montecarlo import _fork_map
+
+def job(path):
+    with open(path + ".tmp", "w") as f:
+        f.write(str(os.getpid()))
+    os.replace(path + ".tmp", path)
+    time.sleep(600)
+
+list(_fork_map(job, [os.path.join(sys.argv[1], str(i)) for i in range(2)], 2))
+"""
+
+
+def _running(pid: int) -> bool:
+    """Whether process ``pid`` exists and is not a zombie waiting to be reaped."""
+    try:
+        with open(f"/proc/{pid}/status") as status:
+            return "\nState:\tZ" not in status.read()
+    except OSError:
+        return False
+
+
 class TestPoolFailure:
     @pytest.mark.parametrize("job, error", [(_killed_at_three, ChildProcessError),
                                             (_unpicklable, pickle.PicklingError)],
@@ -399,6 +457,35 @@ class TestPoolFailure:
             list(montecarlo._map_blocks(_slow_task, cfg, (first, tmp_path), 2, "probe"))
         assert len(list(tmp_path.iterdir())) <= 2
         assert multiprocessing.active_children() == []
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="reads process states in /proc")
+    def test_workers_end_when_their_parent_is_killed(self, tmp_path):
+        # Workers blocked on the call queue outlived a killed parent, both
+        # still alive a second after the kill.
+        src = str(Path(montecarlo.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+        parent = subprocess.Popen([sys.executable, "-c", _BLOCKED_POOL, str(tmp_path)], env=env)
+        pids = []
+        try:
+            deadline = time.monotonic() + 60.0
+            while len(pids) < 2 and time.monotonic() < deadline:
+                time.sleep(0.05)
+                pids = [int(path.read_text()) for path in tmp_path.glob("[01]")]
+            assert len(pids) == 2
+            parent.kill()
+            parent.wait(10.0)
+            deadline = time.monotonic() + 10.0
+            while any(map(_running, pids)) and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert not any(map(_running, pids))
+        finally:
+            if parent.poll() is None:
+                parent.kill()
+                parent.wait(10.0)
+            for pid in pids:
+                if _running(pid):
+                    os.kill(pid, signal.SIGKILL)
 
 
 class TestBlockWorkspace:

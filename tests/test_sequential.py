@@ -11,6 +11,8 @@ from covrank import (
     symmetric_eigen,
 )
 
+from oracles import assert_rows_run_alone
+
 
 def exact_rank_one(n: int, p: int, seed: int) -> np.ndarray:
     rng = np.random.default_rng(seed)
@@ -107,10 +109,19 @@ class TestRunSequence:
             spectra.append(symmetric_eigen(sample_covariance(data)).eigenvalues)
         heavy = np.array([3.0] + list(1.0 + 1e-9 * np.arange(4, -1, -1)))
         spectra.insert(4, heavy)  # needs far more refinement rounds than its neighbours
+        spectra.insert(2, [100.0, 10.0, 1.0, 0.1, 0.01, 0.001])  # every step rejects
+        spectra.insert(6, [40.0, 3.0, 3.0, 1.0, 0.5, 0.1])  # step 2 accepts by the tie rule
+        spectra.insert(8, [1.0, 0.99, 0.98, 0.97, 0.96, 0.95])  # step 1 accepts
         spectra = np.array(spectra)
-        alone = tuple(run_sequence(lam, 0.05) for lam in spectra)
-        assert run_sequence(spectra, 0.05) == alone
-        assert run_sequence(spectra[:4], 0.05) + run_sequence(spectra[4:], 0.05) == alone
+        alone = [run_sequence(lam, 0.05) for lam in spectra]
+        assert alone[2].boundary_reached and alone[8].rank_estimate == 0
+        assert [s.degenerate for s in alone[6].steps] == [False, True]
+        stack = run_sequence(spectra, 0.05)
+        assert_rows_run_alone(stack, alone)
+        assert_rows_run_alone(run_sequence(spectra[:4], 0.05), alone[:4])
+        assert_rows_run_alone(run_sequence(spectra[4:], 0.05), alone[4:])
+        order = rng.permutation(len(spectra))
+        assert_rows_run_alone(run_sequence(spectra[order], 0.05), [alone[i] for i in order])
 
 
 class TestRankFromData:

@@ -24,7 +24,7 @@ from covrank import (
 )
 from covrank.statistic import _integrate, _log_f, _logsumexp
 
-from oracles import midpoint_csv_statistic, midpoint_log_integral
+from oracles import assert_rows_run_alone, midpoint_csv_statistic, midpoint_log_integral
 
 
 def random_spectrum(seed: int, p: int) -> np.ndarray:
@@ -491,7 +491,10 @@ class TestBlockEvaluation:
                     assert np.concatenate(parts).tolist() == [alone[i] for i in order]
         sequences = [run_sequence(lam, 0.5) for lam in stack]
         for order in orders:
-            assert list(run_sequence(stack[order], 0.5)) == [sequences[i] for i in order]
+            for size in (3, len(stack)):
+                for i in range(0, len(stack), size):
+                    assert_rows_run_alone(run_sequence(stack[order[i:i + size]], 0.5),
+                                          [sequences[j] for j in order[i:i + size]])
 
     def test_rows_with_at_most_one_zero_keep_their_recorded_values(self):
         # RECORDED holds the values of the product with every zero as its own
