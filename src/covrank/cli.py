@@ -263,14 +263,11 @@ def _parse_block(job) -> tuple[int, int] | None:
     with open(path, "rb") as fh:
         fh.seek(lo)
         data = fh.read(hi - lo)
-    lines = (line for _, line in _nonblank_lines(_text(data, lo)))
-    if header:
-        next(lines)
-    first = next(lines, None)
+    lines = [line for _, line in _nonblank_lines(_text(data, lo))][header:]
     # Checked here because loadtxt warns on an empty input.
-    if first is None:
+    if not lines:
         return None
-    rows = _parse_rows(itertools.chain([first], lines))
+    rows = _parse_rows(lines)
     if rows.nbytes > (room := _room(hi - lo)):
         raise RuntimeError(f"the rows of bytes {lo}..{hi - 1} take {rows.nbytes} bytes, "
                            f"more than their region's {room}")
@@ -316,11 +313,8 @@ def _read_data_matrix(path: str, workers: int = 1) -> np.ndarray:
         # Forked workers inherit the mapping; jobs, which are pickled, cannot hold it.
         _rows_out = mmap.mmap(-1, total)
         try:
-            # The generator comes first, so it has run out, and its pool has
-            # ended, when zip stops.
-            blocks = [(at, shape) for shape, at in
-                      zip(_fork_map(_parse_block, jobs, min(workers, len(jobs))), offsets)
-                      if shape is not None]
+            shapes = _fork_map(_parse_block, jobs, workers)
+            blocks = [(at, shape) for at, shape in zip(offsets, shapes) if shape is not None]
             if not blocks:
                 raise _InputError(f"{path}: no numeric rows after the header")
             width = blocks[0][1][1]

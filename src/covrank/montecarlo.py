@@ -23,6 +23,9 @@ replication's statistics do not depend on the block it lands in. A job
 builds all of its datasets in one workspace, so no replication allocates an
 n x p array.
 
+One function, ``_fork_map``, decides whether work forks: it runs one whole
+map per call, in-process when the workers or the jobs number one, else in a
+fork pool with at most one worker per job that lives within that call.
 Pool workers run numpy's BLAS single-threaded (when it is OpenBLAS), so N
 workers keep N cores busy. The parent sets its own BLAS thread count to one
 while the pool is open, so each forked worker inherits that count and never
@@ -150,9 +153,11 @@ def _run_block(job):
 
 
 # Thread-count getters and setters of the OpenBLAS builds numpy ships or links:
-# numpy's bundled scipy-openblas (64-bit integers, prefixed and suffixed
+# numpy 2's bundled scipy-openblas (64-bit integers, prefixed and suffixed
+# symbols), the OpenBLAS of numpy 1.x wheels (64-bit integers, suffixed
 # symbols), then a plain system OpenBLAS.
 _OPENBLAS_THREADS = (("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+                     ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),
                      ("openblas_get_num_threads", "openblas_set_num_threads"))
 
 
@@ -242,34 +247,38 @@ def _in_worker(call):
     return outcome, [w.message for w in caught]
 
 
-def _fork_map(fn, jobs: list, workers: int):
+def _fork_map(fn, jobs: list, workers: int) -> list:
     """Results of ``fn`` on each job, in job order, from up to ``workers`` processes.
 
-    One worker maps in-process. More run a fork pool with at most one process
-    per job, opened under :func:`_one_blas_thread`. A job's warnings are raised
-    again here, in job order, so any number of workers shows the same ones.
-    Results are read in order, so the lowest failing job's error is raised.
-    Once reading stops, the workers finish the jobs they run and skip the
-    queued ones: a worker killed while it writes its result would leave the
-    result pipe locked or cut, and the pool would hang on closing. The queued
-    jobs are skipped, not cancelled: after a cancelling shutdown, CPython
-    3.11's executor loses track of a job that then fails to pickle and waits
-    for it forever. A worker that dies is a ChildProcessError, and the workers
-    end with this process (see :func:`_start_worker`).
+    This is the one place that decides whether work forks: the process count
+    is lowered to the number of jobs, and one process maps in-process. More
+    run a fork pool, opened under :func:`_one_blas_thread`, which lives within
+    this call: it is drained and closed, and its workers have exited, before
+    the call returns or raises. A job's warnings are raised again here, in job order,
+    so any number of workers shows the same ones. Results are read in order,
+    so the lowest failing job's error is raised. Once reading stops, the
+    workers finish the jobs they run and skip the queued ones: a worker killed
+    while it writes its result would leave the result pipe locked or cut, and
+    the pool would hang on closing. The queued jobs are skipped, not
+    cancelled: after a cancelling shutdown, CPython 3.11's executor loses
+    track of a job that then fails to pickle and waits for it forever. A
+    worker that dies is a ChildProcessError, and the workers end with this
+    process (see :func:`_start_worker`).
 
     The executor forks every worker at the first submit, before its manager
     thread starts, so no worker is forked beside a running thread of its own.
     """
-    if workers == 1 or not jobs:
-        yield from map(fn, jobs)
-        return
+    workers = min(workers, len(jobs))
+    if workers <= 1:
+        return list(map(fn, jobs))
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
     from concurrent.futures.process import BrokenProcessPool
 
     context = multiprocessing.get_context("fork")
     cancelled = context.Event()
-    with _one_blas_thread(), ProcessPoolExecutor(min(workers, len(jobs)), mp_context=context,
+    results = []
+    with _one_blas_thread(), ProcessPoolExecutor(workers, mp_context=context,
                                                  initializer=_start_worker,
                                                  initargs=(cancelled, os.getpid())) as pool:
         try:
@@ -278,15 +287,17 @@ def _fork_map(fn, jobs: list, workers: int):
                     warnings.warn(message)
                 if isinstance(outcome, Exception):
                     raise outcome
-                yield outcome
+                results.append(outcome)
         except BrokenProcessPool as exc:
             raise ChildProcessError(f"a worker process died: {exc}") from exc
         finally:
             cancelled.set()
+    return results
 
 
-def _map_blocks(task, cfg: SimulationConfig, args: tuple, workers: int, what: str):
-    """Results of ``task`` on consecutive blocks of replications, in order.
+def _map_blocks(task, cfg: SimulationConfig, args: tuple, workers: int, what: str) -> list:
+    """Results of ``task`` on consecutive blocks of replications, in order, from
+    one :func:`_fork_map` call, which alone decides whether a pool runs.
 
     Results do not depend on the blocks, so the block size only balances the
     workers. Each block reports its lowest failing replication, so the error
@@ -296,12 +307,13 @@ def _map_blocks(task, cfg: SimulationConfig, args: tuple, workers: int, what: st
     size = _BLOCK_REPS if workers == 1 else min(_BLOCK_REPS, -(-cfg.reps // (4 * workers)))
     jobs = [(task, cfg, start, min(start + size, cfg.reps), args)
             for start in range(0, cfg.reps, max(1, size))]
-    if workers > 1 and jobs:
+    if jobs:
         # Forked workers inherit the cached design and numpy.random, which
-        # each of them would otherwise build and import under copy-on-write.
+        # each of them would otherwise build and import under copy-on-write;
+        # in-process, the first replication would build it anyway.
         _design(cfg)
     try:
-        yield from _fork_map(_run_block, jobs, workers)
+        return _fork_map(_run_block, jobs, workers)
     except NumericalError as exc:
         # A failure that belongs to no replication keeps its own message.
         if exc.index is None:
@@ -349,7 +361,7 @@ def collect_null_statistics(cfg: SimulationConfig, k: int,
             "plug-in scale is zero and the statistic degenerates to the constant 1"
         )
     _check_settings(settings)
-    blocks = list(_map_blocks(_null_block, cfg, (k, settings), workers, "null sample"))
+    blocks = _map_blocks(_null_block, cfg, (k, settings), workers, "null sample")
     stats = np.concatenate(blocks) if blocks else np.empty(0)
     return NullSample(statistics=stats, k=k, config=cfg)
 

@@ -1,4 +1,5 @@
 import concurrent.futures
+import contextlib
 import io
 import json
 import mmap
@@ -391,9 +392,8 @@ class TestParallelParse:
         fork_map = cli._fork_map
 
         def recording(fn, jobs, workers):
-            for result in fork_map(fn, jobs, workers):
-                results.append(result)
-                yield result
+            results.extend(fork_map(fn, jobs, workers))
+            return results
 
         monkeypatch.setattr(cli, "_fork_map", recording)
         monkeypatch.setattr(cli, "_BLOCK_BYTES", 256)
@@ -493,16 +493,19 @@ class TestParallelParse:
         ("2", 3, 256, 2),      # COVRANK_THREADS wins
         ("8", 3, 256, 8),      # more than the CPUs
         ("8", 3, 4096, 2),     # at most one worker per block
-        (None, 3, 1 << 20, 1),
+        (None, 3, 1 << 20, 1),  # one worker runs in-process: no pool
     ])
     def test_worker_count(self, field_csv, monkeypatch, env, cpus, block_bytes, workers):
+        # The count is read where the pool starts, since _fork_map lowers the
+        # requested count to the number of blocks itself.
         counts = []
 
-        def recording(fn, jobs, n):
-            counts.append(n)
-            return map(fn, jobs)
+        def recording(max_workers, **kwargs):
+            # Stands in for the process pool executor: records processes, maps in-process.
+            counts.append(max_workers)
+            return contextlib.nullcontext(types.SimpleNamespace(map=map))
 
-        monkeypatch.setattr(cli, "_fork_map", recording)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", recording)
         monkeypatch.setattr(cli, "_cpus", lambda: cpus)
         monkeypatch.setattr(cli, "_BLOCK_BYTES", block_bytes)
         if env is None:
@@ -510,7 +513,7 @@ class TestParallelParse:
         else:
             monkeypatch.setenv(THREADS_ENV_VAR, env)
         assert invoke(["rank", str(field_csv)])[0] == 0
-        assert counts == [workers]
+        assert counts == ([workers] if workers > 1 else [])
 
     @pytest.mark.parametrize("raw", ["abc", "0", "-1", "1.5"])
     def test_invalid_env_thread_count_exits_2(self, field_csv, monkeypatch, raw):

@@ -9,6 +9,7 @@ import sys
 import threading
 import time
 import tracemalloc
+import types
 import warnings
 from pathlib import Path
 
@@ -294,7 +295,7 @@ class TestPoolBlasThreads:
         if not before:
             pytest.skip("no OpenBLAS loaded")
         cfg = SimulationConfig(p=3, true_rank=1, n=10, reps=4, seed=1)
-        per_block = list(montecarlo._map_blocks(_blas_threads_task, cfg, (), 2, "probe"))
+        per_block = montecarlo._map_blocks(_blas_threads_task, cfg, (), 2, "probe")
         assert len(per_block) == 4
         assert all(counts == [1] * len(before) for counts in per_block)
         assert _blas_threads() == before
@@ -305,7 +306,17 @@ class TestPoolBlasThreads:
         if not _blas_threads() or not os.path.isdir("/proc/self/task"):
             pytest.skip("needs OpenBLAS and /proc")
         cfg = SimulationConfig(p=3, true_rank=1, n=10, reps=4, seed=1)
-        assert list(montecarlo._map_blocks(_os_threads_task, cfg, (), 2, "probe")) == [1] * 4
+        assert montecarlo._map_blocks(_os_threads_task, cfg, (), 2, "probe") == [1] * 4
+
+    def test_numpy_1_openblas_is_pinned_and_restored(self, monkeypatch):
+        # numpy 1.x wheels export only the suffixed 64-bit-integer pair.
+        calls = []
+        lib = types.SimpleNamespace(openblas_get_num_threads64_=lambda: 4,
+                                    openblas_set_num_threads64_=lambda n: calls.append(n))
+        monkeypatch.setattr(montecarlo, "_numpy_blas", lambda: lib)
+        with montecarlo._one_blas_thread():
+            assert calls == [1]
+        assert calls == [1, 4]
 
 
 def _os_threads_task(cfg, spectra):
@@ -328,8 +339,8 @@ class TestWorkerWarnings:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             try:
-                blocks = list(montecarlo._map_blocks(_warning_task, self.cfg, (failing_top,), 2,
-                                                     "probe"))
+                blocks = montecarlo._map_blocks(_warning_task, self.cfg, (failing_top,), 2,
+                                                "probe")
             except NumericalError as exc:
                 blocks = exc
         return blocks, [str(w.message) for w in caught]
@@ -391,7 +402,7 @@ def job(path):
     os.replace(path + ".tmp", path)
     time.sleep(600)
 
-list(_fork_map(job, [os.path.join(sys.argv[1], str(i)) for i in range(2)], 2))
+_fork_map(job, [os.path.join(sys.argv[1], str(i)) for i in range(2)], 2)
 """
 
 
@@ -417,7 +428,7 @@ class TestPoolFailure:
 
         def run():
             try:
-                list(montecarlo._fork_map(job, list(range(8)), 2))
+                montecarlo._fork_map(job, list(range(8)), 2)
             except error as exc:
                 errors.append(exc)
 
@@ -426,6 +437,14 @@ class TestPoolFailure:
         runner.join(60.0)
         assert not runner.is_alive()
         assert len(errors) == 1
+        assert multiprocessing.active_children() == []
+
+    def test_a_map_is_a_list_and_leaves_no_child(self):
+        results = montecarlo._fork_map(abs, [-3, 1, -2, 5], 2)
+        assert results == [3, 1, 2, 5] and type(results) is list
+        assert multiprocessing.active_children() == []
+        with pytest.raises(ValueError, match="first job"):
+            montecarlo._fork_map(_large_unless_first, list(range(4)), 2)
         assert multiprocessing.active_children() == []
 
     def test_a_failure_while_workers_send_large_results_does_not_hang(self):
@@ -437,7 +456,7 @@ class TestPoolFailure:
         def rounds():
             for _ in range(20):
                 try:
-                    list(montecarlo._fork_map(_large_unless_first, list(range(12)), 2))
+                    montecarlo._fork_map(_large_unless_first, list(range(12)), 2)
                 except ValueError as exc:
                     errors.append(str(exc))
 
@@ -454,7 +473,7 @@ class TestPoolFailure:
         cfg = SimulationConfig(p=3, true_rank=1, n=10, reps=16, seed=1)
         first = montecarlo._run_block((_spectra_task, cfg, 0, 2, ()))[0, 0]
         with pytest.raises(NumericalError, match="replication 0 failed"):
-            list(montecarlo._map_blocks(_slow_task, cfg, (first, tmp_path), 2, "probe"))
+            montecarlo._map_blocks(_slow_task, cfg, (first, tmp_path), 2, "probe")
         assert len(list(tmp_path.iterdir())) <= 2
         assert multiprocessing.active_children() == []
 
@@ -563,7 +582,7 @@ class TestEigenChunks:
 
 class TestPoolSize:
     @pytest.mark.parametrize("reps, workers, pool",
-                             [(6, 5000, 6), (60, 2, 2), (3, 3, 3), (0, 4, None)])
+                             [(6, 5000, 6), (60, 2, 2), (3, 3, 3), (0, 4, None), (1, 2, None)])
     def test_pool_has_at_most_one_worker_per_block(self, monkeypatch, reps, workers, pool):
         # _fork_map imports the executor when it needs a pool.
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
@@ -572,6 +591,14 @@ class TestPoolSize:
         table = run_rejection_table(cfg, workers=workers)
         assert _RecordingPool.sizes == ([] if pool is None else [pool])
         assert table == run_rejection_table(cfg, workers=1)
+
+    def test_one_replication_null_sample_starts_no_pool(self, monkeypatch):
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
+        monkeypatch.setattr(_RecordingPool, "sizes", [])
+        cfg = SimulationConfig(p=4, true_rank=0, n=50, reps=1, local_null_tau=0.5, seed=9)
+        two_workers = collect_null_statistics(cfg, 1, workers=2).statistics
+        assert _RecordingPool.sizes == []
+        assert two_workers.tobytes() == collect_null_statistics(cfg, 1).statistics.tobytes()
 
     def test_design_is_built_before_the_pool_starts(self, monkeypatch):
         # Forked workers then find the design cached instead of each building it.
