@@ -10,12 +10,13 @@ Three workflows:
 
 ``rank`` parses its file in blocks of lines, in worker processes forked from
 the command: ``$COVRANK_THREADS`` of them, else one per available CPU, and
-never more than blocks. They write the parsed rows into one shared memory
-mapping, from which the command copies them in file order into one array of
-exactly the parsed rows once every block is parsed. Blocks are cut at byte
-offsets alone, so the matrix, and every output, is byte-identical for any
-worker count. ``simulate`` and ``nullcheck`` take ``--threads`` (default
-``$COVRANK_THREADS``, else 1).
+never more than blocks. Each worker inherits its share of the blocks, dealt
+round-robin, and one shared memory mapping, so no block is pickled; it writes
+the parsed rows into the mapping and sends back only their shape. The command
+copies the rows in file order into one array of exactly the parsed rows once
+every block is parsed. Blocks are cut at byte offsets alone, so the matrix,
+and every output, is byte-identical for any worker count. ``simulate`` and
+``nullcheck`` take ``--threads`` (default ``$COVRANK_THREADS``, else 1).
 
 Exit codes: 0 success, 1 statistical workflow error (e.g. a degenerate
 nullcheck configuration), 2 I/O or parse error (a worker process that dies
@@ -64,11 +65,6 @@ _CSV_ENCODING = "utf-8-sig"
 # On a 44 MB file with 2 workers, 1, 2 and 4 MiB blocks parse in the same time
 # (0.345, 0.360 and 0.353 s, medians of 9) to the same peak RSS (96.9-97.0 MB).
 _BLOCK_BYTES = 1 << 20
-
-# During a parse, the anonymous shared mapping that parse jobs write their rows
-# to; a forked worker inherits it. None outside a parse.
-_rows_out = None
-
 
 class _InputError(Exception):
     """I/O or parse problem with a user-supplied file or environment value."""
@@ -257,9 +253,9 @@ def _room(block_bytes: int) -> int:
 
 def _parse_block(job) -> tuple[int, int] | None:
     """Shape of the rows of the non-blank lines in bytes lo..hi-1 of a file,
-    after the first of them when ``header`` is set, which are written to
-    ``_rows_out`` from byte ``at``; None when no line is left."""
-    path, lo, hi, header, at = job
+    after the first of them when ``header`` is set, which are written to the
+    shared mapping ``rows_out`` from byte ``at``; None when no line is left."""
+    path, lo, hi, header, rows_out, at = job
     with open(path, "rb") as fh:
         fh.seek(lo)
         data = fh.read(hi - lo)
@@ -271,8 +267,8 @@ def _parse_block(job) -> tuple[int, int] | None:
     if rows.nbytes > (room := _room(hi - lo)):
         raise RuntimeError(f"the rows of bytes {lo}..{hi - 1} take {rows.nbytes} bytes, "
                            f"more than their region's {room}")
-    _rows_out.seek(at)
-    _rows_out.write(rows)
+    rows_out.seek(at)
+    rows_out.write(rows)
     return rows.shape
 
 
@@ -282,13 +278,13 @@ def _read_data_matrix(path: str, workers: int = 1) -> np.ndarray:
 
     The lines are parsed in blocks of about ``_BLOCK_BYTES`` that end after a
     newline byte, by up to ``workers`` processes. A block writes its rows to
-    its region of one anonymous shared mapping, and only their shape goes back
-    through the pool. Once every block is parsed, the regions are copied in
+    its region of one anonymous shared mapping, which its job carries and a
+    forked worker inherits, and only their shape goes back through the
+    worker's pipe. Once every block is parsed, the regions are copied in
     file order into one private array of exactly the parsed rows, and the
     mapping is closed. A view of the mapping would keep its pages resident
     through the covariance.
     """
-    global _rows_out
     try:
         with open(path, "rb") as fh:
             start, first = _first_line(fh)
@@ -308,10 +304,9 @@ def _read_data_matrix(path: str, workers: int = 1) -> np.ndarray:
                 cuts.append(size)
         *offsets, total = itertools.accumulate(
             (_room(hi - lo) for lo, hi in zip(cuts, cuts[1:])), initial=0)
-        jobs = [(path, lo, hi, header and lo == start, at)
+        rows_out = mmap.mmap(-1, total)
+        jobs = [(path, lo, hi, header and lo == start, rows_out, at)
                 for lo, hi, at in zip(cuts, cuts[1:], offsets)]
-        # Forked workers inherit the mapping; jobs, which are pickled, cannot hold it.
-        _rows_out = mmap.mmap(-1, total)
         try:
             shapes = _fork_map(_parse_block, jobs, workers)
             blocks = [(at, shape) for at, shape in zip(offsets, shapes) if shape is not None]
@@ -321,13 +316,12 @@ def _read_data_matrix(path: str, workers: int = 1) -> np.ndarray:
             if any(shape[1] != width for _, shape in blocks):
                 raise ValueError("blocks of rows of different widths")
             # Temporary views: the mapping cannot be closed while one is alive.
-            return np.concatenate([np.frombuffer(_rows_out, count=n * width, offset=at)
+            return np.concatenate([np.frombuffer(rows_out, count=n * width, offset=at)
                                    .reshape(n, width) for at, (n, _) in blocks])
         except ValueError as exc:
             raise _locate_parse_error(path, header, exc) from exc
         finally:
-            mapping, _rows_out = _rows_out, None
-            mapping.close()
+            rows_out.close()
     except UnicodeDecodeError as exc:
         raise _InputError(f"{path}: not UTF-8 text: {exc.reason}") from None
 

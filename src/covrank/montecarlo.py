@@ -24,15 +24,20 @@ builds all of its datasets in one workspace, so no replication allocates an
 n x p array.
 
 One function, ``_fork_map``, decides whether work forks: it runs one whole
-map per call, in-process when the workers or the jobs number one, else in a
-fork pool with at most one worker per job that lives within that call.
-Pool workers run numpy's BLAS single-threaded (when it is OpenBLAS), so N
-workers keep N cores busy. The parent sets its own BLAS thread count to one
-while the pool is open, so each forked worker inherits that count and never
-starts a BLAS thread; the in-process path leaves the BLAS threads as it finds
-them. The warnings a worker raises are returned with its block's result or
-error and raised again in the parent, in block order, so any number of
-workers shows the same warnings.
+map per call, in-process when the workers or the jobs number one, else in at
+most one forked worker per job. Worker w inherits the function and the jobs,
+runs jobs w, w + W, w + 2W, ... of the W workers, and sends each outcome back
+through a pipe of its own; every worker has been killed and reaped before the
+call returns. With more than one worker, the replications are cut into blocks
+whose sizes differ by at most one, a whole number of them per worker, so every
+worker runs the same number of replications to within one. Pool workers run
+numpy's BLAS single-threaded (when it is OpenBLAS), so N workers keep N cores
+busy. The parent sets its own BLAS thread count to one until the last result
+is read, so each forked worker inherits that count and never starts a BLAS
+thread; the in-process path leaves the BLAS threads as it finds them. The
+warnings a worker raises are sent with its block's result or error and raised
+again in the parent, in block order, so any number of workers shows the same
+warnings.
 """
 
 from __future__ import annotations
@@ -40,6 +45,7 @@ from __future__ import annotations
 import contextlib
 import math
 import os
+import pickle
 import warnings
 from dataclasses import dataclass
 
@@ -204,109 +210,137 @@ def _one_blas_thread():
         set_threads(threads)
 
 
-# In a pool worker, the event its _fork_map sets once it stops reading results.
-_cancelled = None
-
 _PR_SET_PDEATHSIG = 1  # prctl option: the signal a process gets when its parent dies
 
 
-def _start_worker(cancelled, parent: int) -> None:
-    """Pool initializer: keep the pool's cancel event, and end with process ``parent``.
+def _work(fn, jobs: list, parent: int, pipes: list, out: int):
+    """The life of a worker forked by :func:`_fork_map` from process ``parent``;
+    never returns.
 
-    A worker blocks on the pool's call queue, whose write end it holds too, so
-    it would outlive a parent that ends abruptly. Where ``prctl`` exists, the
-    worker asks for SIGKILL when the thread that forked it exits; the executor
-    forks in the thread that calls ``pool.map``, which lives as long as the
-    pool. A parent that died before that request is caught by the parent id.
+    The worker first asks for SIGKILL when the thread that forked it exits,
+    where ``prctl`` exists; that thread waits in ``_fork_map`` until every
+    worker is reaped. A parent that died before that request is caught by the
+    parent id. The worker closes the parent's ends of the pipes, then writes the
+    outcome of ``fn`` on each job to the pipe end ``out``, in order: one
+    length-prefixed pickle of the result, or of the error raised, and of the
+    warnings raised before, which the worker cannot show itself. A result
+    that cannot be pickled is sent as its pickling error. It stops after the
+    first error, and exits by ``os._exit``, so no exit handler runs and no
+    inherited output buffer is flushed twice.
     """
     import ctypes
     import signal
 
-    global _cancelled
-    _cancelled = cancelled
-    libc = ctypes.CDLL(None)
-    if hasattr(libc, "prctl"):
-        libc.prctl.argtypes, libc.prctl.restype = [ctypes.c_int, ctypes.c_ulong], ctypes.c_int
-        libc.prctl(_PR_SET_PDEATHSIG, signal.SIGKILL)
-    if os.getppid() != parent:
-        os._exit(1)
+    try:
+        libc = ctypes.CDLL(None)
+        if hasattr(libc, "prctl"):
+            libc.prctl.argtypes, libc.prctl.restype = [ctypes.c_int, ctypes.c_ulong], ctypes.c_int
+            libc.prctl(_PR_SET_PDEATHSIG, signal.SIGKILL)
+        if os.getppid() != parent:
+            return
+        for pipe in pipes:
+            pipe.close()
+        with open(out, "wb") as sink:
+            for job in jobs:
+                with warnings.catch_warnings(record=True) as caught:
+                    try:
+                        outcome = fn(job)
+                    except Exception as exc:
+                        outcome = exc
+                messages = [w.message for w in caught]
+                try:
+                    data = pickle.dumps((outcome, messages))
+                except Exception as exc:
+                    outcome, data = exc, pickle.dumps((exc, messages))
+                sink.write(len(data).to_bytes(8, "little") + data)
+                sink.flush()
+                if isinstance(outcome, Exception):
+                    return
+    finally:
+        os._exit(0)
 
 
-def _in_worker(call):
-    """``fn(job)`` in a pool worker: its result, or the error it raised, and the
-    warnings raised before, which the worker cannot show itself; nothing once
-    its pool is cancelled."""
-    fn, job = call
-    if _cancelled is not None and _cancelled.is_set():
-        return None, []
-    with warnings.catch_warnings(record=True) as caught:
-        try:
-            outcome = fn(job)
-        except Exception as exc:
-            outcome = exc
-    return outcome, [w.message for w in caught]
+def _receive(pipe, job: int):
+    """The (outcome, warnings) of job ``job``, read from its worker's pipe."""
+    head = pipe.read(8)
+    size = int.from_bytes(head, "little")
+    data = pipe.read(size)
+    if len(head) < 8 or len(data) < size:
+        raise ChildProcessError(f"a worker process died: its pipe ended before "
+                                f"the result of job {job}")
+    return pickle.loads(data)
 
 
 def _fork_map(fn, jobs: list, workers: int) -> list:
     """Results of ``fn`` on each job, in job order, from up to ``workers`` processes.
 
     This is the one place that decides whether work forks: the process count
-    is lowered to the number of jobs, and one process maps in-process. More
-    run a fork pool, opened under :func:`_one_blas_thread`, which lives within
-    this call: it is drained and closed, and its workers have exited, before
-    the call returns or raises. A job's warnings are raised again here, in job order,
-    so any number of workers shows the same ones. Results are read in order,
-    so the lowest failing job's error is raised. Once reading stops, the
-    workers finish the jobs they run and skip the queued ones: a worker killed
-    while it writes its result would leave the result pipe locked or cut, and
-    the pool would hang on closing. The queued jobs are skipped, not
-    cancelled: after a cancelling shutdown, CPython 3.11's executor loses
-    track of a job that then fails to pickle and waits for it forever. A
-    worker that dies is a ChildProcessError, and the workers end with this
-    process (see :func:`_start_worker`).
-
-    The executor forks every worker at the first submit, before its manager
-    thread starts, so no worker is forked beside a running thread of its own.
+    W is lowered to the number of jobs, and one process maps in-process. More
+    are forked here, under :func:`_one_blas_thread`, which stays open until
+    the last result is read; worker w inherits ``fn`` and the jobs, so nothing
+    is pickled on the way in, and runs jobs w, w + W, w + 2W, ... (see
+    :func:`_work`). Job j's outcome is read from worker j mod W, in job
+    order, and its warnings are raised again here, so any number of workers
+    shows the same ones, and the first error read, the lowest failing job's,
+    is raised. A pipe that ends early is a ChildProcessError. Before the call
+    returns or raises, the pipes are closed and every worker is killed and
+    reaped; no pipe is shared, so a worker killed while it writes locks no
+    other's.
     """
     workers = min(workers, len(jobs))
     if workers <= 1:
         return list(map(fn, jobs))
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-    from concurrent.futures.process import BrokenProcessPool
+    import signal
 
-    context = multiprocessing.get_context("fork")
-    cancelled = context.Event()
-    results = []
-    with _one_blas_thread(), ProcessPoolExecutor(workers, mp_context=context,
-                                                 initializer=_start_worker,
-                                                 initargs=(cancelled, os.getpid())) as pool:
+    parent, pids, pipes, results = os.getpid(), [], [], []
+    with _one_blas_thread():
         try:
-            for outcome, caught in pool.map(_in_worker, [(fn, job) for job in jobs]):
+            for w in range(workers):
+                read_end, write_end = os.pipe()
+                pipes.append(open(read_end, "rb"))
+                try:
+                    pid = os.fork()
+                    if pid == 0:
+                        _work(fn, jobs[w::workers], parent, pipes, write_end)
+                finally:
+                    os.close(write_end)
+                pids.append(pid)
+            for j in range(len(jobs)):
+                outcome, caught = _receive(pipes[j % workers], j)
                 for message in caught:
                     warnings.warn(message)
                 if isinstance(outcome, Exception):
                     raise outcome
                 results.append(outcome)
-        except BrokenProcessPool as exc:
-            raise ChildProcessError(f"a worker process died: {exc}") from exc
         finally:
-            cancelled.set()
+            for pipe in pipes:
+                pipe.close()
+            for pid in pids:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
     return results
 
 
 def _map_blocks(task, cfg: SimulationConfig, args: tuple, workers: int, what: str) -> list:
     """Results of ``task`` on consecutive blocks of replications, in order, from
-    one :func:`_fork_map` call, which alone decides whether a pool runs.
+    one :func:`_fork_map` call, which alone decides whether to fork.
 
-    Results do not depend on the blocks, so the block size only balances the
-    workers. Each block reports its lowest failing replication, so the error
-    names the lowest failing replication for any number of workers.
+    One worker takes blocks of ``_BLOCK_REPS``. W > 1 workers take
+    min(reps, W * ceil(reps / (W * _BLOCK_REPS))) blocks, a multiple of W unless
+    every block holds one replication, whose sizes differ by at most one,
+    larger first; dealt round-robin, they give every worker the same number of
+    replications to within one. Results do not depend on the blocks. Each
+    block reports its lowest failing replication, so the error names the
+    lowest failing replication for any number of workers.
     """
     workers = _integer("workers", workers, 1)
-    size = _BLOCK_REPS if workers == 1 else min(_BLOCK_REPS, -(-cfg.reps // (4 * workers)))
-    jobs = [(task, cfg, start, min(start + size, cfg.reps), args)
-            for start in range(0, cfg.reps, max(1, size))]
+    if workers == 1:
+        bounds = [*range(0, cfg.reps, _BLOCK_REPS), cfg.reps]
+    else:
+        blocks = min(cfg.reps, workers * -(-cfg.reps // (workers * _BLOCK_REPS)))
+        size, extra = divmod(cfg.reps, max(1, blocks))
+        bounds = [i * size + min(i, extra) for i in range(blocks + 1)]
+    jobs = [(task, cfg, start, stop, args) for start, stop in zip(bounds, bounds[1:])]
     if jobs:
         # Forked workers inherit the cached design and numpy.random, which
         # each of them would otherwise build and import under copy-on-write;

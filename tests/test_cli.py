@@ -1,9 +1,6 @@
-import concurrent.futures
-import contextlib
 import io
 import json
 import mmap
-import multiprocessing
 import os
 import signal
 import subprocess
@@ -269,20 +266,21 @@ def one_block(argv):
 
 
 class _Mapping(mmap.mmap):
-    """A mapping that records the child processes still alive when it is closed."""
+    """A mapping that records, when it is closed, the forked children not yet reaped."""
 
     def close(self):
-        self.children_at_close = multiprocessing.active_children()
+        self.children_at_close = self.forks.unreaped()
         super().close()
 
 
 @pytest.fixture
-def mappings(monkeypatch):
+def mappings(monkeypatch, forks):
     """Every mapping the parse opens, in order."""
     opened = []
 
     def recording(*args):
         opened.append(_Mapping(*args))
+        opened[-1].forks = forks
         return opened[-1]
 
     monkeypatch.setattr(cli, "mmap", types.SimpleNamespace(mmap=recording))
@@ -293,8 +291,7 @@ _PARSE_BLOCK = cli._parse_block
 
 
 def _killed_after_the_first_block(job):
-    """``_parse_block``, but a job after the first block kills its own process.
-    Module-level, so that it is sent to pool workers by name."""
+    """``_parse_block``, but a job after the first block kills its own process."""
     if job[1] > 0:
         os.kill(os.getpid(), signal.SIGKILL)
     return _PARSE_BLOCK(job)
@@ -332,7 +329,7 @@ class TestParallelParse:
         (lambda text: text + "1.5\n" * 40, 62),
     ], ids=["bad-field", "short-row", "long-last-row", "one-field-rows"])
     def test_a_bad_row_in_a_later_block_keeps_its_line_number(self, field_csv, monkeypatch,
-                                                               edit, line):
+                                                               forks, edit, line):
         field_csv.write_text(edit(field_csv.read_text()))
         argv = ["rank", str(field_csv)]
         expected = one_block(argv)
@@ -341,7 +338,7 @@ class TestParallelParse:
         monkeypatch.setattr(cli, "_BLOCK_BYTES", 256)
         monkeypatch.setenv(THREADS_ENV_VAR, "2")
         assert invoke(argv) == expected
-        assert multiprocessing.active_children() == []
+        assert forks and forks.unreaped() == []
 
     def test_a_non_utf8_byte_in_a_later_block_is_a_parse_error(self, field_csv, monkeypatch):
         field_csv.write_bytes(field_csv.read_bytes() + b"\xff1,2,3,4,5\n")
@@ -430,15 +427,13 @@ class TestParallelParse:
         lambda raw: raw + b"\xff1,2,3,4,5\n",
         lambda raw: raw + b"1.5\n" * 40,
     ], ids=["parsed", "bad-field", "non-utf8", "width-change"])
-    def test_the_mapping_is_released(self, field_csv, monkeypatch, mappings, edit):
+    def test_the_mapping_is_released(self, field_csv, monkeypatch, mappings, forks, edit):
         field_csv.write_bytes(edit(field_csv.read_bytes()))
         monkeypatch.setattr(cli, "_BLOCK_BYTES", 256)
         monkeypatch.setenv(THREADS_ENV_VAR, "2")
         invoke(["rank", str(field_csv)])
         assert len(mappings) == 1 and mappings[0].closed
-        assert mappings[0].children_at_close == []
-        assert cli._rows_out is None
-        assert multiprocessing.active_children() == []
+        assert forks and mappings[0].children_at_close == []
 
     def test_the_mapping_is_released_on_interrupt(self, field_csv, monkeypatch, mappings):
         parse_block = cli._parse_block
@@ -453,7 +448,6 @@ class TestParallelParse:
         with pytest.raises(KeyboardInterrupt):
             _read_data_matrix(str(field_csv))
         assert len(mappings) == 1 and mappings[0].closed
-        assert cli._rows_out is None
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_the_matrix_owns_exactly_the_parsed_rows(self, field_csv, monkeypatch, threads):
@@ -463,7 +457,7 @@ class TestParallelParse:
         assert got.base is None and got.flags.c_contiguous
         assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
 
-    def test_a_dead_worker_is_one_io_error(self, field_csv, monkeypatch):
+    def test_a_dead_worker_is_one_io_error(self, field_csv, monkeypatch, forks):
         # Pool workers are forked after the patch, so a later block kills its worker.
         monkeypatch.setattr(cli, "_parse_block", _killed_after_the_first_block)
         monkeypatch.setattr(cli, "_BLOCK_BYTES", 256)
@@ -477,16 +471,12 @@ class TestParallelParse:
         code, out, err = results[0]
         assert (code, out) == (2, "")
         assert err.startswith("covrank: io: a worker process died: ") and err.count("\n") == 1
-        assert cli._rows_out is None
-        assert multiprocessing.active_children() == []
+        assert forks and forks.unreaped() == []
 
-    def test_one_block_file_starts_no_pool(self, field_csv, monkeypatch):
-        def no_pool(*args, **kwargs):
-            raise AssertionError("a one-block file started a pool")
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    def test_one_block_file_starts_no_pool(self, field_csv, monkeypatch, forks):
         monkeypatch.setenv(THREADS_ENV_VAR, "4")
         assert invoke(["rank", str(field_csv)])[0] == 0
+        assert forks == []
 
     @pytest.mark.parametrize("env, cpus, block_bytes, workers", [
         (None, 3, 256, 3),     # every available CPU
@@ -495,17 +485,10 @@ class TestParallelParse:
         ("8", 3, 4096, 2),     # at most one worker per block
         (None, 3, 1 << 20, 1),  # one worker runs in-process: no pool
     ])
-    def test_worker_count(self, field_csv, monkeypatch, env, cpus, block_bytes, workers):
-        # The count is read where the pool starts, since _fork_map lowers the
-        # requested count to the number of blocks itself.
-        counts = []
-
-        def recording(max_workers, **kwargs):
-            # Stands in for the process pool executor: records processes, maps in-process.
-            counts.append(max_workers)
-            return contextlib.nullcontext(types.SimpleNamespace(map=map))
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", recording)
+    def test_worker_count(self, field_csv, monkeypatch, forks, env, cpus, block_bytes,
+                          workers):
+        # The count is that of the forks, since _fork_map lowers the requested
+        # count to the number of blocks itself.
         monkeypatch.setattr(cli, "_cpus", lambda: cpus)
         monkeypatch.setattr(cli, "_BLOCK_BYTES", block_bytes)
         if env is None:
@@ -513,7 +496,7 @@ class TestParallelParse:
         else:
             monkeypatch.setenv(THREADS_ENV_VAR, env)
         assert invoke(["rank", str(field_csv)])[0] == 0
-        assert counts == ([workers] if workers > 1 else [])
+        assert len(forks) == (workers if workers > 1 else 0)
 
     @pytest.mark.parametrize("raw", ["abc", "0", "-1", "1.5"])
     def test_invalid_env_thread_count_exits_2(self, field_csv, monkeypatch, raw):

@@ -1,6 +1,4 @@
-import concurrent.futures
 import ctypes
-import multiprocessing
 import os
 import pickle
 import signal
@@ -290,23 +288,26 @@ def _blas_threads_task(cfg, spectra):
 
 
 class TestPoolBlasThreads:
-    def test_workers_run_blas_single_threaded_and_parent_is_unchanged(self):
+    # Blocks of one replication: 4 blocks, 2 for each of the 2 workers.
+    cfg = SimulationConfig(p=3, true_rank=1, n=10, reps=4, seed=1)
+
+    def test_workers_run_blas_single_threaded_and_parent_is_unchanged(self, monkeypatch):
         before = _blas_threads()
         if not before:
             pytest.skip("no OpenBLAS loaded")
-        cfg = SimulationConfig(p=3, true_rank=1, n=10, reps=4, seed=1)
-        per_block = montecarlo._map_blocks(_blas_threads_task, cfg, (), 2, "probe")
+        monkeypatch.setattr(montecarlo, "_BLOCK_REPS", 1)
+        per_block = montecarlo._map_blocks(_blas_threads_task, self.cfg, (), 2, "probe")
         assert len(per_block) == 4
         assert all(counts == [1] * len(before) for counts in per_block)
         assert _blas_threads() == before
 
-    def test_workers_start_no_blas_thread(self):
+    def test_workers_start_no_blas_thread(self, monkeypatch):
         # A worker that sets its own BLAS thread count rebuilds the BLAS thread
         # pool that fork shut down, and a 300 x 300 product then runs on it.
         if not _blas_threads() or not os.path.isdir("/proc/self/task"):
             pytest.skip("needs OpenBLAS and /proc")
-        cfg = SimulationConfig(p=3, true_rank=1, n=10, reps=4, seed=1)
-        assert montecarlo._map_blocks(_os_threads_task, cfg, (), 2, "probe") == [1] * 4
+        monkeypatch.setattr(montecarlo, "_BLOCK_REPS", 1)
+        assert montecarlo._map_blocks(_os_threads_task, self.cfg, (), 2, "probe") == [1] * 4
 
     def test_numpy_1_openblas_is_pinned_and_restored(self, monkeypatch):
         # numpy 1.x wheels export only the suffixed 64-bit-integer pair.
@@ -317,6 +318,24 @@ class TestPoolBlasThreads:
         with montecarlo._one_blas_thread():
             assert calls == [1]
         assert calls == [1, 4]
+
+    def test_blas_stays_pinned_until_the_last_result_is_read(self, monkeypatch):
+        # Restoring the count while workers ran let the parent's BLAS threads
+        # spin against them.
+        calls = []
+        lib = types.SimpleNamespace(
+            openblas_get_num_threads64_=lambda: 4,
+            openblas_set_num_threads64_=lambda n: calls.append((n, time.monotonic())))
+        monkeypatch.setattr(montecarlo, "_numpy_blas", lambda: lib)
+        ends = montecarlo._fork_map(_sleep_then_time, [0.05, 0.3, 0.1, 0.05], 2)
+        assert [n for n, _ in calls] == [1, 4]
+        assert calls[0][1] < min(ends) and calls[1][1] > max(ends)
+
+
+def _sleep_then_time(seconds):
+    """The monotonic clock, which all processes share, after sleeping ``seconds``."""
+    time.sleep(seconds)
+    return time.monotonic()
 
 
 def _os_threads_task(cfg, spectra):
@@ -333,10 +352,12 @@ def _warning_task(cfg, spectra, failing_top):
 
 
 class TestWorkerWarnings:
+    # Blocks of one replication: 8 blocks, 4 for each of the 2 workers.
     cfg = SimulationConfig(p=3, true_rank=1, n=10, reps=8, seed=1)
 
     def run(self, failing_top=None):
-        with warnings.catch_warnings(record=True) as caught:
+        with warnings.catch_warnings(record=True) as caught, pytest.MonkeyPatch.context() as patch:
+            patch.setattr(montecarlo, "_BLOCK_REPS", 1)
             warnings.simplefilter("always")
             try:
                 blocks = montecarlo._map_blocks(_warning_task, self.cfg, (failing_top,), 2,
@@ -390,6 +411,20 @@ def _killed_at_three(i):
 _unpicklable = lambda i: i  # noqa: E731 -- a lambda is not found by its name
 
 
+def _unpicklable_result(i):
+    return _unpicklable if i == 3 else i
+
+
+# Prints the modules that a 2-worker map imports, from a fresh interpreter.
+_POOL_IMPORTS = """
+import sys
+from covrank.montecarlo import _fork_map
+
+before = set(sys.modules)
+assert _fork_map(abs, [-1, 2, -3], 2) == [1, 2, 3]
+print(" ".join(sorted(set(sys.modules) - before)))
+"""
+
 # Runs two pool workers whose jobs write their process id to DIR/0 and DIR/1
 # and then block.
 _BLOCKED_POOL = """
@@ -406,6 +441,13 @@ _fork_map(job, [os.path.join(sys.argv[1], str(i)) for i in range(2)], 2)
 """
 
 
+def _src_env() -> dict:
+    """This environment, with the package's source directory first on PYTHONPATH."""
+    src = str(Path(montecarlo.__file__).resolve().parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+
+
 def _running(pid: int) -> bool:
     """Whether process ``pid`` exists and is not a zombie waiting to be reaped."""
     try:
@@ -417,13 +459,12 @@ def _running(pid: int) -> bool:
 
 class TestPoolFailure:
     @pytest.mark.parametrize("job, error", [(_killed_at_three, ChildProcessError),
-                                            (_unpicklable, pickle.PicklingError)],
-                             ids=["dead-worker", "unpicklable-job"])
-    def test_a_broken_job_is_an_error_and_leaves_no_child(self, job, error):
+                                            (_unpicklable_result, pickle.PicklingError)],
+                             ids=["dead-worker", "unpicklable-result"])
+    def test_a_broken_job_is_an_error_and_leaves_no_child(self, forks, job, error):
         # A pool that replaces a dead worker waited forever for the result of
-        # the job that killed it. Cancelling the queued jobs when the pool
-        # closes made the executor lose track of the jobs that failed to
-        # pickle, and wait for them.
+        # the job that killed it. A result that cannot be sent back is its
+        # job's error, not a dead worker.
         errors = []
 
         def run():
@@ -437,17 +478,28 @@ class TestPoolFailure:
         runner.join(60.0)
         assert not runner.is_alive()
         assert len(errors) == 1
-        assert multiprocessing.active_children() == []
+        assert len(forks) == 2 and forks.unreaped() == []
 
-    def test_a_map_is_a_list_and_leaves_no_child(self):
+    def test_a_map_is_a_list_and_leaves_no_child(self, forks):
         results = montecarlo._fork_map(abs, [-3, 1, -2, 5], 2)
         assert results == [3, 1, 2, 5] and type(results) is list
-        assert multiprocessing.active_children() == []
+        assert len(forks) == 2 and forks.unreaped() == []
         with pytest.raises(ValueError, match="first job"):
             montecarlo._fork_map(_large_unless_first, list(range(4)), 2)
-        assert multiprocessing.active_children() == []
+        assert len(forks) == 4 and forks.unreaped() == []
 
-    def test_a_failure_while_workers_send_large_results_does_not_hang(self):
+    def test_the_function_and_jobs_are_inherited_not_pickled(self, forks):
+        # A lambda cannot be pickled by its name, so the pool once refused it.
+        assert montecarlo._fork_map(_unpicklable, list(range(8)), 2) == list(range(8))
+        assert len(forks) == 2 and forks.unreaped() == []
+
+    def test_a_fresh_pooled_map_imports_no_pool_machinery(self):
+        # concurrent.futures and multiprocessing cost 33 modules and 1.45 MB.
+        done = subprocess.run([sys.executable, "-c", _POOL_IMPORTS], env=_src_env(),
+                              capture_output=True, text=True, timeout=60.0, check=True)
+        assert set(done.stdout.split()) <= {"signal"}
+
+    def test_a_failure_while_workers_send_large_results_does_not_hang(self, forks):
         # Killing the workers at the first failure left a worker that was
         # sending a 2 MB result holding the pool's result lock, and closing
         # the pool then waited forever: within 20 rounds, every time.
@@ -465,26 +517,26 @@ class TestPoolFailure:
         runner.join(60.0)
         assert not runner.is_alive()
         assert errors == ["first job"] * 20
-        assert multiprocessing.active_children() == []
+        assert len(forks) == 40 and forks.unreaped() == []
 
-    def test_a_failing_block_cancels_the_queued_ones(self, tmp_path):
-        # 8 blocks of 2 replications; the first fails at once and every other
-        # one sleeps. Waiting for all of them would finish 7.
+    def test_a_failing_block_cancels_the_queued_ones(self, tmp_path, monkeypatch, forks):
+        # 8 blocks of 2 replications, 4 for each of the 2 workers; the first
+        # fails at once and every other one sleeps. Waiting for all of them
+        # would finish 7.
+        monkeypatch.setattr(montecarlo, "_BLOCK_REPS", 2)
         cfg = SimulationConfig(p=3, true_rank=1, n=10, reps=16, seed=1)
         first = montecarlo._run_block((_spectra_task, cfg, 0, 2, ()))[0, 0]
         with pytest.raises(NumericalError, match="replication 0 failed"):
             montecarlo._map_blocks(_slow_task, cfg, (first, tmp_path), 2, "probe")
         assert len(list(tmp_path.iterdir())) <= 2
-        assert multiprocessing.active_children() == []
+        assert len(forks) == 2 and forks.unreaped() == []
 
     @pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="reads process states in /proc")
     def test_workers_end_when_their_parent_is_killed(self, tmp_path):
         # Workers blocked on the call queue outlived a killed parent, both
         # still alive a second after the kill.
-        src = str(Path(montecarlo.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
-        parent = subprocess.Popen([sys.executable, "-c", _BLOCKED_POOL, str(tmp_path)], env=env)
+        parent = subprocess.Popen([sys.executable, "-c", _BLOCKED_POOL, str(tmp_path)],
+                                  env=_src_env())
         pids = []
         try:
             deadline = time.monotonic() + 60.0
@@ -534,24 +586,6 @@ class TestBlockWorkspace:
         assert peak < 2.5 * cfg.n * cfg.p * 8
 
 
-class _RecordingPool:
-    """Stands in for the process pool executor: records processes, maps in-process."""
-
-    sizes: list = []
-
-    def __init__(self, max_workers, mp_context=None, initializer=None, initargs=()):
-        self.sizes.append(max_workers)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, jobs):
-        return map(fn, jobs)
-
-
 def _eigen_calls(monkeypatch):
     """Stack sizes of the symmetric_eigen calls the Monte Carlo layer makes."""
     sizes = []
@@ -580,33 +614,43 @@ class TestEigenChunks:
         assert calls == [256, 44]
 
 
+class TestBlockLayout:
+    @pytest.mark.parametrize("reps, workers, sizes", [(60, 2, [30, 30]), (61, 2, [31, 30]),
+                                                      (1000, 2, [250] * 4), (300, 1, [256, 44]),
+                                                      (5, 8, [1] * 5), (0, 2, [])],
+                             ids=["60-at-2", "61-at-2", "1000-at-2", "300-at-1", "5-at-8",
+                                  "0-at-2"])
+    def test_every_worker_gets_an_equal_share(self, monkeypatch, reps, workers, sizes):
+        # Dealt round-robin, the blocks give 2 workers 30 and 30, 31 and 30, or
+        # 500 and 500 replications; one worker keeps blocks of _BLOCK_REPS.
+        blocks = []
+        monkeypatch.setattr(montecarlo, "_fork_map", lambda fn, jobs, workers: blocks.extend(
+            stop - start for _, _, start, stop, _ in jobs) or [])
+        cfg = SimulationConfig(p=3, true_rank=1, n=10, reps=reps, seed=1)
+        montecarlo._map_blocks(_spectra_task, cfg, (), workers, "probe")
+        assert blocks == sizes
+
+
 class TestPoolSize:
     @pytest.mark.parametrize("reps, workers, pool",
                              [(6, 5000, 6), (60, 2, 2), (3, 3, 3), (0, 4, None), (1, 2, None)])
-    def test_pool_has_at_most_one_worker_per_block(self, monkeypatch, reps, workers, pool):
-        # _fork_map imports the executor when it needs a pool.
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
-        monkeypatch.setattr(_RecordingPool, "sizes", [])
+    def test_pool_has_at_most_one_worker_per_block(self, forks, reps, workers, pool):
         cfg = small_table_config(reps=reps)
         table = run_rejection_table(cfg, workers=workers)
-        assert _RecordingPool.sizes == ([] if pool is None else [pool])
+        assert len(forks) == (0 if pool is None else pool)
         assert table == run_rejection_table(cfg, workers=1)
 
-    def test_one_replication_null_sample_starts_no_pool(self, monkeypatch):
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
-        monkeypatch.setattr(_RecordingPool, "sizes", [])
+    def test_one_replication_null_sample_starts_no_pool(self, forks):
         cfg = SimulationConfig(p=4, true_rank=0, n=50, reps=1, local_null_tau=0.5, seed=9)
         two_workers = collect_null_statistics(cfg, 1, workers=2).statistics
-        assert _RecordingPool.sizes == []
+        assert forks == []
         assert two_workers.tobytes() == collect_null_statistics(cfg, 1).statistics.tobytes()
 
     def test_design_is_built_before_the_pool_starts(self, monkeypatch):
         # Forked workers then find the design cached instead of each building it.
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
-        monkeypatch.setattr(_RecordingPool, "sizes", [])
         built = []
-        monkeypatch.setattr(_RecordingPool, "__enter__",
-                            lambda pool: built.append(dgp._design.cache_info()) or pool)
+        fork = os.fork
+        monkeypatch.setattr(os, "fork", lambda: built.append(dgp._design.cache_info()) or fork())
         dgp._design.cache_clear()
         run_rejection_table(small_table_config(reps=6), workers=2)
         assert built[0].currsize == 1

@@ -14,9 +14,13 @@ without touching the working tree.) Without ``--workload`` every workload of
 ``BENCHMARK.json`` runs, one after the other, with the same pairs and seconds,
 and each gets its own report. For every end-to-end metric of
 ``BENCHMARK.json`` it prints each side's median and quartiles, the median
-change, the pairs the change won, and a verdict: "within" unless the change's
-median is worse than the base's by more than the metric's ``bound`` (a
-fraction of the base median), then "worse than bound". Rows marked ``raw``
+change, the pairs the change won, and two verdicts. The bound verdict is
+"within" unless the change's median is worse than the base's by more than the
+metric's ``bound`` (a fraction of the base median), then "worse than bound".
+The claim verdict is "gain" when the change wins at least nine tenths of the
+pairs, ties counting for neither, and its median is better than the base's by
+more than the spread of the base's runs, their q3 - q1; else "unresolved".
+A gain may be claimed only on a "gain" row. Rows marked ``raw``
 are the unscaled values that perfbench keeps on its ``# metadata:`` line
 beside the host-scaled ones. The ``failed`` row, the share of failed
 operations, has a bound of 0: any rise is worse. Nothing in the checkout is
@@ -69,24 +73,39 @@ def quartiles(values: list) -> tuple[float, float, float]:
     return q1, q2, q3
 
 
+def wins(base: list, change: list, lower: bool) -> int:
+    """Pairs in which the change is strictly better; a tie counts for neither."""
+    return sum((c < b) if lower else (c > b) for b, c in zip(base, change))
+
+
+def claim(base: list, change: list, lower: bool) -> str:
+    """"gain" when the change wins at least nine tenths of the pairs and its
+    median beats the base's by more than the base's q3 - q1, else "unresolved"."""
+    b1, b2, b3 = quartiles(base)
+    c2 = quartiles(change)[1]
+    better_by = (b2 - c2) if lower else (c2 - b2)
+    won = 10 * wins(base, change, lower) >= 9 * len(base)
+    return "gain" if won and better_by > b3 - b1 else "unresolved"
+
+
 def report(runs: dict, metrics: dict) -> None:
     """One row per metric; ``metrics`` maps each end-to-end name to its
     ``(better, bound)``."""
     print(f"{'metric':22} {'base q1/median/q3':>30} {'change q1/median/q3':>30} "
-          f"{'change':>8} {'wins':>6}  verdict")
+          f"{'change':>8} {'wins':>6}  {'bound':16}  claim")
     names = [n for metric in metrics for n in (metric, f"{metric} raw") if n in runs["base"][0]]
     for name in names + ["failed"]:
         base = [r[name] for r in runs["base"]]
         change = [r[name] for r in runs["change"]]
         better, bound = metrics.get(name.removesuffix(" raw"), ("lower", 0.0))
         lower = better == "lower"
-        wins = sum((c < b) if lower else (c > b) for b, c in zip(base, change))
         (b1, b2, b3), (c1, c2, c3) = quartiles(base), quartiles(change)
         delta = f"{100.0 * (c2 / b2 - 1.0):+.1f}%" if b2 else "n/a"
         worse = (c2 - b2) if lower else (b2 - c2)
         verdict = "worse than bound" if worse > bound * abs(b2) else "within"
         print(f"{name:22} {b1:9.4g} {b2:9.4g} {b3:9.4g}  {c1:9.4g} {c2:9.4g} {c3:9.4g} "
-              f"{delta:>8} {wins:>3}/{len(base)}  {verdict}")
+              f"{delta:>8} {wins(base, change, lower):>3}/{len(base)}  {verdict:16}  "
+              f"{claim(base, change, lower)}")
 
 
 def main(argv=None) -> int:
