@@ -28,16 +28,16 @@ map per call, in-process when the workers or the jobs number one, else in at
 most one forked worker per job. Worker w inherits the function and the jobs,
 runs jobs w, w + W, w + 2W, ... of the W workers, and sends each outcome back
 through a pipe of its own; every worker has been killed and reaped before the
-call returns. With more than one worker, the replications are cut into blocks
-whose sizes differ by at most one, a whole number of them per worker, so every
-worker runs the same number of replications to within one. Pool workers run
-numpy's BLAS single-threaded (when it is OpenBLAS), so N workers keep N cores
-busy. The parent sets its own BLAS thread count to one until the last result
-is read, so each forked worker inherits that count and never starts a BLAS
-thread; the in-process path leaves the BLAS threads as it finds them. The
-warnings a worker raises are sent with its block's result or error and raised
-again in the parent, in block order, so any number of workers shows the same
-warnings.
+call returns. At every worker count, the replications are cut into blocks of
+at most ``_BLOCK_REPS`` whose sizes differ by at most one, a whole number of
+them per worker, so every worker runs the same number of replications to
+within one. Pool workers run numpy's BLAS single-threaded (when it is
+OpenBLAS), so N workers keep N cores busy. The parent sets its own BLAS
+thread count to one until the last result is read, so each forked worker
+inherits that count and never starts a BLAS thread; the in-process path
+leaves the BLAS threads as it finds them. The warnings a worker raises are
+sent with its block's result or error and raised again in the parent, in
+block order, so any number of workers shows the same warnings.
 """
 
 from __future__ import annotations
@@ -325,21 +325,17 @@ def _map_blocks(task, cfg: SimulationConfig, args: tuple, workers: int, what: st
     """Results of ``task`` on consecutive blocks of replications, in order, from
     one :func:`_fork_map` call, which alone decides whether to fork.
 
-    One worker takes blocks of ``_BLOCK_REPS``. W > 1 workers take
-    min(reps, W * ceil(reps / (W * _BLOCK_REPS))) blocks, a multiple of W unless
-    every block holds one replication, whose sizes differ by at most one,
-    larger first; dealt round-robin, they give every worker the same number of
-    replications to within one. Results do not depend on the blocks. Each
-    block reports its lowest failing replication, so the error names the
-    lowest failing replication for any number of workers.
+    W workers take min(reps, W * ceil(reps / (W * _BLOCK_REPS))) blocks, a
+    multiple of W unless every block holds one replication, whose sizes differ
+    by at most one, larger first; dealt round-robin, they give every worker the
+    same number of replications to within one. Results do not depend on the
+    blocks. Each block reports its lowest failing replication, so the error
+    names the lowest failing replication for any number of workers.
     """
     workers = _integer("workers", workers, 1)
-    if workers == 1:
-        bounds = [*range(0, cfg.reps, _BLOCK_REPS), cfg.reps]
-    else:
-        blocks = min(cfg.reps, workers * -(-cfg.reps // (workers * _BLOCK_REPS)))
-        size, extra = divmod(cfg.reps, max(1, blocks))
-        bounds = [i * size + min(i, extra) for i in range(blocks + 1)]
+    blocks = min(cfg.reps, workers * -(-cfg.reps // (workers * _BLOCK_REPS)))
+    size, extra = divmod(cfg.reps, max(1, blocks))
+    bounds = [i * size + min(i, extra) for i in range(blocks + 1)]
     jobs = [(task, cfg, start, stop, args) for start, stop in zip(bounds, bounds[1:])]
     if jobs:
         # Forked workers inherit the cached design and numpy.random, which

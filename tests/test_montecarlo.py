@@ -13,6 +13,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from covrank import dgp, montecarlo
 from covrank import (
@@ -170,9 +172,11 @@ class TestCollectNullStatistics:
                 check()
 
     def test_worker_count_does_not_change_results(self):
-        s1 = collect_null_statistics(self.null_config(reps=12), 1, workers=1)
-        s2 = collect_null_statistics(self.null_config(reps=12), 1, workers=2)
-        assert np.array_equal(s1.statistics, s2.statistics)
+        # 257 replications run as [129, 128] at one worker and at two.
+        for reps in (12, 257):
+            s1 = collect_null_statistics(self.null_config(reps=reps), 1, workers=1)
+            s2 = collect_null_statistics(self.null_config(reps=reps), 1, workers=2)
+            assert s1.statistics.tobytes() == s2.statistics.tobytes()
 
     def test_no_sequential_gating(self):
         # Statistics are collected at the step even when earlier steps would
@@ -611,29 +615,48 @@ class TestEigenChunks:
         calls = _eigen_calls(monkeypatch)
         cfg = SimulationConfig(p=10, true_rank=3, n=500, reps=300, seed=1)
         run_rejection_table(cfg)
-        assert calls == [256, 44]
+        assert calls == [150, 150]
+
+
+def _block_sizes(reps, workers):
+    """Replications per block that ``_map_blocks`` hands to ``_fork_map``."""
+    blocks = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(montecarlo, "_fork_map", lambda fn, jobs, workers: blocks.extend(
+            stop - start for _, _, start, stop, _ in jobs) or [])
+        cfg = SimulationConfig(p=3, true_rank=1, n=10, reps=reps, seed=1)
+        montecarlo._map_blocks(_spectra_task, cfg, (), workers, "probe")
+    return blocks
 
 
 class TestBlockLayout:
     @pytest.mark.parametrize("reps, workers, sizes", [(60, 2, [30, 30]), (61, 2, [31, 30]),
-                                                      (1000, 2, [250] * 4), (300, 1, [256, 44]),
+                                                      (1000, 2, [250] * 4), (300, 1, [150, 150]),
+                                                      (257, 1, [129, 128]), (256, 1, [256]),
                                                       (5, 8, [1] * 5), (0, 2, [])],
-                             ids=["60-at-2", "61-at-2", "1000-at-2", "300-at-1", "5-at-8",
-                                  "0-at-2"])
-    def test_every_worker_gets_an_equal_share(self, monkeypatch, reps, workers, sizes):
+                             ids=["60-at-2", "61-at-2", "1000-at-2", "300-at-1", "257-at-1",
+                                  "256-at-1", "5-at-8", "0-at-2"])
+    def test_every_worker_gets_an_equal_share(self, reps, workers, sizes):
         # Dealt round-robin, the blocks give 2 workers 30 and 30, 31 and 30, or
-        # 500 and 500 replications; one worker keeps blocks of _BLOCK_REPS.
-        blocks = []
-        monkeypatch.setattr(montecarlo, "_fork_map", lambda fn, jobs, workers: blocks.extend(
-            stop - start for _, _, start, stop, _ in jobs) or [])
-        cfg = SimulationConfig(p=3, true_rank=1, n=10, reps=reps, seed=1)
-        montecarlo._map_blocks(_spectra_task, cfg, (), workers, "probe")
-        assert blocks == sizes
+        # 500 and 500 replications; one worker runs as many blocks of at most
+        # _BLOCK_REPS as it needs, as even as they can be.
+        assert _block_sizes(reps, workers) == sizes
+
+    @settings(max_examples=200, deadline=None)
+    @given(reps=st.integers(0, 3000), workers=st.integers(1, 8))
+    def test_blocks_are_even_bounded_and_a_multiple_of_the_workers(self, reps, workers):
+        sizes = _block_sizes(reps, workers)
+        assert sum(sizes) == reps
+        assert sizes == sorted(sizes, reverse=True)
+        assert not sizes or sizes[0] - sizes[-1] <= 1
+        assert max(sizes, default=0) <= montecarlo._BLOCK_REPS
+        assert len(sizes) % workers == 0 or set(sizes) == {1}
 
 
 class TestPoolSize:
     @pytest.mark.parametrize("reps, workers, pool",
-                             [(6, 5000, 6), (60, 2, 2), (3, 3, 3), (0, 4, None), (1, 2, None)])
+                             [(6, 5000, 6), (60, 2, 2), (3, 3, 3), (0, 4, None), (1, 2, None),
+                              (257, 2, 2), (300, 3, 3)])
     def test_pool_has_at_most_one_worker_per_block(self, forks, reps, workers, pool):
         cfg = small_table_config(reps=reps)
         table = run_rejection_table(cfg, workers=workers)
