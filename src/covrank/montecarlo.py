@@ -16,23 +16,24 @@ is checked with the Kolmogorov-Smirnov distance to the uniform CDF.
 Replications are mutually independent with per-replication seed streams, so
 they may be executed by any number of workers in any order; aggregation is
 a commutative count sum and the results are identical regardless of
-scheduling. Each job takes a contiguous block of replications, reduces each
-dataset to its covariance before generating the next, decomposes the
-covariances in stacks, and evaluates the block's spectra together; a
-replication's statistics do not depend on the block it lands in. A job
-builds all of its datasets in one workspace, so no replication allocates an
-n x p array.
+scheduling. Each job is the (start, stop) bounds of a contiguous block of
+replications: it reduces each dataset to its covariance before generating
+the next, decomposes the covariances in stacks, and hands the block's
+spectra to one task, a function of the spectra alone that the public
+function closes over its own options; a replication's statistics do not
+depend on the block it lands in. A job builds all of its datasets in one
+workspace, so no replication allocates an n x p array.
 
 One function, ``_fork_map``, decides whether work forks: it runs one whole
 map per call, in-process when the workers or the jobs number one, else in at
 most one forked worker per job. Worker w inherits the function and the jobs,
 runs jobs w, w + W, w + 2W, ... of the W workers, and sends each outcome back
-through a pipe of its own; every worker has been killed and reaped before the
-call returns. At every worker count, the replications are cut into blocks of
-at most ``_BLOCK_REPS`` whose sizes differ by at most one, a whole number of
-them per worker, so every worker runs the same number of replications to
-within one. Pool workers run numpy's BLAS single-threaded (when it is
-OpenBLAS), so N workers keep N cores busy. The parent sets its own BLAS
+as one pickle through a pipe of its own; every worker has been killed and
+reaped before the call returns. At every worker count, the replications are
+cut into blocks of at most ``_BLOCK_REPS`` whose sizes differ by at most one,
+a whole number of them per worker, so every worker runs the same number of
+replications to within one. Pool workers run numpy's BLAS single-threaded
+(when it is OpenBLAS), so N workers keep N cores busy. The parent sets its own BLAS
 thread count to one until the last result is read, so each forked worker
 inherits that count and never starts a BLAS thread; the in-process path
 leaves the BLAS threads as it finds them. The warnings a worker raises are
@@ -108,22 +109,10 @@ _BLOCK_REPS = 256
 _MAX_EIGEN_FLOATS = 2**16
 
 
-def _table_block(cfg: SimulationConfig, spectra: np.ndarray,
-                 settings: QuadratureSettings) -> np.ndarray:
-    """Per-step reach (row 0) and rejection (row 1) counts of one block of replications."""
-    stats = run_sequence(spectra, cfg.alpha, settings=settings).statistic
-    return np.stack([np.count_nonzero(~np.isnan(stats), axis=0),
-                     np.count_nonzero(stats <= cfg.alpha, axis=0)])
-
-
-def _null_block(cfg: SimulationConfig, spectra: np.ndarray, k: int,
-                settings: QuadratureSettings) -> np.ndarray:
-    return csv_statistic(spectra, k, settings=settings).statistic
-
-
-def _run_block(job):
-    """Reduce replications start..stop-1 to spectra, one dataset at a time, then
-    evaluate them together; a numeric failure is re-raised with its replication.
+def _run_block(cfg: SimulationConfig, task, what: str, start: int, stop: int):
+    """``task`` on the spectra of replications start..stop-1, each reduced to its
+    spectrum one dataset at a time; a numeric failure is re-raised as the
+    failure of its replication, which aborts ``what``.
 
     Every dataset of the block is built in one workspace (see
     ``generate_dataset``), allocated here and freed with the block. The
@@ -131,8 +120,8 @@ def _run_block(job):
     entries, one ``symmetric_eigen`` call per stack. When replication r
     fails, the replications before it are evaluated first and their failure,
     if any, is raised instead, so the error names the lowest failing one.
+    This is the one place that gives a failure its replication.
     """
-    task, cfg, start, stop, args = job
     workspace = np.empty((2 if cfg.local_null_tau > 0.0 else 1, cfg.n, cfg.p))
     chunk = max(1, _MAX_EIGEN_FLOATS // (cfg.p * cfg.p))
     covariances = np.empty((min(chunk, stop - start), cfg.p, cfg.p))
@@ -147,15 +136,16 @@ def _run_block(job):
                 except NumericalError as exc:
                     if lo + i:
                         spectra[lo:lo + i] = symmetric_eigen(covariances[:i]).eigenvalues
-                        task(cfg, spectra[:lo + i], *args)
+                        task(spectra[:lo + i])
                     raise exc.at(lo + i) from exc
             spectra[lo:lo + rows] = symmetric_eigen(covariances[:rows]).eigenvalues
-        return task(cfg, spectra, *args)
+        return task(spectra)
     except NumericalError as exc:
         # A design or eigendecomposition failure names no replication.
         if exc.index is None:
             raise
-        raise exc.at(start + exc.index) from exc
+        r = start + exc.index
+        raise exc.at(r, f"replication {r} failed, aborting {what}: ") from exc
 
 
 # Thread-count getters and setters of the OpenBLAS builds numpy ships or links:
@@ -222,11 +212,12 @@ def _work(fn, jobs: list, parent: int, pipes: list, out: int):
     worker is reaped. A parent that died before that request is caught by the
     parent id. The worker closes the parent's ends of the pipes, then writes the
     outcome of ``fn`` on each job to the pipe end ``out``, in order: one
-    length-prefixed pickle of the result, or of the error raised, and of the
-    warnings raised before, which the worker cannot show itself. A result
-    that cannot be pickled is sent as its pickling error. It stops after the
-    first error, and exits by ``os._exit``, so no exit handler runs and no
-    inherited output buffer is flushed twice.
+    pickle of the result, or of the error raised, and of the warnings raised
+    before, which the worker cannot show itself; a pickle marks its own end,
+    so none is framed. A result that cannot be pickled is sent as its
+    pickling error. It stops after the first error, and exits by
+    ``os._exit``, so no exit handler runs and no inherited output buffer is
+    flushed twice.
     """
     import ctypes
     import signal
@@ -252,7 +243,7 @@ def _work(fn, jobs: list, parent: int, pipes: list, out: int):
                     data = pickle.dumps((outcome, messages))
                 except Exception as exc:
                     outcome, data = exc, pickle.dumps((exc, messages))
-                sink.write(len(data).to_bytes(8, "little") + data)
+                sink.write(data)
                 sink.flush()
                 if isinstance(outcome, Exception):
                     return
@@ -261,14 +252,13 @@ def _work(fn, jobs: list, parent: int, pipes: list, out: int):
 
 
 def _receive(pipe, job: int):
-    """The (outcome, warnings) of job ``job``, read from its worker's pipe."""
-    head = pipe.read(8)
-    size = int.from_bytes(head, "little")
-    data = pipe.read(size)
-    if len(head) < 8 or len(data) < size:
+    """The (outcome, warnings) of job ``job``, read from its worker's pipe as
+    one pickle; a pipe that ends before the pickle does is a ChildProcessError."""
+    try:
+        return pickle.load(pipe)
+    except (EOFError, pickle.UnpicklingError):
         raise ChildProcessError(f"a worker process died: its pipe ended before "
-                                f"the result of job {job}")
-    return pickle.loads(data)
+                                f"the result of job {job}") from None
 
 
 def _fork_map(fn, jobs: list, workers: int) -> list:
@@ -321,9 +311,11 @@ def _fork_map(fn, jobs: list, workers: int) -> list:
     return results
 
 
-def _map_blocks(task, cfg: SimulationConfig, args: tuple, workers: int, what: str) -> list:
-    """Results of ``task`` on consecutive blocks of replications, in order, from
-    one :func:`_fork_map` call, which alone decides whether to fork.
+def _map_blocks(cfg: SimulationConfig, task, workers: int, what: str) -> list:
+    """Results of ``task`` on the spectra of consecutive blocks of replications,
+    in order, from one :func:`_fork_map` call, which alone decides whether to
+    fork; its jobs are the blocks' (start, stop) bounds, each run by
+    :func:`_run_block`.
 
     W workers take min(reps, W * ceil(reps / (W * _BLOCK_REPS))) blocks, a
     multiple of W unless every block holds one replication, whose sizes differ
@@ -336,19 +328,13 @@ def _map_blocks(task, cfg: SimulationConfig, args: tuple, workers: int, what: st
     blocks = min(cfg.reps, workers * -(-cfg.reps // (workers * _BLOCK_REPS)))
     size, extra = divmod(cfg.reps, max(1, blocks))
     bounds = [i * size + min(i, extra) for i in range(blocks + 1)]
-    jobs = [(task, cfg, start, stop, args) for start, stop in zip(bounds, bounds[1:])]
-    if jobs:
+    if blocks:
         # Forked workers inherit the cached design and numpy.random, which
         # each of them would otherwise build and import under copy-on-write;
         # in-process, the first replication would build it anyway.
         _design(cfg)
-    try:
-        return _fork_map(_run_block, jobs, workers)
-    except NumericalError as exc:
-        # A failure that belongs to no replication keeps its own message.
-        if exc.index is None:
-            raise
-        raise exc.at(exc.index, f"replication {exc.index} failed, aborting {what}: ") from exc
+    return _fork_map(lambda block: _run_block(cfg, task, what, *block),
+                     list(zip(bounds, bounds[1:])), workers)
 
 
 def run_rejection_table(cfg: SimulationConfig,
@@ -362,7 +348,14 @@ def run_rejection_table(cfg: SimulationConfig,
     """
     _check_config(cfg)
     _check_settings(settings)
-    counts = sum(_map_blocks(_table_block, cfg, (settings,), workers, "table"),
+
+    def tally(spectra: np.ndarray) -> np.ndarray:
+        """Per-step reach (row 0) and rejection (row 1) counts of one block's spectra."""
+        stats = run_sequence(spectra, cfg.alpha, settings=settings).statistic
+        return np.stack([np.count_nonzero(~np.isnan(stats), axis=0),
+                         np.count_nonzero(stats <= cfg.alpha, axis=0)])
+
+    counts = sum(_map_blocks(cfg, tally, workers, "table"),
                  np.zeros((2, cfg.p - 1), dtype=np.int64))
     return RejectionTable(config=cfg, reached=tuple(counts[0].tolist()),
                           rejected=tuple(counts[1].tolist()))
@@ -391,7 +384,8 @@ def collect_null_statistics(cfg: SimulationConfig, k: int,
             "plug-in scale is zero and the statistic degenerates to the constant 1"
         )
     _check_settings(settings)
-    blocks = _map_blocks(_null_block, cfg, (k, settings), workers, "null sample")
+    blocks = _map_blocks(cfg, lambda lam: csv_statistic(lam, k, settings=settings).statistic,
+                         workers, "null sample")
     stats = np.concatenate(blocks) if blocks else np.empty(0)
     return NullSample(statistics=stats, k=k, config=cfg)
 

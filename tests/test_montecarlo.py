@@ -205,13 +205,29 @@ class TestNumericFailure:
                 return r
         pytest.fail("no replication exhausted the split budget")
 
+    @staticmethod
+    def raised(run, workers):
+        """The NumericalError that ``run(workers)`` raises, once its message,
+        index, best estimate and achieved tolerance are checked to be those
+        that one worker raises, and its message to name one replication."""
+        seen = []
+        for count in (1, workers):
+            with pytest.raises(NumericalError) as info:
+                run(count)
+            error = info.value
+            seen.append((str(error), error.index, error.best_estimate, error.achieved_rel_tol))
+        assert seen[0] == seen[1]
+        assert seen[0][0].count(" failed, aborting ") == 1
+        return error
+
     @pytest.mark.parametrize("workers", [1, 2])
     def test_table_names_lowest_failing_replication(self, workers):
         expected = self.first_failure(lambda lam: run_sequence(lam, self.cfg.alpha, self.tight))
-        with pytest.raises(NumericalError, match=f"replication {expected} failed") as info:
-            run_rejection_table(self.cfg, self.tight, workers=workers)
-        assert info.value.index == expected
-        assert info.value.achieved_rel_tol > self.tight.rel_tol
+        error = self.raised(lambda count: run_rejection_table(self.cfg, self.tight, workers=count),
+                            workers)
+        assert str(error).startswith(f"replication {expected} failed, aborting table: ")
+        assert error.index == expected
+        assert error.achieved_rel_tol > self.tight.rel_tol
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_null_sample_names_lowest_failing_replication(self, workers):
@@ -236,28 +252,29 @@ class TestNumericFailure:
 
         monkeypatch.setattr(montecarlo, "generate_dataset", scaled)
         lowest = min(expected, overflowing)
-        with pytest.raises(NumericalError, match=f"replication {lowest} failed") as info:
-            run_rejection_table(self.cfg, self.tight, workers=workers)
-        assert info.value.index == lowest
+        error = self.raised(lambda count: run_rejection_table(self.cfg, self.tight, workers=count),
+                            workers)
+        assert str(error).startswith(f"replication {lowest} failed, aborting table: ")
+        assert error.index == lowest
 
     @pytest.mark.parametrize("workers", [1, 2])
-    @pytest.mark.parametrize("run", [
-        lambda cfg, workers: run_rejection_table(cfg, workers=workers),
-        lambda cfg, workers: collect_null_statistics(cfg, 2, workers=workers),
+    @pytest.mark.parametrize("run, what", [
+        (lambda cfg, workers: run_rejection_table(cfg, workers=workers), "table"),
+        (lambda cfg, workers: collect_null_statistics(cfg, 2, workers=workers), "null sample"),
     ], ids=["table", "null"])
     def test_failure_inside_a_later_block_names_its_replication(self, monkeypatch,
-                                                                workers, run):
-        # With 2 workers the blocks hold 5 replications, so replication 7 is
-        # the third of the block that starts at 5: its index must carry that
-        # start once.
+                                                                workers, run, what):
+        # Blocks of 5 replications: replication 7 is the third of the block
+        # that starts at 5, so its index must carry that start once.
         def scaled(cfg, index, out=None):
             data = generate_dataset(cfg, index, out=out)
             return data * 1e200 if index == 7 else data
 
+        monkeypatch.setattr(montecarlo, "_BLOCK_REPS", 5)
         monkeypatch.setattr(montecarlo, "generate_dataset", scaled)
-        with pytest.raises(NumericalError, match="replication 7 failed") as info:
-            run(self.cfg, workers)
-        assert info.value.index == 7
+        error = self.raised(lambda count: run(self.cfg, count), workers)
+        assert str(error).startswith(f"replication 7 failed, aborting {what}: ")
+        assert error.index == 7
 
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("name", ["generate_dataset", "symmetric_eigen"])
@@ -287,7 +304,7 @@ def _blas_threads():
     return []
 
 
-def _blas_threads_task(cfg, spectra):
+def _blas_threads_task(spectra):
     return _blas_threads()
 
 
@@ -300,7 +317,7 @@ class TestPoolBlasThreads:
         if not before:
             pytest.skip("no OpenBLAS loaded")
         monkeypatch.setattr(montecarlo, "_BLOCK_REPS", 1)
-        per_block = montecarlo._map_blocks(_blas_threads_task, self.cfg, (), 2, "probe")
+        per_block = montecarlo._map_blocks(self.cfg, _blas_threads_task, 2, "probe")
         assert len(per_block) == 4
         assert all(counts == [1] * len(before) for counts in per_block)
         assert _blas_threads() == before
@@ -311,7 +328,7 @@ class TestPoolBlasThreads:
         if not _blas_threads() or not os.path.isdir("/proc/self/task"):
             pytest.skip("needs OpenBLAS and /proc")
         monkeypatch.setattr(montecarlo, "_BLOCK_REPS", 1)
-        assert montecarlo._map_blocks(_os_threads_task, self.cfg, (), 2, "probe") == [1] * 4
+        assert montecarlo._map_blocks(self.cfg, _os_threads_task, 2, "probe") == [1] * 4
 
     def test_numpy_1_openblas_is_pinned_and_restored(self, monkeypatch):
         # numpy 1.x wheels export only the suffixed 64-bit-integer pair.
@@ -322,6 +339,25 @@ class TestPoolBlasThreads:
         with montecarlo._one_blas_thread():
             assert calls == [1]
         assert calls == [1, 4]
+
+    def test_one_thread_already_is_left_alone(self, monkeypatch):
+        calls = []
+        lib = types.SimpleNamespace(openblas_get_num_threads64_=lambda: 1,
+                                    openblas_set_num_threads64_=lambda n: calls.append(n))
+        monkeypatch.setattr(montecarlo, "_numpy_blas", lambda: lib)
+        with montecarlo._one_blas_thread():
+            assert calls == []
+        assert calls == []
+
+    def test_a_blas_that_is_not_openblas_is_left_alone(self, monkeypatch):
+        # MKL's thread-count pair stands in for any BLAS without OpenBLAS symbols.
+        calls = []
+        lib = types.SimpleNamespace(mkl_get_max_threads=lambda: calls.append("get") or 4,
+                                    mkl_set_num_threads=lambda n: calls.append(n))
+        monkeypatch.setattr(montecarlo, "_numpy_blas", lambda: lib)
+        with montecarlo._one_blas_thread():
+            calls.append("body")
+        assert calls == ["body"]
 
     def test_blas_stays_pinned_until_the_last_result_is_read(self, monkeypatch):
         # Restoring the count while workers ran let the parent's BLAS threads
@@ -342,13 +378,13 @@ def _sleep_then_time(seconds):
     return time.monotonic()
 
 
-def _os_threads_task(cfg, spectra):
+def _os_threads_task(spectra):
     square = np.ones((300, 300))
     square @ square
     return len(os.listdir("/proc/self/task"))
 
 
-def _warning_task(cfg, spectra, failing_top):
+def _warning_task(spectra, failing_top):
     warnings.warn(f"top eigenvalue {spectra[0, 0]!r}")
     if spectra[0, 0] == failing_top:
         raise NumericalError("probe failure", index=0)
@@ -364,14 +400,14 @@ class TestWorkerWarnings:
             patch.setattr(montecarlo, "_BLOCK_REPS", 1)
             warnings.simplefilter("always")
             try:
-                blocks = montecarlo._map_blocks(_warning_task, self.cfg, (failing_top,), 2,
-                                                "probe")
+                blocks = montecarlo._map_blocks(
+                    self.cfg, lambda spectra: _warning_task(spectra, failing_top), 2, "probe")
             except NumericalError as exc:
                 blocks = exc
         return blocks, [str(w.message) for w in caught]
 
     def tops(self):
-        spectra = montecarlo._run_block((_spectra_task, self.cfg, 0, self.cfg.reps, ()))
+        spectra = montecarlo._run_block(self.cfg, _spectra_task, "probe", 0, self.cfg.reps)
         return spectra[:, 0]
 
     def test_warnings_are_raised_again_in_block_order(self):
@@ -386,11 +422,11 @@ class TestWorkerWarnings:
         assert messages == [f"top eigenvalue {top!r}" for top in tops[:6]]
 
 
-def _spectra_task(cfg, spectra):
+def _spectra_task(spectra):
     return spectra
 
 
-def _slow_task(cfg, spectra, failing_top, done):
+def _slow_task(spectra, failing_top, done):
     if spectra[0, 0] == failing_top:
         raise NumericalError("probe failure", index=0)
     time.sleep(0.3)
@@ -484,6 +520,18 @@ class TestPoolFailure:
         assert len(errors) == 1
         assert len(forks) == 2 and forks.unreaped() == []
 
+    @pytest.mark.parametrize("share", [0, 0.5], ids=["empty", "half-pickle"])
+    def test_a_pipe_that_ends_before_its_pickle_names_the_job(self, share):
+        # A pickle cut short ends in an UnpicklingError, not an EOFError.
+        data = pickle.dumps((np.ones(10), []))
+        read_end, write_end = os.pipe()
+        os.write(write_end, data[:int(len(data) * share)])
+        os.close(write_end)
+        with open(read_end, "rb") as pipe, pytest.raises(
+                ChildProcessError, match="^a worker process died: its pipe ended before "
+                                         "the result of job 3$"):
+            montecarlo._receive(pipe, 3)
+
     def test_a_map_is_a_list_and_leaves_no_child(self, forks):
         results = montecarlo._fork_map(abs, [-3, 1, -2, 5], 2)
         assert results == [3, 1, 2, 5] and type(results) is list
@@ -529,9 +577,10 @@ class TestPoolFailure:
         # would finish 7.
         monkeypatch.setattr(montecarlo, "_BLOCK_REPS", 2)
         cfg = SimulationConfig(p=3, true_rank=1, n=10, reps=16, seed=1)
-        first = montecarlo._run_block((_spectra_task, cfg, 0, 2, ()))[0, 0]
+        first = montecarlo._run_block(cfg, _spectra_task, "probe", 0, 2)[0, 0]
         with pytest.raises(NumericalError, match="replication 0 failed"):
-            montecarlo._map_blocks(_slow_task, cfg, (first, tmp_path), 2, "probe")
+            montecarlo._map_blocks(cfg, lambda spectra: _slow_task(spectra, first, tmp_path), 2,
+                                   "probe")
         assert len(list(tmp_path.iterdir())) <= 2
         assert len(forks) == 2 and forks.unreaped() == []
 
@@ -570,7 +619,7 @@ class TestBlockWorkspace:
                              ids=["0-0.7", "2-0.0", "2-0.7", "2-0.7-p130"])
     def test_block_spectra_match_one_replication_at_a_time(self, k, tau, p):
         cfg = SimulationConfig(p=p, true_rank=k, n=151, reps=9, local_null_tau=tau, seed=31)
-        block = montecarlo._run_block((_spectra_task, cfg, 2, 9, ()))
+        block = montecarlo._run_block(cfg, _spectra_task, "probe", 2, 9)
         for row, r in zip(block, range(2, 9)):
             data = generate_dataset(cfg, r)
             expected = symmetric_eigen(sample_covariance(data, center=False)).eigenvalues
@@ -581,7 +630,7 @@ class TestBlockWorkspace:
         generate_dataset(cfg, 0)  # build the cached design outside the trace
         tracemalloc.start()
         try:
-            montecarlo._run_block((_spectra_task, cfg, 0, cfg.reps, ()))
+            montecarlo._run_block(cfg, _spectra_task, "probe", 0, cfg.reps)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -608,7 +657,7 @@ class TestEigenChunks:
     def test_one_call_per_chunk_of_covariances(self, monkeypatch, p, reps, sizes):
         calls = _eigen_calls(monkeypatch)
         cfg = SimulationConfig(p=p, true_rank=1, n=p + 1, reps=reps, seed=2)
-        montecarlo._run_block((_spectra_task, cfg, 0, reps, ()))
+        montecarlo._run_block(cfg, _spectra_task, "probe", 0, reps)
         assert calls == sizes
 
     def test_table_is_one_call_per_block(self, monkeypatch):
@@ -623,9 +672,9 @@ def _block_sizes(reps, workers):
     blocks = []
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(montecarlo, "_fork_map", lambda fn, jobs, workers: blocks.extend(
-            stop - start for _, _, start, stop, _ in jobs) or [])
+            stop - start for start, stop in jobs) or [])
         cfg = SimulationConfig(p=3, true_rank=1, n=10, reps=reps, seed=1)
-        montecarlo._map_blocks(_spectra_task, cfg, (), workers, "probe")
+        montecarlo._map_blocks(cfg, _spectra_task, workers, "probe")
     return blocks
 
 
