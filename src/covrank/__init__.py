@@ -11,29 +11,33 @@ the reference simulation design and checks the uniformity claim.
 from .dgp import SimulationConfig, generate_dataset, make_loadings, sample_factors_t
 from .errors import CovrankError, NumericalError, ValidationError
 from .montecarlo import (
-    NullSample,
     RejectionTable,
     collect_null_statistics,
     ks_distance,
     ks_pvalue_approx,
     run_rejection_table,
 )
-from .sequential import SequentialResult, StepOutcome, rank_from_data, run_sequence
+from .sequential import SequenceStatistics, rank_from_data, run_sequence
 from .spectrum import Spectrum, sample_covariance, symmetric_eigen
-from .statistic import QuadratureSettings, csv_statistic, log_integral, plug_in_scale
+from .statistic import (
+    QuadratureSettings,
+    StepStatistics,
+    csv_statistic,
+    log_integral,
+    plug_in_scale,
+)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "CovrankError",
-    "NullSample",
     "NumericalError",
     "QuadratureSettings",
     "RejectionTable",
-    "SequentialResult",
+    "SequenceStatistics",
     "SimulationConfig",
     "Spectrum",
-    "StepOutcome",
+    "StepStatistics",
     "ValidationError",
     "collect_null_statistics",
     "csv_statistic",

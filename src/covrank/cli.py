@@ -407,8 +407,12 @@ def _cmd_rank(args, out) -> int:
         # The flags are checked by the parser, so only the data can be invalid here.
         raise _InputError(f"{args.data}: {exc}") from None
     n, p = data.shape
+    rank_estimate, boundary_reached = int(result.rank_estimate), bool(result.boundary_reached)
+    # Steps 1..rank_estimate rejected, and the next one, if any, accepted.
+    tested = min(rank_estimate + 1, p - 1)
     columns = ("k", "statistic", "scale2", "degenerate", "rejected")
-    rows = [(s.k, s.statistic, s.scale2_used, s.degenerate, s.rejected) for s in result.steps]
+    fields = (result.statistic, result.scale2, result.degenerate, result.statistic <= alpha)
+    rows = list(zip(range(1, tested + 1), *(field[:tested].tolist() for field in fields)))
 
     if args.format == "json":
         _emit_json({
@@ -417,22 +421,22 @@ def _cmd_rank(args, out) -> int:
             "p": p,
             "centered": bool(args.center),
             "steps": [dict(zip(columns, row)) for row in rows],
-            "rank_estimate": result.rank_estimate,
-            "boundary_reached": result.boundary_reached,
+            "rank_estimate": rank_estimate,
+            "boundary_reached": boundary_reached,
         }, out)
     elif args.format == "tsv":
-        _emit_tsv([columns, *rows, ("# rank_estimate", result.rank_estimate),
-                   ("# boundary_reached", result.boundary_reached), ("# alpha", alpha)], out)
+        _emit_tsv([columns, *rows, ("# rank_estimate", rank_estimate),
+                   ("# boundary_reached", boundary_reached), ("# alpha", alpha)], out)
     else:
         out.write(f"rank test on {n} x {p} data, alpha={alpha:g}, "
                   f"center={'yes' if args.center else 'no'}\n")
-        for s in result.steps:
-            label = "reject" if s.rejected else "accept"
-            note = " (degenerate)" if s.degenerate else ""
-            out.write(f"  step {s.k}: statistic={s.statistic:.6g} scale2={s.scale2_used:.6g}"
+        for k, statistic, scale2, degenerate, rejected in rows:
+            label = "reject" if rejected else "accept"
+            note = " (degenerate)" if degenerate else ""
+            out.write(f"  step {k}: statistic={statistic:.6g} scale2={scale2:.6g}"
                       f" -> {label}{note}\n")
-        out.write(f"rank estimate: {result.rank_estimate}\n")
-        if result.boundary_reached:
+        out.write(f"rank estimate: {rank_estimate}\n")
+        if boundary_reached:
             out.write("boundary reached: all testable nulls rejected; "
                       "the true rank may be p-1 or p\n")
     return 0
@@ -474,13 +478,13 @@ def _cmd_nullcheck(args, out) -> int:
     step = cfg.true_rank + 1 if args.step is None else args.step
     sample = collect_null_statistics(cfg, step, settings=_quad_settings(args),
                                      workers=_threads(args.threads, 1))
-    # ks_distance refuses an empty sample, so reps >= 1 from here on.
+    # collect_null_statistics refuses reps < 1, so the sample is not empty.
     dist = ks_distance(sample)
-    rate = float(np.mean(sample.statistics <= cfg.alpha))
+    rate = float(np.mean(sample <= cfg.alpha))
     pval = ks_pvalue_approx(dist, cfg.reps)
     summary = {"k": step, "reps": cfg.reps, "alpha": cfg.alpha, "ks_distance": dist,
                "rejection_rate": rate, "ks_pvalue_approx": pval}
-    statistics = sample.statistics.tolist() if args.include_statistics else []
+    statistics = sample.tolist() if args.include_statistics else []
 
     if args.format == "json":
         payload = {"config": dataclasses.asdict(cfg), **summary}

@@ -60,7 +60,6 @@ from .statistic import QuadratureSettings, _check_settings, _check_step, csv_sta
 
 __all__ = [
     "RejectionTable",
-    "NullSample",
     "run_rejection_table",
     "collect_null_statistics",
     "ks_distance",
@@ -89,15 +88,6 @@ class RejectionTable:
     @property
     def n_steps(self) -> int:
         return len(self.reached)
-
-
-@dataclass(frozen=True)
-class NullSample:
-    """Statistic values collected at one fixed step across replications."""
-
-    statistics: np.ndarray
-    k: int
-    config: SimulationConfig
 
 
 # Replications per job at most: a job holds one spectrum per replication
@@ -363,17 +353,20 @@ def run_rejection_table(cfg: SimulationConfig,
 
 def collect_null_statistics(cfg: SimulationConfig, k: int,
                             settings: QuadratureSettings = QuadratureSettings(),
-                            workers: int = 1) -> NullSample:
-    """Evaluate the step-k statistic on every replication, no gating.
+                            workers: int = 1) -> np.ndarray:
+    """The step-k statistic of every replication, no gating, as a float64 array
+    in replication order.
 
-    Requires ``cfg.true_rank == k - 1`` (so step k is the first true null)
-    and ``cfg.local_null_tau > 0``: with tau = 0 the trailing sample
-    eigenvalues are exactly zero, the plug-in scale degenerates, and the
-    statistic is identically 1 rather than Unif(0,1). A numeric failure
-    names the lowest failing replication.
+    Requires ``cfg.reps >= 1``, ``cfg.true_rank == k - 1`` (so step k is the
+    first true null) and ``cfg.local_null_tau > 0``: with tau = 0 the
+    trailing sample eigenvalues are exactly zero, the plug-in scale
+    degenerates, and the statistic is identically 1 rather than Unif(0,1).
+    A numeric failure names the lowest failing replication.
     """
     _check_config(cfg)
     k = _check_step(k, cfg.p)
+    if cfg.reps < 1:
+        raise ValidationError(f"null collection needs reps >= 1, got {cfg.reps}")
     if cfg.true_rank != k - 1:
         raise ValidationError(
             f"null collection at step k={k} needs true_rank == k-1, got {cfg.true_rank}"
@@ -386,16 +379,13 @@ def collect_null_statistics(cfg: SimulationConfig, k: int,
     _check_settings(settings)
     blocks = _map_blocks(cfg, lambda lam: csv_statistic(lam, k, settings=settings).statistic,
                          workers, "null sample")
-    stats = np.concatenate(blocks) if blocks else np.empty(0)
-    return NullSample(statistics=stats, k=k, config=cfg)
+    return np.concatenate(blocks)
 
 
 def ks_distance(sample) -> float:
-    """Sup-norm distance between the empirical CDF and the Unif(0,1) CDF.
-
-    Accepts a :class:`NullSample` or any array of values in [0, 1].
-    """
-    values = _real_array("sample", sample.statistics if isinstance(sample, NullSample) else sample)
+    """Sup-norm distance between the empirical CDF of an array of values in
+    [0, 1] and the Unif(0,1) CDF."""
+    values = _real_array("sample", sample)
     if values.ndim != 1 or values.size == 0:
         raise ValidationError(f"sample must be a non-empty 1-d array, got shape {values.shape}")
     if np.any(values < 0.0) or np.any(values > 1.0) or not np.all(np.isfinite(values)):

@@ -11,7 +11,6 @@ reported as rank_estimate p - 1 with ``boundary_reached`` set.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -20,41 +19,20 @@ from .errors import NumericalError, _check_alpha
 from .spectrum import sample_covariance, symmetric_eigen
 from .statistic import QuadratureSettings, _check_eigenvalues, csv_statistic
 
-__all__ = ["StepOutcome", "SequentialResult", "SequenceStatistics", "run_sequence",
-           "rank_from_data"]
-
-
-@dataclass(frozen=True)
-class StepOutcome:
-    """Result of one test step.
-
-    ``degenerate`` marks steps whose statistic a tie fixed without
-    quadrature, as reported by :func:`csv_statistic`: lam_k == lam_{k+1}
-    (which includes an exactly low-rank trailing spectrum, whose plug-in
-    scale is 0) gives 1 and accepts; lam_{k-1} == lam_k with k >= 2 gives 0
-    and rejects.
-    """
-
-    k: int
-    statistic: float
-    rejected: bool
-    scale2_used: float
-    degenerate: bool
-
-
-@dataclass(frozen=True)
-class SequentialResult:
-    alpha: float
-    steps: tuple[StepOutcome, ...] = field(repr=False)
-    rank_estimate: int
-    boundary_reached: bool
+__all__ = ["SequenceStatistics", "run_sequence", "rank_from_data"]
 
 
 class SequenceStatistics(NamedTuple):
-    """Results of :func:`run_sequence` on a stack of spectra, one row per spectrum.
+    """Results of :func:`run_sequence` on a stack of spectra, one row per
+    spectrum; on one spectrum, the same fields without the row axis.
 
-    Column k - 1 of ``statistic``, ``scale2`` and ``degenerate`` holds step k
-    (see :class:`StepOutcome`); past a row's last step they hold NaN and False.
+    Column k - 1 of ``statistic``, ``scale2`` and ``degenerate`` holds step k;
+    past a row's last step they hold NaN and False. Step k rejected where its
+    statistic is at or below alpha. ``degenerate`` marks steps whose statistic
+    a tie fixed without quadrature, as reported by :func:`csv_statistic`:
+    lam_k == lam_{k+1} (which includes an exactly low-rank trailing spectrum,
+    whose plug-in scale is 0) gives 1 and accepts; lam_{k-1} == lam_k with
+    k >= 2 gives 0 and rejects.
     """
 
     statistic: np.ndarray
@@ -65,19 +43,19 @@ class SequenceStatistics(NamedTuple):
 
 
 def run_sequence(eigenvalues, alpha: float, settings: QuadratureSettings = QuadratureSettings()
-                 ) -> SequentialResult | SequenceStatistics:
+                 ) -> SequenceStatistics:
     """Run the nested tests over k = 1..p-1 on a descending spectrum.
 
     Stops at the first step whose statistic exceeds alpha; every earlier
     step is a rejection. The plug-in scale is recomputed at each step from
     the trailing eigenvalues lam_k..lam_p.
 
-    A 2-d stack of spectra (one per row) gives a :class:`SequenceStatistics`
-    of arrays in place of the per-step objects. Each step is evaluated in one
-    :func:`csv_statistic` call for the rows still rejecting, and every row's
-    values are the ones it would get alone. When row r fails, the rows below
-    r are run first and their failure, if any, is raised instead, so a
-    NumericalError names the lowest failing row in ``index``.
+    A 2-d stack of spectra (one per row) gives one row of results per
+    spectrum. Each step is evaluated in one :func:`csv_statistic` call for
+    the rows still rejecting, and every row's values are the ones it would
+    get alone. When row r fails, the rows below r are run first and their
+    failure, if any, is raised instead, so a NumericalError names the lowest
+    failing row in ``index``.
     """
     lam = _check_eigenvalues(eigenvalues)
     alpha = _check_alpha(alpha)
@@ -107,22 +85,14 @@ def run_sequence(eigenvalues, alpha: float, settings: QuadratureSettings = Quadr
 
     # Every step before the first acceptance rejected; NaN is no rejection.
     rejected = stats <= alpha
-    if lam.ndim == 2:
-        return SequenceStatistics(statistic=stats, scale2=scale2, degenerate=degenerate,
-                                  rank_estimate=rejected.sum(axis=1),
-                                  boundary_reached=rejected[:, -1])
-    # One row ran steps 1..k-1.
-    steps = tuple(
-        StepOutcome(k=j + 1, statistic=s, rejected=s <= alpha, scale2_used=s2, degenerate=d)
-        for j, (s, s2, d) in enumerate(zip(stats[0, :k - 1].tolist(), scale2[0, :k - 1].tolist(),
-                                           degenerate[0, :k - 1].tolist()))
-    )
-    return SequentialResult(alpha=alpha, steps=steps, rank_estimate=int(rejected.sum()),
-                            boundary_reached=bool(rejected[0, -1]))
+    result = SequenceStatistics(statistic=stats, scale2=scale2, degenerate=degenerate,
+                                rank_estimate=rejected.sum(axis=1),
+                                boundary_reached=rejected[:, -1])
+    return result if lam.ndim == 2 else SequenceStatistics(*(field[0] for field in result))
 
 
 def rank_from_data(data, alpha: float, center: bool = False,
-                   settings: QuadratureSettings = QuadratureSettings()) -> SequentialResult:
+                   settings: QuadratureSettings = QuadratureSettings()) -> SequenceStatistics:
     """Estimate the covariance rank directly from an n x p data matrix.
 
     Composition of :func:`sample_covariance`, :func:`symmetric_eigen`, and

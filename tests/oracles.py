@@ -4,7 +4,7 @@ Everything here is deliberately written from scratch against the defining
 formulas: a brute-force covariance accumulation and a fixed-grid composite
 midpoint rule for the spectral integrals. No code is shared with the
 adaptive quadrature or covariance paths under test. Stacked sequence results
-are checked against the 1-d results of their rows, rebuilt here step by step.
+are checked against the 1-d results of their rows, field by field.
 """
 
 from __future__ import annotations
@@ -93,22 +93,17 @@ def midpoint_csv_statistic(eigenvalues, k: int, scale2: float,
 
 
 def assert_rows_run_alone(stack, alone) -> None:
-    """Assert that the arrays ``run_sequence`` gives for a stack hold, in row i,
-    the 1-d result ``alone[i]``: the bits of each step's statistic and scale2,
-    its degenerate flag, NaN and False past the row's last step, the rank
-    estimate and the boundary flag."""
-    rows, steps = len(alone), stack.statistic.shape[1]
-    statistic, scale2 = np.full((rows, steps), np.nan), np.full((rows, steps), np.nan)
-    degenerate = np.zeros((rows, steps), dtype=bool)
-    for i, result in enumerate(alone):
-        for step in result.steps:
-            statistic[i, step.k - 1] = step.statistic
-            scale2[i, step.k - 1] = step.scale2_used
-            degenerate[i, step.k - 1] = step.degenerate
-    expected = {"statistic": statistic, "scale2": scale2, "degenerate": degenerate,
-                "rank_estimate": np.array([r.rank_estimate for r in alone]),
-                "boundary_reached": np.array([r.boundary_reached for r in alone])}
-    for name, value in expected.items():
-        got = getattr(stack, name)
-        assert (got.dtype, got.shape, got.tobytes()) == (value.dtype, value.shape,
-                                                         value.tobytes()), name
+    """Assert that row i of each field ``run_sequence`` gives for a stack is, to
+    the bit and with the same dtype, that field of the 1-d result ``alone[i]``:
+    each step's statistic, scale2 and degenerate flag, NaN and False past the
+    row's last step, the rank estimate and the boundary flag."""
+    for name in stack._fields:
+        got, want = getattr(stack, name), np.stack([getattr(r, name) for r in alone])
+        assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape,
+                                                         want.tobytes()), name
+
+
+def ran_statistics(result) -> np.ndarray:
+    """Statistics of the steps that a 1-d ``run_sequence`` result ran, step 1 first:
+    they come before the NaN that marks the steps past its last."""
+    return result.statistic[~np.isnan(result.statistic)]

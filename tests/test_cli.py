@@ -660,6 +660,14 @@ class TestNullcheckCommand:
         assert code == 1
         assert "degenerate" in err
 
+    def test_zero_reps_exits_1_naming_reps(self, tmp_path):
+        path = tmp_path / "no_reps.json"
+        path.write_text(json.dumps({"p": 4, "true_rank": 0, "n": 50, "reps": 0,
+                                    "local_null_tau": 0.5, "seed": 3}))
+        code, out, err = invoke(["nullcheck", str(path)])
+        assert (code, out) == (1, "")
+        assert err == "covrank: workflow: null collection needs reps >= 1, got 0\n"
+
     def test_json_output(self, null_config):
         code, out, _ = invoke(["nullcheck", str(null_config), "--format", "json"])
         assert code == 0

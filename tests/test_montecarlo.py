@@ -18,7 +18,6 @@ from hypothesis import strategies as st
 
 from covrank import dgp, montecarlo
 from covrank import (
-    NullSample,
     NumericalError,
     QuadratureSettings,
     SimulationConfig,
@@ -33,6 +32,8 @@ from covrank import (
     sample_covariance,
     symmetric_eigen,
 )
+
+from oracles import ran_statistics
 
 
 def small_table_config(**overrides):
@@ -105,13 +106,14 @@ class TestRunRejectionTable:
         results = [run_sequence(symmetric_eigen(sample_covariance(_three_designs(cfg, r),
                                                                   center=False)).eigenvalues,
                                 cfg.alpha) for r in range(cfg.reps)]
-        assert {(r.rank_estimate, r.boundary_reached, r.steps[-1].degenerate)
+        assert {(int(r.rank_estimate), bool(r.boundary_reached),
+                 bool(r.degenerate[len(ran_statistics(r)) - 1]))
                 for r in results} == {(4, True, False), (0, False, False), (1, False, True)}
         reached, rejected = [0] * (cfg.p - 1), [0] * (cfg.p - 1)
         for result in results:
-            for step in result.steps:
-                reached[step.k - 1] += 1
-                rejected[step.k - 1] += step.rejected
+            for k, statistic in enumerate(ran_statistics(result).tolist(), start=1):
+                reached[k - 1] += 1
+                rejected[k - 1] += statistic <= cfg.alpha
         table = run_rejection_table(cfg, workers=workers)
         assert (table.reached, table.rejected) == (tuple(reached), tuple(rejected))
 
@@ -144,14 +146,18 @@ class TestCollectNullStatistics:
 
     def test_values_in_unit_interval(self):
         sample = collect_null_statistics(self.null_config(), 1)
-        assert sample.statistics.shape == (40,)
-        assert np.all(sample.statistics >= 0.0)
-        assert np.all(sample.statistics <= 1.0)
+        assert (sample.dtype, sample.shape) == (np.float64, (40,))
+        assert np.all(sample >= 0.0)
+        assert np.all(sample <= 1.0)
 
     def test_rejects_zero_tau_with_degeneracy_message(self):
         cfg = SimulationConfig(p=4, true_rank=0, n=200, reps=10, seed=99)
         with pytest.raises(ValidationError, match="degenerate"):
             collect_null_statistics(cfg, 1)
+
+    def test_rejects_zero_reps(self):
+        with pytest.raises(ValidationError, match=r"^null collection needs reps >= 1, got 0$"):
+            collect_null_statistics(self.null_config(reps=0), 1)
 
     def test_rejects_mismatched_rank(self):
         with pytest.raises(ValidationError, match="true_rank"):
@@ -176,7 +182,7 @@ class TestCollectNullStatistics:
         for reps in (12, 257):
             s1 = collect_null_statistics(self.null_config(reps=reps), 1, workers=1)
             s2 = collect_null_statistics(self.null_config(reps=reps), 1, workers=2)
-            assert s1.statistics.tobytes() == s2.statistics.tobytes()
+            assert s1.tobytes() == s2.tobytes()
 
     def test_no_sequential_gating(self):
         # Statistics are collected at the step even when earlier steps would
@@ -184,8 +190,7 @@ class TestCollectNullStatistics:
         cfg = self.null_config(p=5, true_rank=1, n=150,
                                factor_scales=(4.0,), reps=15)
         sample = collect_null_statistics(cfg, 2)
-        assert sample.k == 2
-        assert sample.statistics.shape == (15,)
+        assert sample.shape == (15,)
 
 
 class TestNumericFailure:
@@ -714,9 +719,9 @@ class TestPoolSize:
 
     def test_one_replication_null_sample_starts_no_pool(self, forks):
         cfg = SimulationConfig(p=4, true_rank=0, n=50, reps=1, local_null_tau=0.5, seed=9)
-        two_workers = collect_null_statistics(cfg, 1, workers=2).statistics
+        two_workers = collect_null_statistics(cfg, 1, workers=2)
         assert forks == []
-        assert two_workers.tobytes() == collect_null_statistics(cfg, 1).statistics.tobytes()
+        assert two_workers.tobytes() == collect_null_statistics(cfg, 1).tobytes()
 
     def test_design_is_built_before_the_pool_starts(self, monkeypatch):
         # Forked workers then find the design cached instead of each building it.
@@ -741,12 +746,6 @@ class TestKsDistance:
     def test_seeded_uniform_sample(self):
         rng = np.random.default_rng(123456)
         assert ks_distance(rng.uniform(0.0, 1.0, 1000)) <= 0.06
-
-    def test_accepts_null_sample_wrapper(self):
-        cfg = SimulationConfig(p=4, true_rank=0, n=100, reps=3,
-                               local_null_tau=0.5, seed=1)
-        sample = NullSample(statistics=np.array([0.2, 0.4, 0.9]), k=1, config=cfg)
-        assert ks_distance(sample) == ks_distance(np.array([0.2, 0.4, 0.9]))
 
     def test_empty_rejected(self):
         with pytest.raises(ValidationError):

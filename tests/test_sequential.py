@@ -3,6 +3,7 @@ import pytest
 
 from covrank import (
     NumericalError,
+    SequenceStatistics,
     ValidationError,
     csv_statistic,
     rank_from_data,
@@ -11,7 +12,7 @@ from covrank import (
     symmetric_eigen,
 )
 
-from oracles import assert_rows_run_alone
+from oracles import assert_rows_run_alone, ran_statistics
 
 
 def exact_rank_one(n: int, p: int, seed: int) -> np.ndarray:
@@ -26,8 +27,8 @@ class TestRunSequence:
         rng = np.random.default_rng(424242)
         cov = sample_covariance(rng.standard_normal((200, 5)))
         result = run_sequence(symmetric_eigen(cov).eigenvalues, 0.05)
-        assert len(result.steps) == 1
-        assert not result.steps[0].rejected
+        assert len(ran_statistics(result)) == 1
+        assert not result.statistic[0] <= 0.05
         assert result.rank_estimate == 0
         assert not result.boundary_reached
 
@@ -35,33 +36,37 @@ class TestRunSequence:
         data = exact_rank_one(100, 10, seed=777)
         result = rank_from_data(data, 0.05, center=False)
         assert result.rank_estimate == 1
-        first, second = result.steps
-        assert first.rejected and not first.degenerate
-        assert second.degenerate
-        assert second.statistic == 1.0
-        assert second.scale2_used == 0.0
-        assert not second.rejected
+        assert len(ran_statistics(result)) == 2
+        assert result.statistic[0] <= 0.05 and not result.degenerate[0]
+        assert result.degenerate[1]
+        assert result.statistic[1] == 1.0
+        assert result.scale2[1] == 0.0
+        assert not result.statistic[1] <= 0.05
 
     def test_boundary_reached_when_everything_rejects(self):
         result = run_sequence([100.0, 10.0, 1.0], alpha=0.5)
-        assert [s.rejected for s in result.steps] == [True, True]
+        assert (ran_statistics(result) <= 0.5).tolist() == [True, True]
         assert result.rank_estimate == 2
         assert result.boundary_reached
 
     def test_steps_are_consecutive_and_stop_at_first_acceptance(self):
         result = run_sequence([100.0, 10.0, 1.0, 0.5, 0.2], alpha=0.2)
-        ks = [s.k for s in result.steps]
-        assert ks == list(range(1, len(ks) + 1))
-        for step in result.steps[:-1]:
-            assert step.rejected
+        ran = ~np.isnan(result.statistic)
+        assert ran.tolist() == sorted(ran.tolist(), reverse=True)  # steps 1..m, then none
+        stats = ran_statistics(result)
+        for statistic in stats[:-1]:
+            assert statistic <= 0.2
         if not result.boundary_reached:
-            assert not result.steps[-1].rejected
-        assert result.rank_estimate == sum(s.rejected for s in result.steps)
+            assert not stats[-1] <= 0.2
+        assert result.rank_estimate == np.count_nonzero(stats <= 0.2)
 
     def test_rejected_iff_statistic_at_most_alpha(self):
         result = run_sequence([4.0, 2.5, 1.0, 0.4], alpha=0.3)
-        for step in result.steps:
-            assert step.rejected == (step.statistic <= 0.3)
+        # A step rejects, and the next one runs, exactly when its statistic is
+        # at most alpha.
+        stats = result.statistic
+        assert (~np.isnan(stats[1:])).tolist() == (stats[:-1] <= 0.3).tolist()
+        assert result.rank_estimate == np.count_nonzero(stats <= 0.3)
 
     def test_alpha_validation(self):
         for bad in (0.0, 1.0, -0.2, 1.5):
@@ -94,10 +99,11 @@ class TestRunSequence:
         # own, step 3 would reject by the lam_{k-1} == lam_k rule.
         lam = np.array([40.0, 3.0, 3.0, 1.0, 0.5])
         result = run_sequence(lam, 0.05)
-        assert [s.degenerate for s in result.steps] == [False, True]
-        for step in result.steps:
-            row = csv_statistic(lam[None, :], step.k)
-            assert (step.statistic, step.scale2_used, step.degenerate) == (
+        steps = len(ran_statistics(result))
+        assert result.degenerate[:steps].tolist() == [False, True]
+        for k in range(1, steps + 1):
+            row = csv_statistic(lam[None, :], k)
+            assert (result.statistic[k - 1], result.scale2[k - 1], result.degenerate[k - 1]) == (
                 row.statistic[0], row.scale2[0], row.degenerate[0])
         assert csv_statistic(lam[None, :], 3).degenerate[0]
 
@@ -115,13 +121,37 @@ class TestRunSequence:
         spectra = np.array(spectra)
         alone = [run_sequence(lam, 0.05) for lam in spectra]
         assert alone[2].boundary_reached and alone[8].rank_estimate == 0
-        assert [s.degenerate for s in alone[6].steps] == [False, True]
+        assert alone[6].degenerate[:len(ran_statistics(alone[6]))].tolist() == [False, True]
         stack = run_sequence(spectra, 0.05)
         assert_rows_run_alone(stack, alone)
         assert_rows_run_alone(run_sequence(spectra[:4], 0.05), alone[:4])
         assert_rows_run_alone(run_sequence(spectra[4:], 0.05), alone[4:])
         order = rng.permutation(len(spectra))
         assert_rows_run_alone(run_sequence(spectra[order], 0.05), [alone[i] for i in order])
+
+
+class TestOneSpectrumResult:
+    # (spectrum, alpha, rank estimate, boundary flag), as the step tests above expect.
+    CASES = [([100.0, 10.0, 1.0, 0.5, 0.2], 0.2, 4, True),  # every step rejects
+             ([100.0, 10.0, 1.0], 0.5, 2, True),
+             ([40.0, 3.0, 3.0, 1.0, 0.5], 0.05, 1, False)]  # step 2 accepts by the tie rule
+
+    @pytest.mark.parametrize("lam, alpha, rank, boundary", CASES)
+    def test_fields_are_the_stack_fields_without_the_row_axis(self, lam, alpha, rank, boundary):
+        result = run_sequence(lam, alpha)
+        assert type(result) is SequenceStatistics
+        p = len(lam)
+        for name in ("statistic", "scale2", "degenerate"):
+            assert getattr(result, name).shape == (p - 1,), name
+        assert result.statistic.dtype == result.scale2.dtype == np.float64
+        assert result.degenerate.dtype == np.bool_
+        assert np.shape(result.rank_estimate) == np.shape(result.boundary_reached) == ()
+        assert (result.rank_estimate, result.boundary_reached) == (rank, boundary)
+        ran = min(rank + 1, p - 1)
+        assert not np.isnan(result.statistic[:ran]).any()
+        assert not np.isnan(result.scale2[:ran]).any()
+        assert np.isnan(result.statistic[ran:]).all() and np.isnan(result.scale2[ran:]).all()
+        assert not result.degenerate[ran:].any()
 
 
 class TestRankFromData:
@@ -131,10 +161,11 @@ class TestRankFromData:
         via_data = rank_from_data(data, 0.05, center=False)
         lam = symmetric_eigen(sample_covariance(data, center=False)).eigenvalues
         via_spectrum = run_sequence(lam, 0.05)
+        assert type(via_data) is type(via_spectrum) is SequenceStatistics
         assert via_data.rank_estimate == via_spectrum.rank_estimate
-        for a, b in zip(via_data.steps, via_spectrum.steps):
-            assert a.statistic == b.statistic  # bit-for-bit, same pipeline
-            assert a.rejected == b.rejected
+        for a, b in zip(ran_statistics(via_data), ran_statistics(via_spectrum)):
+            assert a == b  # bit-for-bit, same pipeline
+            assert (a <= 0.05) == (b <= 0.05)
 
     def test_exact_collinear_data(self):
         # With p = 4 covariates on a line the first step rejects and the
@@ -154,7 +185,7 @@ class TestRankFromData:
         t = rng.standard_normal(200)
         data3 = t[:, None] * np.array([1.0, -2.0, 0.5])[None, :]
         result = rank_from_data(data3, 0.05, center=False)
-        assert result.steps[0].statistic == pytest.approx(0.1090641, abs=1e-6)
+        assert result.statistic[0] == pytest.approx(0.1090641, abs=1e-6)
         assert result.rank_estimate == 0
 
     def test_decisions_invariant_under_data_scaling(self):
@@ -163,7 +194,8 @@ class TestRankFromData:
         for c in (1e-4, 37.0, 1e5):
             scaled = rank_from_data(c * data, 0.05, center=False)
             assert scaled.rank_estimate == base.rank_estimate
-            assert [s.rejected for s in scaled.steps] == [s.rejected for s in base.steps]
+            assert ((ran_statistics(scaled) <= 0.05).tolist()
+                    == (ran_statistics(base) <= 0.05).tolist())
 
     def test_decisions_invariant_under_rotation(self):
         rng = np.random.default_rng(55)
@@ -172,8 +204,9 @@ class TestRankFromData:
         q, _ = np.linalg.qr(rng.standard_normal((4, 4)))
         rotated = rank_from_data(data @ q, 0.05, center=False)
         # skip knife-edge comparisons, none expected for this seed
-        assert all(abs(s.statistic - 0.05) > 1e-6 for s in base.steps)
-        assert [s.rejected for s in rotated.steps] == [s.rejected for s in base.steps]
+        assert all(abs(s - 0.05) > 1e-6 for s in ran_statistics(base))
+        assert ((ran_statistics(rotated) <= 0.05).tolist()
+                == (ran_statistics(base) <= 0.05).tolist())
 
     def test_warns_when_n_not_larger_than_p(self):
         rng = np.random.default_rng(2)
