@@ -49,6 +49,15 @@ def _check_seed(seed) -> int:
     return seed
 
 
+def _check_t_df(t_df) -> float:
+    """The factors' degrees of freedom as a float; ValidationError unless it is
+    a real number above 2, where the factor covariance is finite."""
+    t_df = _real("t_df", t_df)
+    if not (math.isfinite(t_df) and t_df > 2.0):
+        raise ValidationError(f"t_df must exceed 2 (finite factor covariance), got {t_df}")
+    return t_df
+
+
 def _rng(seed) -> np.random.Generator:
     """numpy's generator for ``seed``: a SeedSequence, or else a master seed
     (see ``_check_seed``)."""
@@ -82,17 +91,14 @@ class SimulationConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name, low in (("p", 2), ("true_rank", 0), ("n", 2), ("reps", 0), ("seed", None)):
+        for name, low in (("p", 2), ("true_rank", 0), ("n", 2), ("reps", 0)):
             object.__setattr__(self, name, _integer(name, getattr(self, name), low))
-        for name in ("alpha", "t_df", "gap_c0", "local_null_tau"):
+        for name, check in (("seed", _check_seed), ("alpha", _check_alpha), ("t_df", _check_t_df)):
+            object.__setattr__(self, name, check(getattr(self, name)))
+        for name in ("gap_c0", "local_null_tau"):
             object.__setattr__(self, name, _real(name, getattr(self, name)))
         if self.true_rank > self.p:
             raise ValidationError(f"true_rank must be in [0, p={self.p}], got {self.true_rank}")
-        _check_alpha(self.alpha)
-        if not (math.isfinite(self.t_df) and self.t_df > 2.0):
-            raise ValidationError(
-                f"t_df must exceed 2 (finite factor covariance), got {self.t_df}"
-            )
         if self.t_df <= 4.0:
             warnings.warn(
                 f"t_df={self.t_df} <= 4: factor fourth moments are infinite, outside "
@@ -101,7 +107,6 @@ class SimulationConfig:
             )
         if not (math.isfinite(self.gap_c0) and self.gap_c0 > 0.0):
             raise ValidationError(f"gap_c0 must be positive, got {self.gap_c0}")
-        _check_seed(self.seed)
 
         if self.factor_scales is None:
             scales = tuple(
@@ -142,13 +147,6 @@ class SimulationConfig:
                     f"smallest leading eigenvalue {self.factor_scales[-1]}"
                 )
 
-    def population_eigenvalues(self) -> np.ndarray:
-        """Eigenvalues of the population covariance implied by this config."""
-        trailing = self.local_null_tau / math.sqrt(self.n) if self.local_null_tau > 0 else 0.0
-        return np.array(
-            list(self.factor_scales) + [trailing] * (self.p - self.true_rank), dtype=np.float64
-        )
-
 
 def _check_config(cfg) -> None:
     if not isinstance(cfg, SimulationConfig):
@@ -161,13 +159,14 @@ def make_loadings(p: int, k: int, factor_scales, seed) -> np.ndarray:
     Draws a Gaussian matrix, orthonormalizes it by QR (signs fixed so the
     result is unique), and scales column j by sqrt(factor_scales[j]). The
     Gram matrix A^T A is therefore diag(factor_scales) and A A^T has the
-    scales as its nonzero eigenvalues. Deterministic given the seed, a
-    SeedSequence or a 64-bit unsigned integer. A rank-deficient draw, an
-    event of probability zero, raises NumericalError.
+    scales as its nonzero eigenvalues. Requires 0 <= k <= p; k = 0 gives a
+    p x 0 matrix. Deterministic given the seed, a SeedSequence or a 64-bit
+    unsigned integer. A rank-deficient draw, an event of probability zero,
+    raises NumericalError.
     """
-    p, k = _integer("p", p), _integer("k", k)
-    if not 0 <= k <= p:
-        raise ValidationError(f"need 0 <= k <= p, got k={k}, p={p}")
+    p, k = _integer("p", p), _integer("k", k, 0)
+    if k > p:
+        raise ValidationError(f"need k <= p, got k={k}, p={p}")
     scales = _real_array("factor_scales", factor_scales)
     if scales.shape != (k,):
         raise ValidationError(f"factor_scales must have length k={k}")
@@ -193,15 +192,12 @@ def sample_factors_t(k: int, n: int, t_df: float, seed) -> np.ndarray:
     Each row is G / sqrt(W / df) with G standard Gaussian and W an
     independent chi-square(df) shared across the row's components, then
     multiplied by sqrt((df - 2) / df) to undo the t-distribution's variance
-    inflation. Requires t_df > 2. Deterministic given the seed, a
-    SeedSequence or a 64-bit unsigned integer.
+    inflation. Requires k >= 1, n >= 1 and t_df > 2, the same t_df rule as
+    SimulationConfig's. Deterministic given the seed, a SeedSequence or a
+    64-bit unsigned integer.
     """
-    t_df = _real("t_df", t_df)
-    if not (math.isfinite(t_df) and t_df > 2.0):
-        raise ValidationError(f"t_df must exceed 2 for finite factor variance, got {t_df}")
-    k, n = _integer("k", k), _integer("n", n)
-    if k < 1 or n < 1:
-        raise ValidationError(f"need k >= 1 and n >= 1, got k={k}, n={n}")
+    t_df = _check_t_df(t_df)
+    k, n = _integer("k", k, 1), _integer("n", n, 1)
     rng = _rng(seed)
     g = rng.standard_normal((n, k))
     w = rng.chisquare(t_df, size=n)

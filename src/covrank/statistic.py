@@ -186,14 +186,13 @@ def plug_in_scale(eigenvalues, k: int) -> float | np.ndarray:
     Exactly 0 for an exactly low-rank trailing spectrum; 0, subnormal or
     ``inf`` where the squares under- or overflow float64, without a warning.
     :func:`csv_statistic` settles the first case by its tie rule and raises
-    a NumericalError on the others. Returns a float for one spectrum and an
-    array with one scale per row for a 2-d stack.
+    a NumericalError on the others. The step k runs over 1..p-1, as in
+    every other step-taking function. Returns a float for one spectrum and
+    an array with one scale per row for a 2-d stack.
     """
     lam = _check_eigenvalues(eigenvalues)
     p = lam.shape[-1]
-    k = _integer("k", k)
-    if not 1 <= k <= p:
-        raise ValidationError(f"k must satisfy 1 <= k <= p = {p}, got {k}")
+    k = _check_step(k, p)
     tail = lam[..., k - 1 :]
     with np.errstate(over="ignore", under="ignore"):
         s2 = (tail * tail).sum(axis=-1) / (p * (p - k + 1))

@@ -2,7 +2,9 @@
 
 Every integer argument refuses a float, a bool and a string with a
 ValidationError that names it, and a numpy integer gives byte-for-byte the
-result of the equal Python int.
+result of the equal Python int. An integer below its lower bound is refused
+in one message, and every step argument is refused outside 1..p-1 in one
+message.
 """
 
 import pickle
@@ -77,9 +79,33 @@ def test_numpy_integers_give_the_same_bytes(argument):
     assert pickle.dumps(call(np.int64(good))) == pickle.dumps(call(good))
 
 
-@pytest.mark.parametrize("argument", ["run_rejection_table-workers",
-                                      "collect_null_statistics-workers"])
-@pytest.mark.parametrize("workers", [0, -2])
-def test_workers_below_one_are_refused(argument, workers):
-    with pytest.raises(ValidationError, match=f"^workers must be an integer >= 1, got {workers}$"):
-        _ARGUMENTS[argument][2](workers)
+# id in _ARGUMENTS: the argument's lower bound
+_LOWER_BOUNDS = {
+    "run_rejection_table-workers": 1,
+    "collect_null_statistics-workers": 1,
+    "sample_factors_t-k": 1,
+    "sample_factors_t-n": 1,
+    "make_loadings-k": 0,
+}
+
+
+@pytest.mark.parametrize("argument", _LOWER_BOUNDS)
+@pytest.mark.parametrize("below", [1, 3])
+def test_integers_below_their_bound_are_refused(argument, below):
+    name, _, call = _ARGUMENTS[argument]
+    low = _LOWER_BOUNDS[argument]
+    bad = low - below
+    with pytest.raises(ValidationError, match=f"^{name} must be an integer >= {low}, got {bad}$"):
+        call(bad)
+
+
+# Every step argument in _ARGUMENTS is for a p = 3 spectrum or config.
+_STEPS = ["plug_in_scale-k", "log_integral-k", "csv_statistic-k", "rate_percent-k",
+          "collect_null_statistics-k"]
+
+
+@pytest.mark.parametrize("argument", _STEPS)
+@pytest.mark.parametrize("k", [0, 3])
+def test_steps_outside_one_to_p_minus_one_are_refused(argument, k):
+    with pytest.raises(ValidationError, match=rf"^step k must satisfy 1 <= k <= p-1 = 2, got {k}$"):
+        _ARGUMENTS[argument][2](k)

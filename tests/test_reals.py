@@ -131,6 +131,14 @@ def _same_bytes(call, good, spellings):
         assert pickle.dumps(call(value)) == want, label
 
 
+@pytest.mark.parametrize("argument", ["SimulationConfig-t_df", "sample_factors_t-t_df"])
+@pytest.mark.parametrize("t_df", [2.0, 1.5, float("inf"), float("nan")])
+def test_t_df_refusals_share_one_message(argument, t_df):
+    with pytest.raises(ValidationError) as info:
+        _SCALARS[argument][2](t_df)
+    assert str(info.value) == f"t_df must exceed 2 (finite factor covariance), got {t_df}"
+
+
 @pytest.mark.parametrize("argument", _SCALARS)
 def test_numpy_scalars_give_the_same_bytes(argument):
     _, good, call = _SCALARS[argument]

@@ -57,9 +57,6 @@ class TestPlugInScale:
             acc += v * v
         assert plug_in_scale(lam, 1) == pytest.approx(acc / 100.0, rel=1e-14)
 
-    def test_k_p_allowed(self):
-        assert plug_in_scale([2.0, 1.0], 2) == pytest.approx(1.0 / 2.0)
-
     def test_k_out_of_range(self):
         with pytest.raises(ValidationError):
             plug_in_scale([2.0, 1.0], 3)
@@ -224,6 +221,17 @@ class TestLogIntegral:
         got = log_integral(0.0, 2.0, [3.0, 1.0], 1, 1e-26)
         exact = mp_mass(0.0, 2.0, [3.0, 1.0], 1, 1e-26, [1e-13 * 2**i for i in range(7)])
         assert got == pytest.approx(math.log(exact), rel=1e-10)
+
+    def test_interior_eigenvalues_are_breakpoints(self):
+        # Started as one panel, this integral converges falsely: the coarse
+        # and fine rules agree across the kinks at 3.398 and 3.437 while the
+        # value is off by about 5e-6. Panels that end at the eigenvalues
+        # inside [lo, hi] integrate it to rounding.
+        lam = [4.67, 3.437, 3.398, 0.838]
+        s2 = plug_in_scale(lam, 1)
+        got = log_integral(0.0, 5.137, lam, 1, s2)
+        exact = mp_mass(0.0, 5.137, lam, 1, s2, [0.838, 3.398, 3.437, 4.67])
+        assert abs(math.exp(got) / exact - 1.0) <= 1e-12
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("lo, hi, lam, scale2", [
