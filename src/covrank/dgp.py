@@ -159,12 +159,12 @@ def make_loadings(p: int, k: int, factor_scales, seed) -> np.ndarray:
     Draws a Gaussian matrix, orthonormalizes it by QR (signs fixed so the
     result is unique), and scales column j by sqrt(factor_scales[j]). The
     Gram matrix A^T A is therefore diag(factor_scales) and A A^T has the
-    scales as its nonzero eigenvalues. Requires 0 <= k <= p; k = 0 gives a
-    p x 0 matrix. Deterministic given the seed, a SeedSequence or a 64-bit
-    unsigned integer. A rank-deficient draw, an event of probability zero,
-    raises NumericalError.
+    scales as its nonzero eigenvalues. Requires p >= 1 and 0 <= k <= p;
+    k = 0 gives a p x 0 matrix. Deterministic given the seed, a SeedSequence
+    or a 64-bit unsigned integer. A rank-deficient draw, an event of
+    probability zero, raises NumericalError.
     """
-    p, k = _integer("p", p), _integer("k", k, 0)
+    p, k = _integer("p", p, 1), _integer("k", k, 0)
     if k > p:
         raise ValidationError(f"need k <= p, got k={k}, p={p}")
     scales = _real_array("factor_scales", factor_scales)

@@ -53,9 +53,11 @@ def run_sequence(eigenvalues, alpha: float, settings: QuadratureSettings = Quadr
     A 2-d stack of spectra (one per row) gives one row of results per
     spectrum. Each step is evaluated in one :func:`csv_statistic` call for
     the rows still rejecting, and every row's values are the ones it would
-    get alone. When row r fails, the rows below r are run first and their
-    failure, if any, is raised instead, so a NumericalError names the lowest
-    failing row in ``index``.
+    get alone. When row r fails at step k, the rows from r on stop there,
+    step k is run again on the rows below r, and the sequence goes on with
+    them. The failure is raised once every step has run; each later one lies
+    in a lower row, so a NumericalError names the lowest failing row in
+    ``index``.
     """
     lam = _check_eigenvalues(eigenvalues)
     alpha = _check_alpha(alpha)
@@ -66,22 +68,24 @@ def run_sequence(eigenvalues, alpha: float, settings: QuadratureSettings = Quadr
     scale2 = np.full((rows, p - 1), np.nan)
     degenerate = np.zeros((rows, p - 1), dtype=bool)
     active = np.arange(rows)
+    failure = None
     k = 1
     while k < p and active.size:
         try:
             step = csv_statistic(spectra[active], k, settings=settings)
         except NumericalError as exc:
-            # A lower row may still fail at a later step: its own sequence
-            # raises that lower failure, if there is one.
+            # A lower row may still fail, at this step or a later one.
             row = int(active[exc.index or 0])
-            if row:
-                run_sequence(spectra[:row], alpha, settings)
-            raise exc.at(row, f"step k={k}: ") from exc
+            failure = exc.at(row, f"step k={k}: ")
+            active = active[active < row]
+            continue
         stats[active, k - 1] = step.statistic
         scale2[active, k - 1] = step.scale2
         degenerate[active, k - 1] = step.degenerate
         active = active[step.statistic <= alpha]
         k += 1
+    if failure is not None:
+        raise failure
 
     # Every step before the first acceptance rejected; NaN is no rejection.
     rejected = stats <= alpha

@@ -152,13 +152,6 @@ def _check_step(k: int, p: int) -> int:
     return k
 
 
-def _in_range(s2: np.ndarray, top: np.ndarray, settings: QuadratureSettings) -> np.ndarray:
-    """Rows whose Gaussian scale is a normal float and whose truncated upper
-    limit ``top + tail_sigmas * sqrt(s2)`` stays below ``_MAX_TOP``, where gap
-    factors (at most 2 u^2) would overflow; ``top`` is at least lam_1."""
-    return (s2 >= _TINY) & (np.sqrt(s2) < (_MAX_TOP - top) / settings.tail_sigmas)
-
-
 def _range_error(s2: np.ndarray, spectra: np.ndarray, row: int) -> NumericalError:
     return NumericalError(f"float64 under- or overflow at scale2={s2[row]:g}, "
                           f"lam_1={spectra[row, 0]:g}; rescale the data", index=row)
@@ -374,11 +367,12 @@ def log_integral(lo, hi, eigenvalues, k: int, scale2,
     splitting whichever panel carries the largest error estimate, until the
     total estimated error drops below ``rel_tol`` times the integral.
 
-    Returns the log-magnitude as a float; ``-inf`` encodes a zero integral
-    (empty interval). With a 2-d stack of spectra, ``lo``, ``hi`` and
-    ``scale2`` are scalars or one value per row, and the result is an array
-    with one log-magnitude per row; each row is integrated exactly as it
-    would be alone.
+    Returns the log-magnitude as a float; ``-inf`` encodes the zero integral
+    of an empty interval, and only that: a == b once an infinite ``hi`` is
+    truncated. With a 2-d stack of spectra, ``lo``, ``hi`` and ``scale2`` are
+    scalars or one value per row, and the result is an array with one
+    log-magnitude per row; each row is integrated exactly as it would be
+    alone.
 
     Raises
     ------
@@ -387,13 +381,15 @@ def log_integral(lo, hi, eigenvalues, k: int, scale2,
         rel_tol. The error carries
         ``best_estimate`` (the log value) and ``achieved_rel_tol`` of the
         lowest failing row, and that row's position in ``index``. A row
-        outside float64's range, with ``scale2`` below the smallest normal
+        outside float64's range is a float64 under- or overflow error
+        instead, with no estimate: ``scale2`` below the smallest normal
         float, ``hi`` or ``max(lo, lam_max) + tail_sigmas * sqrt(s2)`` at
-        or above sqrt(max / 2) where gap factors overflow, or a non-empty
+        or above sqrt(max / 2) where gap factors overflow, a non-empty
         interval whose ``hi`` and smallest eigenvalue both lie below
         sqrt(tiny) (about 1.49e-154), where that eigenvalue's gap factor is
-        subnormal or 0 at every node, is a float64 under- or overflow error
-        instead, with no estimate.
+        subnormal or 0 at every node, or a non-empty interval whose integral
+        comes out exactly zero. All rows are checked in the same pass, and
+        ``index`` names the lowest failing row of either kind.
     """
     lam = _check_eigenvalues(eigenvalues)
     spectra = np.atleast_2d(lam)
@@ -406,10 +402,14 @@ def log_integral(lo, hi, eigenvalues, k: int, scale2,
         raise ValidationError(f"integration limits must satisfy 0 <= lo <= hi and lo < inf, "
                               f"got [{lo}, {hi}]")
     # Rows from the lowest one outside float64's range on are not integrated,
-    # so the error names the lowest failing row. An interval below _SQRT_TINY
-    # is one too when the smallest eigenvalue is below it as well.
+    # so the error names the lowest failing row. Outside the range are a
+    # Gaussian scale below the smallest normal float, and a truncated upper
+    # limit top + tail_sigmas * sqrt(s2) or a finite hi at or above _MAX_TOP,
+    # where gap factors (at most 2 u^2) would overflow. An interval below
+    # _SQRT_TINY is one too when the smallest eigenvalue is below it as well.
     top = np.maximum(lo, spectra[:, 0])
-    bad = np.flatnonzero(~_in_range(s2, top, settings) | ((hi >= _MAX_TOP) & (hi < math.inf))
+    bad = np.flatnonzero(~((s2 >= _TINY) & (np.sqrt(s2) < (_MAX_TOP - top) / settings.tail_sigmas))
+                         | ((hi >= _MAX_TOP) & (hi < math.inf))
                          | ((lo < hi) & (hi < _SQRT_TINY) & (spectra[:, -1] < _SQRT_TINY)))
     stop = int(bad[0]) if bad.size else rows
     a, b, scale = lo[:stop], hi[:stop], s2[:stop]
@@ -427,8 +427,12 @@ def log_integral(lo, hi, eigenvalues, k: int, scale2,
     log_total, log_err, failed = _integrate(edges[:, :-1], edges[:, 1:], count, others,
                                             0.5 / scale, settings)
 
-    if failed.any():
-        i = int(np.argmax(failed))
+    # The integrand is positive off isolated points, so an exact zero over a
+    # non-empty interval is float64 under- or overflow. It joins the budget
+    # failures, and the lowest failing row of either kind is raised.
+    failing = np.flatnonzero(failed | ((log_total == _NEG_INF) & (a < b)))
+    i = int(failing[0]) if failing.size else stop
+    if i < stop and failed[i]:
         with np.errstate(over="ignore"):
             achieved = float(np.exp(log_err[i] - log_total[i]))
         raise NumericalError(
@@ -438,8 +442,8 @@ def log_integral(lo, hi, eigenvalues, k: int, scale2,
             achieved_rel_tol=achieved,
             index=i,
         )
-    if stop < rows:
-        raise _range_error(s2, spectra, stop)
+    if i < rows:
+        raise _range_error(s2, spectra, i)
     return float(log_total[0]) if lam.ndim == 1 else log_total
 
 
@@ -482,8 +486,10 @@ def csv_statistic(eigenvalues, k: int, scale2=None,
     NumericalError
         A quadrature ran out of split budget, or a row without a tie met
         float64 under- or overflow: a plug-in scale of 0, subnormal or inf,
-        an integration range whose gap factors would overflow, or a zero
-        N + M mass. ``index`` is the lowest failing row.
+        or any range error of :func:`log_integral`, which includes an
+        N or M mass that comes out exactly zero. Every row's N and M are
+        integrated in one :func:`log_integral` call, and ``index`` is the
+        lowest failing row.
     """
     lam = _check_eigenvalues(eigenvalues)
     spectra = np.atleast_2d(lam)
@@ -499,12 +505,11 @@ def csv_statistic(eigenvalues, k: int, scale2=None,
     degenerate = accept | reject
     stat = np.where(reject, 0.0, 1.0)
 
-    # Off the ties, only float64 under- or overflow puts a row outside
-    # _in_range (a plug-in scale of 0, subnormal or inf, or a top of
-    # integration at or above _MAX_TOP) or gives it a zero N + M mass. Rows
-    # from the lowest such one on are not integrated, so the error names the
-    # lowest failing row.
-    bad = np.flatnonzero(~degenerate & ~_in_range(s2, spectra[:, 0], settings))
+    # Off the ties, a plug-in scale of 0 or inf is float64 under- or overflow,
+    # which log_integral would refuse as an invalid scale2. Rows from the
+    # lowest such one on are not integrated, so the error names the lowest
+    # failing row.
+    bad = np.flatnonzero(~degenerate & ((s2 == 0.0) | (s2 == math.inf)))
     stop = int(bad[0]) if bad.size else rows
     q = np.flatnonzero(~degenerate[:stop])
     if q.size:
@@ -516,18 +521,9 @@ def csv_statistic(eigenvalues, k: int, scale2=None,
                                 np.repeat(spectra[q], 2, axis=0), k, np.repeat(s2[q], 2),
                                 settings)
         except NumericalError as exc:
-            # The rows below converged, but one of them may have a zero mass:
-            # evaluated alone they raise that lower failure, if there is one.
-            row = int(q[exc.index // 2])
-            if row:
-                csv_statistic(spectra[:row], k, None if scale2 is None else s2[:row], settings)
-            raise exc.at(row) from exc
+            raise exc.at(int(q[exc.index // 2])) from exc
         log_n = logs[0::2]
-        log_d = np.logaddexp(log_n, logs[1::2])
-        with np.errstate(invalid="ignore"):
-            stat[q] = np.exp(log_n - log_d)
-        empty = q[log_d == _NEG_INF]
-        stop = int(empty[0]) if empty.size else stop
+        stat[q] = np.exp(log_n - np.logaddexp(log_n, logs[1::2]))
     if stop < rows:
         raise _range_error(s2, spectra, stop)
 

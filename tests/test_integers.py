@@ -85,6 +85,7 @@ _LOWER_BOUNDS = {
     "collect_null_statistics-workers": 1,
     "sample_factors_t-k": 1,
     "sample_factors_t-n": 1,
+    "make_loadings-p": 1,
     "make_loadings-k": 0,
 }
 

@@ -94,6 +94,24 @@ class TestRunSequence:
         assert info.value.index == 0
         assert str(info.value).startswith("step k=2:")
 
+    def test_failure_is_found_without_rerunning_earlier_steps(self, monkeypatch):
+        # Row 1 underflows at step 2 and row 0 at step 3; step 1 runs once.
+        import covrank.sequential as seq
+
+        steps = []
+
+        def counted(eigenvalues, k, **kwargs):
+            steps.append(k)
+            return csv_statistic(eigenvalues, k, **kwargs)
+
+        monkeypatch.setattr(seq, "csv_statistic", counted)
+        stack = [[1e4, 1e2, 1e-200, 5e-201, 1e-201], [1e4, 1e-200, 5e-201, 1e-201, 5e-202]]
+        with pytest.raises(NumericalError) as info:
+            run_sequence(stack, 0.05)
+        assert info.value.index == 0
+        assert str(info.value).startswith("step k=3:")
+        assert steps.count(1) == 1
+
     def test_degenerate_flags_come_from_the_statistic(self):
         # lam_2 == lam_3: step 2 accepts by the tie rule; evaluated on its
         # own, step 3 would reject by the lam_{k-1} == lam_k rule.

@@ -270,6 +270,16 @@ class TestLogIntegral:
             log_integral(0.0, 2.0, np.tile([3.0, 1.0], (4, 1)), 1, [1.0, 1.0, 1e-310, 1e-320])
         assert info.value.index == 2
 
+    def test_zero_over_a_non_empty_interval_is_a_range_error(self):
+        # u^2 / (2 s2) overflows on all of [20, 30]: the integral is exactly 0.
+        with pytest.raises(NumericalError, match="under- or overflow") as info:
+            log_integral(20.0, 30.0, [30.0, 20.0, 10.0], 2, 1e-306)
+        assert (info.value.index, info.value.best_estimate) == (0, None)
+
+    def test_infinite_limit_truncated_onto_lo_is_empty(self):
+        # lo + tail_sigmas * sqrt(s2) rounds to lo: an empty interval, not an error.
+        assert log_integral(20.0, math.inf, [20.0, 10.0], 1, 1e-306) == -math.inf
+
 
 class TestCsvStatistic:
     def test_tied_lower_pair_returns_one(self):
@@ -327,8 +337,8 @@ class TestCsvStatistic:
         assert info.value.index == 1
 
     def test_zero_mass_below_a_quadrature_failure_names_the_lower_row(self):
-        # Row 1 exhausts its split budget; row 0, integrated in the same call,
-        # has a zero N + M mass, which is the lower failure.
+        # Row 1 exhausts its split budget; row 0 has a zero N + M mass, which
+        # the same log_integral pass finds as the lower failure.
         cfg = SimulationConfig(p=6, true_rank=1, n=200, reps=2, local_null_tau=1.0,
                                factor_scales=(3.0,), seed=5)
         lam = symmetric_eigen(sample_covariance(generate_dataset(cfg, 1))).eigenvalues
@@ -339,6 +349,39 @@ class TestCsvStatistic:
             csv_statistic([100 * lam, lam], 2, scale2=[2.3e-308, plug_in_scale(lam, 2)],
                           settings=tight)
         assert info.value.index == 0
+
+    def test_failure_is_found_in_one_log_integral_pass(self, monkeypatch):
+        # Row 1 exhausts its split budget and row 0 converges; no row is
+        # integrated twice to find that out.
+        import covrank.statistic as stat
+
+        cfg = SimulationConfig(p=6, true_rank=1, n=200, reps=2, local_null_tau=1.0,
+                               factor_scales=(3.0,), seed=5)
+        lam = symmetric_eigen(sample_covariance(generate_dataset(cfg, 1))).eigenvalues
+        tight = QuadratureSettings(rel_tol=1e-15, max_subdivisions=8)
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return log_integral(*args, **kwargs)
+
+        monkeypatch.setattr(stat, "log_integral", counted)
+        with pytest.raises(NumericalError, match="did not converge") as info:
+            csv_statistic([[4.0, 2.0, 1.0, 0.5, 0.25, 0.1], lam], 2,
+                          scale2=[1.0, plug_in_scale(lam, 2)], settings=tight)
+        assert info.value.index == 1
+        assert len(calls) == 1
+
+    def test_zero_numerator_mass_is_an_error(self):
+        # N = [20, 30] is exactly 0 while M = [10, 20] is not: an under- or
+        # overflow, not a statistic of 0.
+        with pytest.raises(NumericalError, match="under- or overflow") as info:
+            csv_statistic([30.0, 20.0, 10.0], 2, scale2=1e-306)
+        assert (info.value.index, info.value.best_estimate) == (0, None)
+
+    def test_numerator_truncated_to_empty_gives_zero(self):
+        # N = [20, 20 + 12 sqrt(1e-306)] rounds to the empty [20, 20].
+        assert csv_statistic([20.0, 10.0], 1, scale2=1e-306) == 0.0
 
     def test_explicit_scale_must_be_positive(self):
         with pytest.raises(ValidationError):
