@@ -367,10 +367,11 @@ def log_integral(lo, hi, eigenvalues, k: int, scale2,
     splitting whichever panel carries the largest error estimate, until the
     total estimated error drops below ``rel_tol`` times the integral.
 
-    Returns the log-magnitude as a float; ``-inf`` encodes the zero integral
-    of an empty interval, and only that: a == b once an infinite ``hi`` is
-    truncated. With a 2-d stack of spectra, ``lo``, ``hi`` and ``scale2`` are
-    scalars or one value per row, and the result is an array with one
+    Returns the log-magnitude as a float; ``-inf`` encodes a zero integral:
+    that of an empty interval (a == b once an infinite ``hi`` is truncated),
+    or of one a few ulps wide whose nodes all round onto eigenvalues at its
+    panels' edges. With a 2-d stack of spectra, ``lo``, ``hi`` and ``scale2``
+    are scalars or one value per row, and the result is an array with one
     log-magnitude per row; each row is integrated exactly as it would be
     alone.
 
@@ -387,9 +388,10 @@ def log_integral(lo, hi, eigenvalues, k: int, scale2,
         or above sqrt(max / 2) where gap factors overflow, a non-empty
         interval whose ``hi`` and smallest eigenvalue both lie below
         sqrt(tiny) (about 1.49e-154), where that eigenvalue's gap factor is
-        subnormal or 0 at every node, or a non-empty interval whose integral
-        comes out exactly zero. All rows are checked in the same pass, and
-        ``index`` names the lowest failing row of either kind.
+        subnormal or 0 at every node, or an integral that comes out exactly
+        zero while the integrand is 0 at the middle of a panel, off its
+        edges. All rows are checked in the same pass, and ``index`` names
+        the lowest failing row of either kind.
     """
     lam = _check_eigenvalues(eigenvalues)
     spectra = np.atleast_2d(lam)
@@ -427,11 +429,20 @@ def log_integral(lo, hi, eigenvalues, k: int, scale2,
     log_total, log_err, failed = _integrate(edges[:, :-1], edges[:, 1:], count, others,
                                             0.5 / scale, settings)
 
-    # The integrand is positive off isolated points, so an exact zero over a
-    # non-empty interval is float64 under- or overflow. It joins the budget
-    # failures, and the lowest failing row of either kind is raised.
-    failing = np.flatnonzero(failed | ((log_total == _NEG_INF) & (a < b)))
-    i = int(failing[0]) if failing.size else stop
+    # The integrand is positive off the eigenvalues, so a zero integral is
+    # float64 under- or overflow where the integrand is 0 at the middle of a
+    # panel, off its edges. Such a row joins the budget failures, and the
+    # lowest failing row of either kind is raised. Any other zero stands: a
+    # panel a few ulps wide may be split until every node rounds onto an
+    # eigenvalue at an edge.
+    lost = np.flatnonzero(log_total == _NEG_INF)
+    if lost.size:
+        lower, upper = edges[lost, :-1], edges[lost, 1:]
+        mid = 0.5 * (lower + upper)
+        log_f = _log_f(mid, others[lost].T[:, :, None], 0.5 / scale[lost, None],
+                       np.count_nonzero(others[lost] == 0.0, axis=1)[:, None])
+        lost = lost[np.any((lower < mid) & (mid < upper) & (log_f == _NEG_INF), axis=1)]
+    i = int(np.concatenate([np.flatnonzero(failed), lost, [stop]]).min())
     if i < stop and failed[i]:
         with np.errstate(over="ignore"):
             achieved = float(np.exp(log_err[i] - log_total[i]))
@@ -486,10 +497,11 @@ def csv_statistic(eigenvalues, k: int, scale2=None,
     NumericalError
         A quadrature ran out of split budget, or a row without a tie met
         float64 under- or overflow: a plug-in scale of 0, subnormal or inf,
-        or any range error of :func:`log_integral`, which includes an
-        N or M mass that comes out exactly zero. Every row's N and M are
-        integrated in one :func:`log_integral` call, and ``index`` is the
-        lowest failing row.
+        any range error of :func:`log_integral`, or an N + M mass that comes
+        out exactly zero (lam_k one float from each neighbour). Every row's N
+        and M are integrated in one :func:`log_integral` call. ``index`` is
+        the lowest failing row, except that a zero N + M mass is looked for
+        only when that call raises nothing.
     """
     lam = _check_eigenvalues(eigenvalues)
     spectra = np.atleast_2d(lam)
@@ -523,7 +535,13 @@ def csv_statistic(eigenvalues, k: int, scale2=None,
         except NumericalError as exc:
             raise exc.at(int(q[exc.index // 2])) from exc
         log_n = logs[0::2]
-        stat[q] = np.exp(log_n - np.logaddexp(log_n, logs[1::2]))
+        log_d = np.logaddexp(log_n, logs[1::2])
+        with np.errstate(invalid="ignore"):
+            stat[q] = np.exp(log_n - log_d)
+        # N and M may both be zero at float resolution (lam_k one float from
+        # each neighbour): 0 / 0 is no statistic.
+        empty = q[log_d == _NEG_INF]
+        stop = int(empty[0]) if empty.size else stop
     if stop < rows:
         raise _range_error(s2, spectra, stop)
 

@@ -280,6 +280,14 @@ class TestLogIntegral:
         # lo + tail_sigmas * sqrt(s2) rounds to lo: an empty interval, not an error.
         assert log_integral(20.0, math.inf, [20.0, 10.0], 1, 1e-306) == -math.inf
 
+    def test_zero_at_float_resolution_stands(self):
+        # [1.5, 1.5 + 2 ulp] runs between two eigenvalues: its first split
+        # leaves two one-ulp halves whose nodes all round onto an eigenvalue.
+        # The integrand is positive at the middle, so this zero is no range error.
+        ulp = 2.0**-52
+        lam = [3.0, 1.5 + 2 * ulp, 1.5, 0.5]
+        assert log_integral(1.5, 1.5 + 2 * ulp, lam, 1, 0.3) == -math.inf
+
 
 class TestCsvStatistic:
     def test_tied_lower_pair_returns_one(self):
@@ -382,6 +390,15 @@ class TestCsvStatistic:
     def test_numerator_truncated_to_empty_gives_zero(self):
         # N = [20, 20 + 12 sqrt(1e-306)] rounds to the empty [20, 20].
         assert csv_statistic([20.0, 10.0], 1, scale2=1e-306) == 0.0
+
+    @pytest.mark.filterwarnings("error")
+    def test_zero_mass_at_float_resolution_is_an_error(self):
+        # lam_2 is one ulp from lam_1 and from lam_3: N and M are both zero,
+        # and 0 / 0 is no statistic.
+        ulp = 2.0**-52
+        with pytest.raises(NumericalError, match="under- or overflow") as info:
+            csv_statistic([[4.0, 3.0, 2.0, 1.0], [1.5 + 2 * ulp, 1.5 + ulp, 1.5, 0.5]], 2)
+        assert (info.value.index, info.value.best_estimate) == (1, None)
 
     def test_explicit_scale_must_be_positive(self):
         with pytest.raises(ValidationError):
@@ -520,8 +537,14 @@ class TestBlockEvaluation:
             [5.0, 3.0, 0.0, 0.0],  # lam_3 == lam_4 == 0 (zero plug-in scale) at k = 3: 1.0
             [3.0, 2.0, 2.0, 1.0],  # lam_2 == lam_3 at k = 3: 0.0
             [4.0, 3.0, 2.0, 1.0],  # regular
+            # Near ties one ulp wide get the tie values from quadrature, unflagged:
+            [3.0, 1.5 + 2**-52, 1.5, 0.5],           # M's nodes all round onto lam_3 at k = 2
+            [1.5 + 2**-51, 1.5 + 2**-52, 1.0, 0.5],  # N's nodes all round onto lam_1 at k = 2
         ])
         at_2, at_3 = csv_statistic(stack, 2), csv_statistic(stack, 3)
+        for row, value in ((4, 1.0), (5, 0.0)):
+            assert at_2.statistic[row] == value == csv_statistic(stack[row], 2)
+            assert not at_2.degenerate[row]
         assert at_2.statistic[0] == 1.0 and at_2.degenerate[0]
         assert at_3.statistic[1] == 1.0 and at_3.degenerate[1] and at_3.scale2[1] == 0.0
         assert at_3.statistic[2] == 0.0 and at_3.degenerate[2]
