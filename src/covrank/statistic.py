@@ -25,7 +25,10 @@ block in one loop: each round splits the worst panel of every integral that
 has not converged yet, evaluates the Gauss-Legendre nodes of all new panels
 in one array expression, and takes their coarse and fine sums in one
 reduction. The per-call cost of numpy is thus paid once per round for the
-whole block rather than once per panel.
+whole block rather than once per panel. That loop, :func:`_integrate`, also
+builds each integral's first panels, prepares the integrand's terms for
+every evaluation of it, and flags an integral that under- or overflows to
+exactly zero.
 
 Each integral keeps its own panels, its own split budget and its own
 stopping rule, and every reduction over one integral's values runs over a
@@ -277,35 +280,47 @@ def _panels(a: np.ndarray, b: np.ndarray, lam_others: np.ndarray, zeros: np.ndar
     return fine, err
 
 
-def _integrate(a: np.ndarray, b: np.ndarray, count: np.ndarray, lam_others: np.ndarray,
-               inv_two_s2: np.ndarray, settings: QuadratureSettings
-               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _integrate(lo: np.ndarray, hi: np.ndarray, others: np.ndarray, inv_two_s2: np.ndarray,
+               settings: QuadratureSettings) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Adaptive quadrature of a block of integrals, one per row.
 
-    Row i starts from the panels ``[a[i, j], b[i, j]]`` for ``j < count[i]``
-    (``a`` and ``b`` may be overlapping views; they are copied before any
-    write). Every round computes each open integral's total and error,
-    closes those within ``rel_tol``, out of split budget or with no panel
-    left to split, and splits the worst panel of each of the rest at its
-    midpoint. Returns the log totals, the log error estimates and a flag for
-    integrals that closed without reaching ``rel_tol``.
+    Row i integrates over ``[lo[i], hi[i]]`` with the descending other
+    eigenvalues ``others[i]`` and the Gaussian factor ``inv_two_s2[i]``.
+    Every round computes each open integral's total and error, closes those
+    within ``rel_tol``, out of split budget or with no panel left to split,
+    and splits the worst panel of each of the rest at its midpoint.
+
+    The integrand is positive off the eigenvalues, so a total that comes out
+    exactly zero is float64 under- or overflow where the integrand is 0 at
+    the middle of a final panel, strictly inside it. Any other zero stands:
+    an empty interval, or a panel a few ulps wide whose nodes all round onto
+    eigenvalues at its edges.
+
+    Returns the log totals, the log error estimates and a flag for
+    integrals that closed without reaching ``rel_tol`` (their totals are
+    finite or NaN, never ``-inf``) or that under- or overflowed to zero.
     """
+    # Panels run from lo through the eigenvalues strictly inside (lo, hi),
+    # where the integrand has |.| kinks and zeros, to hi. Rows with fewer
+    # panels are padded with [hi, hi]; like the zero-width panels of tied
+    # eigenvalues, they have value and error log 0 = -inf.
+    inside = (others > lo[:, None]) & (others < hi[:, None])
+    count = inside.sum(axis=1) + 1
+    cuts = np.sort(np.where(inside, others, hi[:, None]), axis=1)[:, :count.max(initial=1) - 1]
+    a = np.concatenate([lo[:, None], cuts], axis=1)
+    b = np.concatenate([cuts, hi[:, None]], axis=1)
     n, cap = a.shape
-    a, b, count = a.copy(), b.copy(), count.copy()
     # Spectra are descending and nonnegative, so a row's exact zeros are
     # trailing. The columns that are 0 in every row (none in an empty block)
     # are left to the power term of _log_f.
-    zeros = np.count_nonzero(lam_others == 0.0, axis=1)
-    lam_others = lam_others[:, :lam_others.shape[1] - zeros.min(initial=lam_others.shape[1])]
+    zeros = np.count_nonzero(others == 0.0, axis=1)
+    lam_others = others[:, :others.shape[1] - zeros.min(initial=others.shape[1])]
     zeros = zeros.astype(np.float64)
     # Scratch for the gap factors, shared by every round: allocated afresh per
     # round, the allocator handed it back to the OS and page-faulted it in
     # again each time, which made p = 10 blocks about a third slower.
     work = np.empty(2 * _MAX_FACTORS)
     val, err = (np.array(x) for x in _panels(a, b, lam_others, zeros, inv_two_s2, work))
-    unused = np.arange(cap) >= count[:, None]
-    val[unused] = _NEG_INF
-    err[unused] = _NEG_INF
     splits = np.zeros(n, dtype=np.int64)
     log_total = np.full(n, _NEG_INF)
     log_err = np.full(n, _NEG_INF)
@@ -330,28 +345,36 @@ def _integrate(a: np.ndarray, b: np.ndarray, count: np.ndarray, lam_others: np.n
             break
 
         worst = np.argmax(err[live], axis=1)
-        lo, hi = a[live, worst], b[live, worst]
-        mid = 0.5 * (lo + hi)
-        splittable = (lo < mid) & (mid < hi)
+        left, right = a[live, worst], b[live, worst]
+        mid = 0.5 * (left + right)
+        splittable = (left < mid) & (mid < right)
         # Width at floating-point resolution: nothing left to refine.
         err[live[~splittable], worst[~splittable]] = _NEG_INF
-        split, worst, lo, mid, hi = (x[splittable] for x in (live, worst, lo, mid, hi))
+        split, worst, left, mid, right = (x[splittable] for x in (live, worst, left, mid, right))
         if not split.size:
             continue
         if count[split].max() == cap:
             a, b, val, err = (np.concatenate([x, np.full_like(x, fill)], axis=1)
                               for x, fill in ((a, 0.0), (b, 0.0), (val, _NEG_INF), (err, _NEG_INF)))
             cap *= 2
-        new_val, new_err = _panels(np.stack([lo, mid], axis=1), np.stack([mid, hi], axis=1),
+        new_val, new_err = _panels(np.stack([left, mid], axis=1), np.stack([mid, right], axis=1),
                                    lam_others[split], zeros[split], inv_two_s2[split], work)
         # The left half replaces the split panel; the right half is appended.
         end = count[split]
         b[split, worst] = mid
         val[split, worst], err[split, worst] = new_val[:, 0], new_err[:, 0]
-        a[split, end], b[split, end] = mid, hi
+        a[split, end], b[split, end] = mid, right
         val[split, end], err[split, end] = new_val[:, 1], new_err[:, 1]
         count[split] += 1
         splits[split] += 1
+
+    lost = np.flatnonzero(log_total == _NEG_INF)
+    if lost.size:
+        lower, upper = a[lost], b[lost]
+        mid = 0.5 * (lower + upper)
+        log_f = _log_f(mid, lam_others[lost].T[:, :, None], inv_two_s2[lost, None],
+                       zeros[lost, None], work)
+        failed[lost[np.any((lower < mid) & (mid < upper) & (log_f == _NEG_INF), axis=1)]] = True
     return log_total, log_err, failed
 
 
@@ -389,9 +412,10 @@ def log_integral(lo, hi, eigenvalues, k: int, scale2,
         interval whose ``hi`` and smallest eigenvalue both lie below
         sqrt(tiny) (about 1.49e-154), where that eigenvalue's gap factor is
         subnormal or 0 at every node, or an integral that comes out exactly
-        zero while the integrand is 0 at the middle of a panel, off its
-        edges. All rows are checked in the same pass, and ``index`` names
-        the lowest failing row of either kind.
+        zero while the integrand is 0 at the middle of a panel the
+        quadrature ended with, strictly inside that panel. All rows are
+        checked in the same pass, and ``index`` names the lowest failing row
+        of either kind.
     """
     lam = _check_eigenvalues(eigenvalues)
     spectra = np.atleast_2d(lam)
@@ -417,33 +441,11 @@ def log_integral(lo, hi, eigenvalues, k: int, scale2,
     a, b, scale = lo[:stop], hi[:stop], s2[:stop]
     b = np.where(np.isinf(b), top[:stop] + settings.tail_sigmas * np.sqrt(scale), b)
 
-    # Panels run from a through the eigenvalues strictly inside (a, b) to b.
-    # Zero-width panels (tied eigenvalues, or a == b) integrate to 0.
-    others = np.delete(spectra[:stop], k - 1, axis=1)
-    inside = (others > a[:, None]) & (others < b[:, None])
-    count = inside.sum(axis=1) + 1
-    width = int(count.max(initial=1))
-    cuts = np.sort(np.where(inside, others, b[:, None]), axis=1)[:, :width - 1]
-    edges = np.concatenate([a[:, None], cuts, b[:, None]], axis=1)
-
-    log_total, log_err, failed = _integrate(edges[:, :-1], edges[:, 1:], count, others,
+    log_total, log_err, failed = _integrate(a, b, np.delete(spectra[:stop], k - 1, axis=1),
                                             0.5 / scale, settings)
-
-    # The integrand is positive off the eigenvalues, so a zero integral is
-    # float64 under- or overflow where the integrand is 0 at the middle of a
-    # panel, off its edges. Such a row joins the budget failures, and the
-    # lowest failing row of either kind is raised. Any other zero stands: a
-    # panel a few ulps wide may be split until every node rounds onto an
-    # eigenvalue at an edge.
-    lost = np.flatnonzero(log_total == _NEG_INF)
-    if lost.size:
-        lower, upper = edges[lost, :-1], edges[lost, 1:]
-        mid = 0.5 * (lower + upper)
-        log_f = _log_f(mid, others[lost].T[:, :, None], 0.5 / scale[lost, None],
-                       np.count_nonzero(others[lost] == 0.0, axis=1)[:, None])
-        lost = lost[np.any((lower < mid) & (mid < upper) & (log_f == _NEG_INF), axis=1)]
-    i = int(np.concatenate([np.flatnonzero(failed), lost, [stop]]).min())
-    if i < stop and failed[i]:
+    # The lowest failing row; those from stop on failed the pre-check.
+    i = int(np.flatnonzero(np.append(failed, True))[0])
+    if i < stop and log_total[i] != _NEG_INF:
         with np.errstate(over="ignore"):
             achieved = float(np.exp(log_err[i] - log_total[i]))
         raise NumericalError(

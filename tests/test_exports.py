@@ -15,8 +15,10 @@ def test_package_exports_every_public_name_of_each_library_module(module):
         assert getattr(covrank, name) is getattr(mod, name), name
 
 
-@pytest.mark.parametrize("path", sorted(Path(covrank.__file__).parent.glob("*.py")),
-                         ids=lambda path: path.stem)
+SOURCES = sorted(Path(covrank.__file__).parent.glob("*.py"))
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.stem)
 def test_no_public_function_calls_itself(path):
     # A public function that retries itself on part of its input must pass
     # every argument again; each layer finds its failures in one pass instead.
@@ -31,3 +33,16 @@ def test_no_public_function_calls_itself(path):
             calls = [call for call in ast.walk(node) if isinstance(call, ast.Call)
                      and isinstance(call.func, ast.Name) and call.func.id == node.name]
             assert not calls, f"{node.name} calls itself on line {calls[0].lineno}"
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.stem)
+def test_only_the_quadrature_engine_evaluates_the_integrand(path):
+    # _integrate prepares every term of the integrand (the exact-zero count of
+    # the power term included), so a new term reaches each evaluation site.
+    tree = ast.parse(path.read_text())
+    for node in tree.body:
+        for call in ast.walk(node):
+            if isinstance(call, ast.Call) and "_log_f" in (getattr(call.func, "id", None),
+                                                          getattr(call.func, "attr", None)):
+                assert getattr(node, "name", None) in ("_panels", "_integrate"), (
+                    f"_log_f called on line {call.lineno} outside _panels and _integrate")

@@ -22,7 +22,7 @@ from covrank import (
     sample_covariance,
     symmetric_eigen,
 )
-from covrank.statistic import _integrate, _log_f, _logsumexp
+from covrank.statistic import _MAX_FACTORS, _integrate, _log_f, _logsumexp
 
 from oracles import assert_rows_run_alone, midpoint_csv_statistic, midpoint_log_integral
 
@@ -596,11 +596,47 @@ class TestBlockEvaluation:
             assert got.tolist() == ref
 
     def test_integral_with_nothing_left_to_split_fails(self):
-        # A NaN bound makes the only panel unsplittable and the total NaN;
-        # the row must close as failed instead of looping forever.
-        _, _, failed = _integrate(np.array([[0.0]]), np.array([[math.nan]]), np.array([1]),
-                                  np.array([[1.0, 0.5]]), np.array([0.5]), QuadratureSettings())
-        assert failed.tolist() == [True]
+        ulp = 2.0**-52
+        near_tie = [3.0, 1.5 + ulp, 1.5, 0.5]
+        lo = np.array([0.0, 20.0, 1.5])
+        hi = np.array([math.nan, 30.0, 1.5 + ulp])
+        # Row 0: a NaN bound makes the only panel unsplittable and the total
+        # NaN; the row must close as failed instead of looping forever.
+        # Row 1: u^2 / (2 s2) overflows on all of [20, 30], an exact zero.
+        # Row 2: M of near_tie at k = 2, whose nodes all round onto lam_3: a
+        # zero at float resolution, which stands. Rows 0 and 1 hold a zero
+        # that row 2 lacks, so the block keeps that column for them.
+        others = np.array([[1.0, 0.5, 0.0], [30.0, 10.0, 0.0], [3.0, 1.5, 0.5]])
+        inv_two_s2 = 0.5 / np.array([1.0, 1e-306, plug_in_scale(near_tie, 2)])
+        log_total, _, failed = _integrate(lo, hi, others, inv_two_s2, QuadratureSettings())
+        assert failed.tolist() == [True, True, False]
+        assert log_total[2] == -math.inf
+        for i in range(3):
+            alone = _integrate(lo[i:i + 1], hi[i:i + 1], others[i:i + 1], inv_two_s2[i:i + 1],
+                               QuadratureSettings())
+            assert alone[2][0] == failed[i]
+
+    def test_zero_rule_sees_trimmed_columns_and_chunked_panels(self):
+        # Every row holds one to three exact zeros, so the block trims one
+        # column and the rows with more zeros keep theirs. Rows on [0, lam_1]
+        # start from four panels, so _panels evaluates the block in chunks of
+        # _MAX_FACTORS // (4 panels * 30 nodes * (4 + 2) factors) = 45 rows.
+        ulp = 2.0**-52
+        near_tie = [3.0, 1.5 + ulp, 1.5, 0.5, 0.0, 0.0]  # M at k = 2 is zero at float resolution
+        overflow = [30.0, 20.0, 10.0, 5.0, 0.0, 0.0]      # u^2 / (2 s2) overflows on [20, 30]
+        rows = [([30.0, 20.0, 10.0, 5.0, 2.0, 0.0], 0.0, 30.0, 4.0),
+                ([30.0, 20.0, 10.0, 5.0, 0.0, 0.0], 0.0, 30.0, 4.0),
+                ([30.0, 20.0, 10.0, 0.0, 0.0, 0.0], 0.0, 30.0, 4.0)] * 40
+        assert len(rows) > 2 * (_MAX_FACTORS // (4 * 30 * 6))
+        rows[40] = (near_tie, 1.5, 1.5 + ulp, plug_in_scale(near_tie, 2))
+        rows[100] = rows[110] = (overflow, 20.0, 30.0, 1e-306)
+        spectra, lo, hi, s2 = (np.array(x) for x in zip(*rows))
+        with pytest.raises(NumericalError) as alone:
+            log_integral(lo[100], hi[100], spectra[100], 2, s2[100])
+        with pytest.raises(NumericalError) as info:
+            log_integral(lo, hi, spectra, 2, s2)
+        assert (info.value.index, str(info.value)) == (100, str(alone.value))
+        assert log_integral(lo[40], hi[40], spectra[40], 2, s2[40]) == -math.inf
 
     def test_budget_exhaustion_names_lowest_failing_row(self):
         tight = QuadratureSettings(rel_tol=1e-10, max_subdivisions=8)
