@@ -24,11 +24,11 @@ one on the same engine. The adaptive quadrature refines all integrals of a
 block in one loop: each round splits the worst panel of every integral that
 has not converged yet, evaluates the Gauss-Legendre nodes of all new panels
 in one array expression, and takes their coarse and fine sums in one
-reduction. The per-call cost of numpy is thus paid once per round for the
-whole block rather than once per panel. That loop, :func:`_integrate`, also
-builds each integral's first panels, prepares the integrand's terms for
-every evaluation of it, and flags an integral that under- or overflows to
-exactly zero.
+reduction. The two rules (10 and 20 points) are fixed float64 constants. The
+per-call cost of numpy is thus paid once per round for the whole block rather
+than once per panel. That loop, :func:`_integrate`, also builds each
+integral's first panels, prepares the integrand's terms for every evaluation
+of it, and flags an integral that under- or overflows to exactly zero.
 
 Each integral keeps its own panels, its own split budget and its own
 stopping rule, and every reduction over one integral's values runs over a
@@ -73,9 +73,30 @@ _MAX_TOP = math.sqrt(np.finfo(np.float64).max / 2.0)  # 2 u^2 overflows from her
 
 # Gauss-Legendre rules used as the (coarse, fine) pair of the adaptive
 # scheme. Nodes are interior, so panel endpoints (where the integrand may
-# vanish and its log blow down to -inf) are never evaluated.
-_COARSE_X, _COARSE_W = np.polynomial.legendre.leggauss(10)
-_FINE_X, _FINE_W = np.polynomial.legendre.leggauss(20)
+# vanish and its log blow down to -inf) are never evaluated. The values are
+# numpy's leggauss(10) and leggauss(20) output, each float64 written out by
+# its repr, so that importing this module solves no eigenproblem and loads no
+# numpy.polynomial module, and the nodes do not depend on the LAPACK build.
+_COARSE_X = np.array([
+    -0.9739065285171717, -0.8650633666889845, -0.6794095682990244, -0.4333953941292472,
+    -0.14887433898163122, 0.14887433898163122, 0.4333953941292472, 0.6794095682990244,
+    0.8650633666889845, 0.9739065285171717])
+_COARSE_W = np.array([
+    0.06667134430868814, 0.1494513491505804, 0.219086362515982, 0.2692667193099965,
+    0.2955242247147528, 0.2955242247147528, 0.2692667193099965, 0.219086362515982,
+    0.1494513491505804, 0.06667134430868814])
+_FINE_X = np.array([
+    -0.993128599185095, -0.9639719272779138, -0.912234428251326, -0.8391169718222188,
+    -0.7463319064601508, -0.636053680726515, -0.5108670019508271, -0.37370608871541955,
+    -0.22778585114164507, -0.07652652113349734, 0.07652652113349734, 0.22778585114164507,
+    0.37370608871541955, 0.5108670019508271, 0.636053680726515, 0.7463319064601508,
+    0.8391169718222188, 0.912234428251326, 0.9639719272779138, 0.993128599185095])
+_FINE_W = np.array([
+    0.017614007139150893, 0.040601429800386446, 0.06267204833410879, 0.08327674157670471,
+    0.1019301198172407, 0.1181945319615186, 0.1316886384491769, 0.1420961093183824,
+    0.14917298647260424, 0.15275338713072628, 0.15275338713072628, 0.14917298647260424,
+    0.1420961093183824, 0.1316886384491769, 0.1181945319615186, 0.1019301198172407,
+    0.08327674157670471, 0.06267204833410879, 0.040601429800386446, 0.017614007139150893])
 _NODES = np.concatenate([_COARSE_X, _FINE_X])
 _LOG_WEIGHTS = np.log(np.concatenate([_COARSE_W, _FINE_W]))
 _RULE_STARTS = [0, _COARSE_X.size]  # np.add.reduceat offsets of the coarse and fine sums
@@ -232,7 +253,11 @@ def _log_f(u: np.ndarray, lam_others: np.ndarray, inv_two_s2, zeros=0,
         power = zeros * np.log(uu)
         # Rows without zeros add +0.0: 0 * log(u^2) is NaN where u^2 underflows.
         np.copyto(power, 0.0, where=zeros == 0.0)
-        return gaps.sum(axis=0) + power - uu * inv_two_s2
+        log_f = gaps.sum(axis=0)
+        log_f += power
+        uu *= inv_two_s2
+        log_f -= uu
+        return log_f
 
 
 def _logsumexp(x: np.ndarray) -> np.ndarray:
@@ -267,12 +292,16 @@ def _panels(a: np.ndarray, b: np.ndarray, lam_others: np.ndarray, zeros: np.ndar
                  for i in range(0, a.shape[0], chunk)]
         return tuple(np.concatenate(x) for x in zip(*parts))
     half = 0.5 * (b - a)
-    u = (0.5 * (a + b))[..., None] + half[..., None] * _NODES
+    u = half[..., None] * _NODES
+    u += (0.5 * (a + b))[..., None]
     g = _log_f(u, lam_others.T[:, :, None, None], inv_two_s2[:, None, None],
-               zeros[:, None, None], work) + _LOG_WEIGHTS
+               zeros[:, None, None], work)
+    g += _LOG_WEIGHTS
     m = g.max(axis=-1, keepdims=True)
     with np.errstate(invalid="ignore", divide="ignore"):
-        sums = np.add.reduceat(np.exp(g - m), _RULE_STARTS, axis=-1)
+        g -= m
+        np.exp(g, out=g)
+        sums = np.add.reduceat(g, _RULE_STARTS, axis=-1)
         logs = np.where(m == _NEG_INF, _NEG_INF, m + np.log(sums)) + np.log(half)[..., None]
         coarse, fine = logs[..., 0], logs[..., 1]
         hi, lo = np.maximum(fine, coarse), np.minimum(fine, coarse)

@@ -38,3 +38,16 @@ def test_each_row_carries_both_verdicts(capsys):
     rows = capsys.readouterr().out.splitlines()
     assert rows[1].split()[0] == "wall_s" and rows[1].split()[-2:] == ["within", "gain"]
     assert rows[2].split()[0] == "failed" and rows[2].split()[-2:] == ["within", "unresolved"]
+
+
+def test_host_scale_row_shows_both_sides_quartiles_and_no_verdict(capsys):
+    # A scaled row can disagree with its raw row when the host probe moved
+    # between the sides; the host_scale row shows that without judging it.
+    runs = {"base": [{"wall_s": b, "failed": 0.0, "host_scale": 1.0 + b / 100.0} for b in BASE],
+            "change": [{"wall_s": b, "failed": 0.0, "host_scale": 1.2} for b in BASE]}
+    ab.report(runs, {"wall_s": ("lower", 0.25)})
+    rows = capsys.readouterr().out.splitlines()
+    assert [row.split()[0] for row in rows[1:]] == ["wall_s", "failed", "host_scale"]
+    fields = rows[-1].split()[1:]
+    assert [float(x) for x in fields] == pytest.approx([1.10225, 1.1045, 1.10675, 1.2, 1.2, 1.2],
+                                                      rel=1e-3)

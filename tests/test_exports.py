@@ -1,5 +1,8 @@
 import ast
 import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -46,3 +49,19 @@ def test_only_the_quadrature_engine_evaluates_the_integrand(path):
                                                           getattr(call.func, "attr", None)):
                 assert getattr(node, "name", None) in ("_panels", "_integrate"), (
                     f"_log_f called on line {call.lineno} outside _panels and _integrate")
+
+
+def test_importing_the_cli_does_no_numerical_work():
+    # The quadrature rules are constants: building them with leggauss loaded
+    # numpy.polynomial's 9 modules and solved two eigenproblems per launch.
+    # numpy.random is imported only when a command draws data.
+    src = str(Path(covrank.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    done = subprocess.run(
+        [sys.executable, "-c", "import sys, covrank.cli; print(*sorted(sys.modules))"],
+        env=env, capture_output=True, text=True, timeout=60.0, check=True)
+    loaded = done.stdout.split()
+    assert "covrank.statistic" in loaded
+    assert not [m for m in loaded if m.startswith("numpy.polynomial")]
+    assert not [m for m in loaded if m.startswith("numpy.random")]

@@ -22,7 +22,16 @@ from covrank import (
     sample_covariance,
     symmetric_eigen,
 )
-from covrank.statistic import _MAX_FACTORS, _integrate, _log_f, _logsumexp
+from covrank.statistic import (
+    _COARSE_W,
+    _COARSE_X,
+    _FINE_W,
+    _FINE_X,
+    _MAX_FACTORS,
+    _integrate,
+    _log_f,
+    _logsumexp,
+)
 
 from oracles import assert_rows_run_alone, midpoint_csv_statistic, midpoint_log_integral
 
@@ -125,6 +134,37 @@ class TestLogIntegrand:
                     mpmath.log(abs(x * x - mpmath.mpf(v) ** 2))
                     for j, v in enumerate(lam) if j != k - 1)
                 assert abs((got - exact) / exact) < 1e-14
+
+
+RULES = [(10, _COARSE_X, _COARSE_W), (20, _FINE_X, _FINE_W)]
+
+
+class TestGaussLegendreRules:
+    @pytest.mark.parametrize("n, nodes, weights", RULES, ids=["coarse", "fine"])
+    def test_constants_are_leggauss_to_two_ulp(self, n, nodes, weights):
+        # Other LAPACK builds may move leggauss's last bit.
+        from numpy.polynomial.legendre import leggauss
+
+        for ours, theirs in zip((nodes, weights), leggauss(n)):
+            assert ours.dtype == np.float64 and ours.shape == (n,)
+            assert np.all(np.abs(ours - theirs) <= 2 * np.spacing(np.abs(theirs)))
+
+    @pytest.mark.parametrize("n, nodes, weights", RULES, ids=["coarse", "fine"])
+    def test_nodes_are_interior_and_the_rule_symmetric(self, n, nodes, weights):
+        assert np.array_equal(nodes, -nodes[::-1])
+        assert np.array_equal(weights, weights[::-1])
+        assert np.all(np.abs(nodes) < 1.0)
+
+    @pytest.mark.parametrize("n, nodes, weights", RULES, ids=["coarse", "fine"])
+    def test_rule_integrates_polynomials_through_degree_2n_minus_1(self, n, nodes, weights):
+        # The 20-point rule's moments are off by up to 3.4e-15 (in 40-digit
+        # arithmetic on these very floats), so the bound is 5e-15; at degree
+        # 2n the rules are off by 2.9e-6 and 2.8e-12.
+        def moment_error(j):
+            return abs(math.fsum(weights * nodes**j) - (2.0 / (j + 1) if j % 2 == 0 else 0.0))
+
+        assert max(moment_error(j) for j in range(2 * n)) < 5e-15
+        assert moment_error(2 * n) > 1e-12
 
 
 class TestRankOneClosedForm:

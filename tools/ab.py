@@ -23,8 +23,11 @@ more than the spread of the base's runs, their q3 - q1; else "unresolved".
 A gain may be claimed only on a "gain" row. Rows marked ``raw``
 are the unscaled values that perfbench keeps on its ``# metadata:`` line
 beside the host-scaled ones. The ``failed`` row, the share of failed
-operations, has a bound of 0: any rise is worse. Nothing in the checkout is
-written.
+operations, has a bound of 0: any rise is worse. The last row,
+``host_scale``, is the factor perfbench scaled each run's time metrics by
+(from the same ``# metadata:`` line), with each side's quartiles and no
+verdict: where it differs between the sides, a scaled row can disagree with
+its raw row. Nothing in the checkout is written.
 """
 
 from __future__ import annotations
@@ -63,6 +66,7 @@ def run_once(side: Path, workload: str, seed: int, seconds: float) -> dict:
     values = {name: m["value"] for name, m in result["metrics"].items()}
     values.update({f"{name} raw": v for name, v in meta.get("raw", {}).items()})
     values["failed"] = result["failed"] / max(1, result["attempted"])
+    values["host_scale"] = meta["host_scale"]
     return values
 
 
@@ -106,6 +110,10 @@ def report(runs: dict, metrics: dict) -> None:
         print(f"{name:22} {b1:9.4g} {b2:9.4g} {b3:9.4g}  {c1:9.4g} {c2:9.4g} {c3:9.4g} "
               f"{delta:>8} {wins(base, change, lower):>3}/{len(base)}  {verdict:16}  "
               f"{claim(base, change, lower)}")
+    if "host_scale" in runs["base"][0]:
+        sides = [quartiles([r["host_scale"] for r in runs[label]]) for label in ("base", "change")]
+        print(f"{'host_scale':22} " + "  ".join(" ".join(f"{q:9.4g}" for q in side)
+                                               for side in sides))
 
 
 def main(argv=None) -> int:
