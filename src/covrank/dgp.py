@@ -30,7 +30,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalError, ValidationError, _check_alpha, _integer, _real, _real_array
+from .errors import (NumericalError, ValidationError, _check_alpha, _integer, _real, _real_array,
+                     _warn_n_not_above_p)
 
 __all__ = ["SimulationConfig", "make_loadings", "sample_factors_t", "generate_dataset"]
 
@@ -105,6 +106,7 @@ class SimulationConfig:
                 "the regularity conditions; proceeding anyway",
                 stacklevel=2,
             )
+        _warn_n_not_above_p(self.n, self.p)
         if not (math.isfinite(self.gap_c0) and self.gap_c0 > 0.0):
             raise ValidationError(f"gap_c0 must be positive, got {self.gap_c0}")
 

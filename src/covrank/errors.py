@@ -1,7 +1,9 @@
-"""Exception types shared across the package, and its one rule each for
-public integer, real-number, bool and test-level arguments."""
+"""Exception types shared across the package, its one rule each for public
+integer, real-number, bool and test-level arguments, and its one warning on
+the sample size."""
 
 import numbers
+import warnings
 
 import numpy as np
 
@@ -72,6 +74,13 @@ def _check_alpha(alpha) -> float:
     if not 0.0 < alpha < 1.0:
         raise ValidationError(f"alpha must be in (0, 1), got {alpha}")
     return alpha
+
+
+def _warn_n_not_above_p(n: int, p: int) -> None:
+    """Warn, on behalf of the caller's caller, when n <= p."""
+    if n <= p:
+        warnings.warn(f"n={n} observations for p={p} covariates; "
+                      "the test's guarantees assume n > p", stacklevel=3)
 
 
 def _real_array(name: str, value) -> np.ndarray:

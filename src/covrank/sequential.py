@@ -10,12 +10,11 @@ reported as rank_estimate p - 1 with ``boundary_reached`` set.
 
 from __future__ import annotations
 
-import warnings
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import NumericalError, _check_alpha
+from .errors import NumericalError, _check_alpha, _warn_n_not_above_p
 from .spectrum import sample_covariance, symmetric_eigen
 from .statistic import QuadratureSettings, _check_eigenvalues, csv_statistic
 
@@ -104,9 +103,6 @@ def rank_from_data(data, alpha: float, center: bool = False,
     behind the test do not apply.
     """
     cov = sample_covariance(data, center=center)
-    n, p = np.shape(data)
-    if n <= p:
-        warnings.warn(f"n={n} observations for p={p} covariates; "
-                      "the test's guarantees assume n > p", stacklevel=2)
+    _warn_n_not_above_p(*np.shape(data))
     spec = symmetric_eigen(cov)
     return run_sequence(spec.eigenvalues, alpha, settings=settings)

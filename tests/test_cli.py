@@ -863,6 +863,16 @@ class TestStderrLines:
         assert err.splitlines() == ["covrank: warning: n=5 observations for p=8 covariates; "
                                     "the test's guarantees assume n > p"]
 
+    @pytest.mark.parametrize("command", ["simulate", "nullcheck"])
+    def test_a_config_with_n_not_above_p_is_one_warning_line(self, tmp_path, command):
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps({"p": 20, "true_rank": 2, "n": 10, "reps": 3,
+                                    "local_null_tau": 1.0, "seed": 1}))
+        code, out, err = invoke([command, str(path), "--threads", "2"])
+        assert code == 0 and out
+        assert err.splitlines() == ["covrank: warning: n=10 observations for p=20 covariates; "
+                                    "the test's guarantees assume n > p"]
+
     def test_low_t_df_is_one_warning_line(self, tmp_path):
         path = tmp_path / "t3.json"
         path.write_text(json.dumps({"p": 4, "true_rank": 1, "n": 40, "reps": 3,

@@ -154,7 +154,7 @@ class TestSimulationConfig:
             SimulationConfig(**base)
 
     def test_tau_must_leave_room_below_leading_eigenvalues(self):
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError), pytest.warns(UserWarning, match="n=4 observations"):
             SimulationConfig(p=5, true_rank=1, n=4, reps=1,
                              local_null_tau=2.5, seed=0)  # 2.5/2 >= 1
 

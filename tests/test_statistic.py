@@ -198,6 +198,24 @@ class TestRankOneClosedForm:
         assert abs(csv_statistic(lam, 1) / exact - 1.0) <= 1e-12
 
 
+class TestNullSizeAcrossPOverN:
+    """The spec statistic's step-1 size on white noise moves with p/n: it is
+    conservative at small p/n and anticonservative from about p/n = 0.25 on.
+    The rates at alpha = 0.05 are pinned as measured (rank 0, tau = 1, 300
+    replications, seed 5), each to three binomial standard errors; a rate
+    measured as 0 stays at or below 0.01. The KS distances were 0.980,
+    0.745, 0.176 and 0.492."""
+
+    @pytest.mark.parametrize("p, n, rate", [(10, 500, 0.0), (20, 200, 0.0), (100, 400, 0.133),
+                                            (20, 40, 0.483)],
+                             ids=["p-over-n-0.02", "p-over-n-0.1", "p-over-n-0.25",
+                                  "p-over-n-0.5"])
+    def test_step_1_size_is_the_measured_rate(self, p, n, rate):
+        cfg = SimulationConfig(p=p, true_rank=0, n=n, reps=300, local_null_tau=1.0, seed=5)
+        got = np.mean(collect_null_statistics(cfg, 1) <= cfg.alpha)
+        assert abs(got - rate) <= max(3.0 * math.sqrt(rate * (1.0 - rate) / cfg.reps), 0.01)
+
+
 def mp_mass(lo, hi, lam, k: int, s2: float, points=()):
     """mpmath.quad of the step-k integrand over [lo, hi] at 40 digits, split at ``points``."""
     mpmath = pytest.importorskip("mpmath")
