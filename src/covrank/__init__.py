@@ -8,49 +8,20 @@ the first acceptance estimates the rank. A Monte Carlo harness reproduces
 the reference simulation design and checks the uniformity claim.
 """
 
-from .dgp import SimulationConfig, generate_dataset, make_loadings, sample_factors_t
-from .errors import CovrankError, NumericalError, ValidationError
-from .montecarlo import (
-    RejectionTable,
-    collect_null_statistics,
-    ks_distance,
-    ks_pvalue_approx,
-    run_rejection_table,
-)
-from .sequential import SequenceStatistics, rank_from_data, run_sequence
-from .spectrum import Spectrum, sample_covariance, symmetric_eigen
-from .statistic import (
-    QuadratureSettings,
-    StepStatistics,
-    csv_statistic,
-    log_integral,
-    plug_in_scale,
-)
+from . import dgp, errors, montecarlo, sequential, spectrum, statistic
+from .errors import *
+from .dgp import *
+from .spectrum import *
+from .statistic import *
+from .sequential import *
+from .montecarlo import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CovrankError",
-    "NumericalError",
-    "QuadratureSettings",
-    "RejectionTable",
-    "SequenceStatistics",
-    "SimulationConfig",
-    "Spectrum",
-    "StepStatistics",
-    "ValidationError",
-    "collect_null_statistics",
-    "csv_statistic",
-    "generate_dataset",
-    "ks_distance",
-    "ks_pvalue_approx",
-    "log_integral",
-    "make_loadings",
-    "plug_in_scale",
-    "rank_from_data",
-    "run_rejection_table",
-    "run_sequence",
-    "sample_covariance",
-    "sample_factors_t",
-    "symmetric_eigen",
-]
+__all__ = []
+__all__ += errors.__all__
+__all__ += dgp.__all__
+__all__ += spectrum.__all__
+__all__ += statistic.__all__
+__all__ += sequential.__all__
+__all__ += montecarlo.__all__

@@ -7,6 +7,8 @@ import warnings
 
 import numpy as np
 
+__all__ = ["CovrankError", "ValidationError", "NumericalError"]
+
 
 class CovrankError(Exception):
     """Base class for all errors raised by this package."""

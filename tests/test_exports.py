@@ -10,12 +10,27 @@ import pytest
 import covrank
 
 
-@pytest.mark.parametrize("module", ["dgp", "montecarlo", "sequential", "spectrum", "statistic"])
+LIBRARY = ["dgp", "errors", "montecarlo", "sequential", "spectrum", "statistic"]
+
+
+@pytest.mark.parametrize("module", LIBRARY)
 def test_package_exports_every_public_name_of_each_library_module(module):
     mod = importlib.import_module(f"covrank.{module}")
     for name in mod.__all__:
         assert name in covrank.__all__, name
         assert getattr(covrank, name) is getattr(mod, name), name
+
+
+def test_package_api_is_exactly_the_library_modules_names():
+    # Each public name is declared once, in its module's __all__. A name that
+    # two modules export would be shadowed by the later star import.
+    names = [name for module in LIBRARY
+             for name in importlib.import_module(f"covrank.{module}").__all__]
+    assert len(names) == len(set(names))
+    assert sorted(covrank.__all__) == sorted(names)
+    ns = {}
+    exec("from covrank import *", ns)
+    assert sorted(set(ns) - {"__builtins__"}) == sorted(names)
 
 
 SOURCES = sorted(Path(covrank.__file__).parent.glob("*.py"))
