@@ -312,12 +312,10 @@ def _read_data_matrix(path: str, workers: int = 1) -> np.ndarray:
             blocks = [(at, shape) for at, shape in zip(offsets, shapes) if shape is not None]
             if not blocks:
                 raise _InputError(f"{path}: no numeric rows after the header")
-            width = blocks[0][1][1]
-            if any(shape[1] != width for _, shape in blocks):
-                raise ValueError("blocks of rows of different widths")
             # Temporary views: the mapping cannot be closed while one is alive.
+            # Blocks of different widths do not concatenate: a ValueError.
             return np.concatenate([np.frombuffer(rows_out, count=n * width, offset=at)
-                                   .reshape(n, width) for at, (n, _) in blocks])
+                                   .reshape(n, width) for at, (n, width) in blocks])
         except ValueError as exc:
             raise _locate_parse_error(path, header, exc) from exc
         finally:
@@ -408,11 +406,10 @@ def _cmd_rank(args, out) -> int:
         raise _InputError(f"{args.data}: {exc}") from None
     n, p = data.shape
     rank_estimate, boundary_reached = int(result.rank_estimate), bool(result.boundary_reached)
-    # Steps 1..rank_estimate rejected, and the next one, if any, accepted.
-    tested = min(rank_estimate + 1, p - 1)
+    ran = ~np.isnan(result.statistic)  # the steps the sequence tested
     columns = ("k", "statistic", "scale2", "degenerate", "rejected")
     fields = (result.statistic, result.scale2, result.degenerate, result.statistic <= alpha)
-    rows = list(zip(range(1, tested + 1), *(field[:tested].tolist() for field in fields)))
+    rows = list(zip(range(1, p), *(field[ran].tolist() for field in fields)))
 
     if args.format == "json":
         _emit_json({

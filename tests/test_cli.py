@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from covrank import NumericalError, SimulationConfig, cli
+from covrank import NumericalError, SequenceStatistics, SimulationConfig, cli
 from covrank.cli import THREADS_ENV_VAR, _read_data_matrix, run_cli
 
 
@@ -175,6 +175,27 @@ class TestRankCommand:
         first = invoke(["rank", str(rank1_csv), "--format", "json"])[1]
         second = invoke(["rank", str(rank1_csv), "--format", "json"])[1]
         assert first == second
+
+    def test_steps_are_the_ones_the_sequence_ran(self, tmp_path, monkeypatch):
+        # A whole-sequence rule tests past the first acceptance: every finite
+        # statistic is a step that ran, and the report lists each of them.
+        statistic = np.array([0.01, 0.5, 0.02, 0.9])
+        result = SequenceStatistics(statistic=statistic, scale2=np.full(4, 2.0),
+                                    degenerate=np.zeros(4, dtype=bool),
+                                    rank_estimate=np.int64(1), boundary_reached=np.False_)
+        monkeypatch.setattr(cli, "rank_from_data", lambda *args, **kwargs: result)
+        path = write_csv(tmp_path / "five.csv", np.random.default_rng(2).standard_normal((20, 5)))
+        outputs = {fmt: invoke(["rank", str(path), "--format", fmt])
+                   for fmt in ("json", "tsv", "human")}
+        assert all(code == 0 and err == "" for code, _, err in outputs.values()), outputs
+        steps = json.loads(outputs["json"][1])["steps"]
+        assert [(s["k"], s["statistic"], s["rejected"]) for s in steps] == [
+            (1, 0.01, True), (2, 0.5, False), (3, 0.02, True), (4, 0.9, False)]
+        assert [line.split("\t")[0] for line in outputs["tsv"][1].splitlines()[1:5]] == [
+            "1", "2", "3", "4"]
+        assert outputs["tsv"][1].splitlines()[5] == "# rank_estimate\t1"
+        assert [line.split(":")[0] for line in outputs["human"][1].splitlines()
+                if line.startswith("  step")] == [f"  step {k}" for k in range(1, 5)]
 
 
 def float_rows(text: str) -> np.ndarray:
@@ -434,6 +455,30 @@ class TestParallelParse:
         invoke(["rank", str(field_csv)])
         assert len(mappings) == 1 and mappings[0].closed
         assert forks and mappings[0].children_at_close == []
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_a_width_change_at_a_block_start_names_its_line(self, field_csv, monkeypatch,
+                                                            mappings, forks, threads):
+        # The last five-field line ends the first block, so the one-field rows
+        # are a block of their own, and only the concatenation sees the widths.
+        five = field_csv.read_bytes()
+        field_csv.write_bytes(five + b"1.5\n" * 40)
+        shapes = []
+        fork_map = cli._fork_map
+
+        def recording(fn, jobs, workers):
+            shapes.extend(fork_map(fn, jobs, workers))
+            return shapes
+
+        monkeypatch.setattr(cli, "_fork_map", recording)
+        monkeypatch.setattr(cli, "_BLOCK_BYTES", len(five) - 1)
+        monkeypatch.setenv(THREADS_ENV_VAR, threads)
+        assert invoke(["rank", str(field_csv)]) == (
+            2, "", f"covrank: parse: {field_csv}: line 62: expected 5 fields, got 1\n")
+        assert shapes == [(60, 5), (40, 1)]
+        assert len(mappings) == 1 and mappings[0].closed
+        assert len(forks) == {"1": 0, "2": 2}[threads]
+        assert mappings[0].children_at_close == []
 
     def test_the_mapping_is_released_on_interrupt(self, field_csv, monkeypatch, mappings):
         parse_block = cli._parse_block

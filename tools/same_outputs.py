@@ -7,7 +7,7 @@ Both revisions are exported with ``tools/ab.py``'s ``export``. Each side runs
 ``python3 -m covrank.cli`` on twelve commands: the golden cases of
 ``tests/test_golden.py`` (each of its ``COMMANDS`` in each of its
 ``FORMATS``) and the seed-1 command of each perfbench workload. Every command
-runs at ``COVRANK_THREADS`` 1 and 2, so each side makes 24 runs. The cases
+runs at ``COVRANK_THREADS`` 1, 2 and 3, so each side makes 36 runs. The cases
 and their inputs come from this checkout: the golden inputs are read from
 ``tests/golden/``, and the workloads' inputs are written once with
 perfbench's ``make_inputs``. Both sides read the same files, so the paths in
@@ -35,7 +35,7 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 import run as perfbench  # noqa: E402
 
 GOLDEN_TESTS = ROOT / "tests" / "test_golden.py"
-THREADS = (1, 2)
+THREADS = (1, 2, 3)
 SEED = 1
 FIELDS = ("exit code", "stdout", "stderr")
 COMMAND_TIMEOUT_S = 300.0
