@@ -173,8 +173,6 @@ def make_loadings(p: int, k: int, factor_scales, seed) -> np.ndarray:
     if scales.shape != (k,):
         raise ValidationError(f"factor_scales must have length k={k}")
     rng = _rng(seed)
-    if k == 0:
-        return np.zeros((p, 0))
     # Ties are allowed here (isotropic designs); the strict eigen-gap
     # requirement is enforced at the SimulationConfig level where it matters.
     if np.any(scales <= 0.0) or np.any(np.diff(scales) > 0.0):
@@ -182,7 +180,7 @@ def make_loadings(p: int, k: int, factor_scales, seed) -> np.ndarray:
 
     q, r = np.linalg.qr(rng.standard_normal((p, k)))
     d = np.diagonal(r)
-    if not np.min(np.abs(d)) > 1e-10 * math.sqrt(p):
+    if not np.min(np.abs(d), initial=math.inf) > 1e-10 * math.sqrt(p):
         raise NumericalError(f"drew a rank-deficient {p}x{k} Gaussian frame")
     q = q * np.sign(d)[None, :]
     return q * np.sqrt(scales)[None, :]

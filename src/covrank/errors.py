@@ -24,20 +24,26 @@ class NumericalError(CovrankError, RuntimeError):
 
     Carries the best available estimate so callers can decide whether the
     partial result is still usable. When the failing call evaluated a stack
-    of inputs, ``index`` is the position of the lowest failing one.
+    of inputs, ``index`` is the position of the lowest failing one, and
+    ``values`` holds the results of the rows before it, in the call's own
+    result type, each as that row alone would get it.
     """
 
-    def __init__(self, message, *, best_estimate=None, achieved_rel_tol=None, index=None):
+    def __init__(self, message, *, best_estimate=None, achieved_rel_tol=None, index=None,
+                 values=None):
         super().__init__(message)
         self.best_estimate = best_estimate
         self.achieved_rel_tol = achieved_rel_tol
         self.index = index
+        self.values = values
 
-    def at(self, index, context=""):
+    def at(self, index, context="", values=None):
         """This error for stack position ``index``, its message prefixed with
-        ``context``; the new error's ``__cause__`` is this one."""
+        ``context``, carrying ``values`` if given and else this error's; the
+        new error's ``__cause__`` is this one."""
         error = NumericalError(f"{context}{self}", best_estimate=self.best_estimate,
-                               achieved_rel_tol=self.achieved_rel_tol, index=index)
+                               achieved_rel_tol=self.achieved_rel_tol, index=index,
+                               values=self.values if values is None else values)
         error.__cause__ = self
         return error
 

@@ -52,11 +52,12 @@ def run_sequence(eigenvalues, alpha: float, settings: QuadratureSettings = Quadr
     A 2-d stack of spectra (one per row) gives one row of results per
     spectrum. Each step is evaluated in one :func:`csv_statistic` call for
     the rows still rejecting, and every row's values are the ones it would
-    get alone. When row r fails at step k, the rows from r on stop there,
-    step k is run again on the rows below r, and the sequence goes on with
-    them. The failure is raised once every step has run; each later one lies
-    in a lower row, so a NumericalError names the lowest failing row in
-    ``index``.
+    get alone. When row r fails at step k, the rows from r on stop there, and
+    the rows below r go on with the step-k values that the error carries, so
+    no step runs twice. The failure is raised once every step has run; each
+    later one lies in a lower row, so a NumericalError names the lowest
+    failing row in ``index``, and its ``values`` are the
+    :class:`SequenceStatistics` of the rows before it.
     """
     lam = _check_eigenvalues(eigenvalues)
     alpha = _check_alpha(alpha)
@@ -73,24 +74,27 @@ def run_sequence(eigenvalues, alpha: float, settings: QuadratureSettings = Quadr
         try:
             step = csv_statistic(spectra[active], k, settings=settings)
         except NumericalError as exc:
-            # A lower row may still fail, at this step or a later one.
+            # The rows before the failing one come back with the error and go
+            # on; a lower row may still fail at a later step.
             row = int(active[exc.index or 0])
             failure = exc.at(row, f"step k={k}: ")
-            active = active[active < row]
-            continue
+            active, step = active[active < row], exc.values
+            if step is None:
+                break
         stats[active, k - 1] = step.statistic
         scale2[active, k - 1] = step.scale2
         degenerate[active, k - 1] = step.degenerate
         active = active[step.statistic <= alpha]
         k += 1
-    if failure is not None:
-        raise failure
 
     # Every step before the first acceptance rejected; NaN is no rejection.
     rejected = stats <= alpha
     result = SequenceStatistics(statistic=stats, scale2=scale2, degenerate=degenerate,
                                 rank_estimate=rejected.sum(axis=1),
                                 boundary_reached=rejected[:, -1])
+    if failure is not None:
+        failure.values = SequenceStatistics(*(field[:failure.index] for field in result))
+        raise failure
     return result if lam.ndim == 2 else SequenceStatistics(*(field[0] for field in result))
 
 

@@ -176,9 +176,9 @@ def _check_step(k: int, p: int) -> int:
     return k
 
 
-def _range_error(s2: np.ndarray, spectra: np.ndarray, row: int) -> NumericalError:
+def _range_error(s2: np.ndarray, spectra: np.ndarray, row: int, values) -> NumericalError:
     return NumericalError(f"float64 under- or overflow at scale2={s2[row]:g}, "
-                          f"lam_1={spectra[row, 0]:g}; rescale the data", index=row)
+                          f"lam_1={spectra[row, 0]:g}; rescale the data", index=row, values=values)
 
 
 def _per_row(value, rows: int, name: str) -> np.ndarray:
@@ -338,7 +338,7 @@ def _integrate(lo: np.ndarray, hi: np.ndarray, others: np.ndarray, inv_two_s2: n
     cuts = np.sort(np.where(inside, others, hi[:, None]), axis=1)[:, :count.max(initial=1) - 1]
     a = np.concatenate([lo[:, None], cuts], axis=1)
     b = np.concatenate([cuts, hi[:, None]], axis=1)
-    n, cap = a.shape
+    n = a.shape[0]
     # Spectra are descending and nonnegative, so a row's exact zeros are
     # trailing. The columns that are 0 in every row (none in an empty block)
     # are left to the power term of _log_f.
@@ -349,8 +349,9 @@ def _integrate(lo: np.ndarray, hi: np.ndarray, others: np.ndarray, inv_two_s2: n
     # round, the allocator handed it back to the OS and page-faulted it in
     # again each time, which made p = 10 blocks about a third slower.
     work = np.empty(2 * _MAX_FACTORS)
-    val, err = (np.array(x) for x in _panels(a, b, lam_others, zeros, inv_two_s2, work))
-    splits = np.zeros(n, dtype=np.int64)
+    val, err = _panels(a, b, lam_others, zeros, inv_two_s2, work)
+    # Each split adds one panel, so a row's budget is a panel count.
+    budget = count + settings.max_subdivisions
     log_total = np.full(n, _NEG_INF)
     log_err = np.full(n, _NEG_INF)
     failed = np.zeros(n, dtype=bool)
@@ -367,11 +368,9 @@ def _integrate(lo: np.ndarray, hi: np.ndarray, others: np.ndarray, inv_two_s2: n
         still_open = ~(error - np.maximum(total, _LOWEST) <= log_rel_tol)
         # An open row with no error estimate left has every panel at
         # floating-point resolution (its total is NaN): nothing can close it.
-        spent = still_open & ((splits[live] >= settings.max_subdivisions) | (error == _NEG_INF))
+        spent = still_open & ((count[live] >= budget[live]) | (error == _NEG_INF))
         failed[live[spent]] = True
         live = live[still_open & ~spent]
-        if not live.size:
-            break
 
         worst = np.argmax(err[live], axis=1)
         left, right = a[live, worst], b[live, worst]
@@ -382,10 +381,9 @@ def _integrate(lo: np.ndarray, hi: np.ndarray, others: np.ndarray, inv_two_s2: n
         split, worst, left, mid, right = (x[splittable] for x in (live, worst, left, mid, right))
         if not split.size:
             continue
-        if count[split].max() == cap:
+        if count[split].max() == a.shape[1]:
             a, b, val, err = (np.concatenate([x, np.full_like(x, fill)], axis=1)
                               for x, fill in ((a, 0.0), (b, 0.0), (val, _NEG_INF), (err, _NEG_INF)))
-            cap *= 2
         new_val, new_err = _panels(np.stack([left, mid], axis=1), np.stack([mid, right], axis=1),
                                    lam_others[split], zeros[split], inv_two_s2[split], work)
         # The left half replaces the split panel; the right half is appended.
@@ -395,7 +393,6 @@ def _integrate(lo: np.ndarray, hi: np.ndarray, others: np.ndarray, inv_two_s2: n
         a[split, end], b[split, end] = mid, right
         val[split, end], err[split, end] = new_val[:, 1], new_err[:, 1]
         count[split] += 1
-        splits[split] += 1
 
     lost = np.flatnonzero(log_total == _NEG_INF)
     if lost.size:
@@ -443,8 +440,9 @@ def log_integral(lo, hi, eigenvalues, k: int, scale2,
         subnormal or 0 at every node, or an integral that comes out exactly
         zero while the integrand is 0 at the middle of a panel the
         quadrature ended with, strictly inside that panel. All rows are
-        checked in the same pass, and ``index`` names the lowest failing row
-        of either kind.
+        checked in the same pass, ``index`` names the lowest failing row of
+        either kind, and ``values`` holds the log totals of the rows before
+        it.
     """
     lam = _check_eigenvalues(eigenvalues)
     spectra = np.atleast_2d(lam)
@@ -483,9 +481,10 @@ def log_integral(lo, hi, eigenvalues, k: int, scale2,
             best_estimate=float(log_total[i]),
             achieved_rel_tol=achieved,
             index=i,
+            values=log_total[:i],
         )
     if i < rows:
-        raise _range_error(s2, spectra, i)
+        raise _range_error(s2, spectra, i, log_total[:i])
     return float(log_total[0]) if lam.ndim == 1 else log_total
 
 
@@ -530,9 +529,10 @@ def csv_statistic(eigenvalues, k: int, scale2=None,
         float64 under- or overflow: a plug-in scale of 0, subnormal or inf,
         any range error of :func:`log_integral`, or an N + M mass that comes
         out exactly zero (lam_k one float from each neighbour). Every row's N
-        and M are integrated in one :func:`log_integral` call. ``index`` is
-        the lowest failing row, except that a zero N + M mass is looked for
-        only when that call raises nothing.
+        and M are integrated in one :func:`log_integral` call, whose error
+        hands up the rows before its failing one. ``index`` is the lowest
+        failing row of any kind, and ``values`` the :class:`StepStatistics`
+        of the rows before it.
     """
     lam = _check_eigenvalues(eigenvalues)
     spectra = np.atleast_2d(lam)
@@ -555,6 +555,7 @@ def csv_statistic(eigenvalues, k: int, scale2=None,
     bad = np.flatnonzero(~degenerate & ((s2 == 0.0) | (s2 == math.inf)))
     stop = int(bad[0]) if bad.size else rows
     q = np.flatnonzero(~degenerate[:stop])
+    failure = None
     if q.size:
         # N and M of one row sit next to each other, so the lowest failing
         # integral belongs to the lowest failing row.
@@ -564,7 +565,9 @@ def csv_statistic(eigenvalues, k: int, scale2=None,
                                 np.repeat(spectra[q], 2, axis=0), k, np.repeat(s2[q], 2),
                                 settings)
         except NumericalError as exc:
-            raise exc.at(int(q[exc.index // 2])) from exc
+            # The rows before the failing one come back with the error.
+            failure, stop, q = exc, int(q[exc.index // 2]), q[:exc.index // 2]
+            logs = exc.values[:2 * q.size]
         log_n = logs[0::2]
         log_d = np.logaddexp(log_n, logs[1::2])
         with np.errstate(invalid="ignore"):
@@ -572,9 +575,13 @@ def csv_statistic(eigenvalues, k: int, scale2=None,
         # N and M may both be zero at float resolution (lam_k one float from
         # each neighbour): 0 / 0 is no statistic.
         empty = q[log_d == _NEG_INF]
-        stop = int(empty[0]) if empty.size else stop
+        if empty.size:
+            failure, stop = None, int(empty[0])
     if stop < rows:
-        raise _range_error(s2, spectra, stop)
+        before = StepStatistics(stat[:stop], s2[:stop], degenerate[:stop])
+        if failure is None:
+            raise _range_error(s2, spectra, stop, before)
+        raise failure.at(stop, values=before) from failure
 
     if lam.ndim == 1:
         return float(stat[0])

@@ -51,6 +51,9 @@ class TestMakeLoadings:
 
     def test_zero_factors_gives_empty_matrix(self):
         assert make_loadings(5, 0, [], seed=0).shape == (5, 0)
+        for seed in (1, np.random.SeedSequence(3)):
+            a = make_loadings(5, 0, [], seed=seed)
+            assert (a.dtype, a.shape) == (np.float64, (5, 0))
 
     def test_validations(self):
         with pytest.raises(ValidationError):

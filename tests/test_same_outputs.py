@@ -1,6 +1,7 @@
 """The comparison and report of ``tools/same_outputs.py``: a run differs when
 its exit code, stdout or stderr differs between the sides, and each such run
-is printed with its first differing line. No command is run here."""
+is printed with its first differing line; the commands that fail on purpose
+find their inputs where they run. No command is run here."""
 
 import sys
 from pathlib import Path
@@ -53,3 +54,11 @@ def test_golden_cases_are_each_command_in_each_format():
         command, fmt = name.split(".")
         assert args[0] == command and args[-2:] == ["--format", fmt]
         assert Path(args[1]).is_file(), args[1]
+
+
+def test_failing_commands_read_the_inputs_they_write(tmp_path):
+    commands = same_outputs.failure_commands(tmp_path)
+    assert list(commands) == ["rank.ragged", "nullcheck.no_noise", "simulate.overflow"]
+    for name, args in commands.items():
+        assert args[0] == name.split(".")[0] and len(args) == 2
+        assert (tmp_path / args[1]).read_text(encoding="utf-8") == same_outputs.FAILURES[name][1]

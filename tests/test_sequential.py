@@ -112,6 +112,36 @@ class TestRunSequence:
         assert str(info.value).startswith("step k=3:")
         assert steps.count(1) == 1
 
+    def test_rows_below_a_failure_are_not_evaluated_again(self, monkeypatch):
+        # Row 1 underflows at step 2; row 0's step 2 comes back with that
+        # error, so step 3 runs on row 0 alone and no step runs twice.
+        import covrank.sequential as seq
+
+        calls = []
+
+        def counted(eigenvalues, k, **kwargs):
+            calls.append((k, len(eigenvalues)))
+            return csv_statistic(eigenvalues, k, **kwargs)
+
+        monkeypatch.setattr(seq, "csv_statistic", counted)
+        stack = [[1e4, 1e2, 1e-200, 5e-201, 1e-201], [1e4, 1e-200, 5e-201, 1e-201, 5e-202]]
+        with pytest.raises(NumericalError) as info:
+            run_sequence(stack, 0.05)
+        assert info.value.index == 0
+        assert calls == [(1, 2), (2, 2), (3, 1)]
+
+    def test_failure_carries_the_rows_before_it_as_they_are_alone(self):
+        # Row 3 overflows at step 1 and row 5 underflows at step 2; the rows
+        # before row 3 run to their ends, rows 4 and 5 no further.
+        stack = np.array([[100.0, 10.0, 1.0, 0.1], [4.0, 3.0, 3.0, 1.0], [1.0, 0.99, 0.98, 0.97],
+                          [3e200, 2e200, 1e200, 5e199], [100.0, 10.0, 1.0, 0.1],
+                          [1e4, 1e-200, 5e-201, 1e-201]])
+        with pytest.raises(NumericalError, match="step k=1: float64 under- or overflow") as info:
+            run_sequence(stack, 0.5)
+        assert info.value.index == 3
+        assert isinstance(info.value.values, SequenceStatistics)
+        assert_rows_run_alone(info.value.values, [run_sequence(lam, 0.5) for lam in stack[:3]])
+
     def test_degenerate_flags_come_from_the_statistic(self):
         # lam_2 == lam_3: step 2 accepts by the tie rule; evaluated on its
         # own, step 3 would reject by the lam_{k-1} == lam_k rule.

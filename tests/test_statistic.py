@@ -10,6 +10,7 @@ from covrank import (
     NumericalError,
     QuadratureSettings,
     SimulationConfig,
+    StepStatistics,
     ValidationError,
     collect_null_statistics,
     csv_statistic,
@@ -347,6 +348,16 @@ class TestLogIntegral:
         assert log_integral(1.5, 1.5 + 2 * ulp, lam, 1, 0.3) == -math.inf
 
 
+def budget_failing_spectrum() -> np.ndarray:
+    """A sample spectrum whose step-2 N exhausts TIGHT's split budget."""
+    cfg = SimulationConfig(p=6, true_rank=1, n=200, reps=2, local_null_tau=1.0,
+                           factor_scales=(3.0,), seed=5)
+    return symmetric_eigen(sample_covariance(generate_dataset(cfg, 1))).eigenvalues
+
+
+TIGHT = QuadratureSettings(rel_tol=1e-15, max_subdivisions=8)
+
+
 class TestCsvStatistic:
     def test_tied_lower_pair_returns_one(self):
         assert csv_statistic([3.0, 2.0, 2.0], 2) == 1.0
@@ -437,6 +448,59 @@ class TestCsvStatistic:
                           scale2=[1.0, plug_in_scale(lam, 2)], settings=tight)
         assert info.value.index == 1
         assert len(calls) == 1
+
+    def test_zero_mass_at_float_resolution_below_a_quadrature_failure_names_it(self):
+        # Row 0's N and M are both zero at float resolution at k = 2, and row 1
+        # exhausts its split budget in the same log_integral pass.
+        lam = budget_failing_spectrum()
+        ulp = 2.0**-52
+        with pytest.raises(NumericalError, match="under- or overflow") as info:
+            csv_statistic([[1.5 + 2 * ulp, 1.5 + ulp, 1.5, 0.5, 0.4, 0.3], lam], 2,
+                          scale2=[1.0, plug_in_scale(lam, 2)], settings=TIGHT)
+        assert info.value.index == 0
+
+    # Row 3 fails: it exhausts its split budget, its N and M come out exactly
+    # zero (u^2 / (2 s2) overflows), both are zero at float resolution, or its
+    # plug-in scale underflows to 0.
+    @pytest.mark.parametrize("failing, scale2, message", [
+        (budget_failing_spectrum(), plug_in_scale(budget_failing_spectrum(), 2),
+         "did not converge"),
+        ([20.0, 10.0, 5.0, 2.0, 1.0, 0.5], 2.3e-308, "under- or overflow"),
+        ([1.5 + 2 * 2.0**-52, 1.5 + 2.0**-52, 1.5, 0.5, 0.4, 0.3], 1.0, "under- or overflow"),
+        ([3e-200, 2e-200, 1e-200, 5e-201, 2e-201, 1e-201], None, "under- or overflow"),
+    ], ids=["split-budget", "zero-integral", "zero-mass", "plug-in-scale"])
+    def test_failure_carries_the_rows_before_it_as_they_are_alone(self, failing, scale2,
+                                                                   message):
+        # Rows 0-2 converge (row 1 by its tie rule) and row 4 would; the
+        # error hands up rows 0-2.
+        good = [4.0, 2.0, 1.0, 0.5, 0.25, 0.1]
+        stack = np.array([good, [3.0, 2.0, 2.0, 1.0, 0.5, 0.1], [5.0, 3.0, 1.0, 0.6, 0.2, 0.1],
+                          failing, good])
+        scales = None if scale2 is None else np.array([1.0, 1.0, 1.0, scale2, 1.0])
+        with pytest.raises(NumericalError, match=message) as info:
+            csv_statistic(stack, 2, scale2=scales, settings=TIGHT)
+        assert info.value.index == 3
+        before = info.value.values
+        assert isinstance(before, StepStatistics)
+        for i in range(3):
+            alone = csv_statistic(stack[i:i + 1], 2, None if scales is None else scales[i],
+                                  settings=TIGHT)
+            assert [x.tobytes() for x in alone] == [x[i:i + 1].tobytes() for x in before]
+        assert all(len(x) == 3 for x in before)
+
+    def test_log_integral_failure_carries_the_rows_before_it_as_they_are_alone(self):
+        lam = budget_failing_spectrum()
+        stack = np.array([[4.0, 2.0, 1.0, 0.5, 0.25, 0.1], [5.0, 3.0, 1.0, 0.6, 0.2, 0.1], lam,
+                          [20.0, 10.0, 5.0, 2.0, 1.0, 0.5]])
+        for scale2, index, message in (([1.0, 1.0, plug_in_scale(lam, 2), 1.0], 2,
+                                        "did not converge"),
+                                       ([1.0, 1.0, 1.0, 2.3e-308], 3, "under- or overflow")):
+            with pytest.raises(NumericalError, match=message) as info:
+                log_integral(stack[:, 1], stack[:, 0], stack, 2, scale2, TIGHT)
+            assert info.value.index == index
+            alone = [log_integral(row[1], row[0], row, 2, s, TIGHT)
+                     for row, s in zip(stack[:index], scale2)]
+            assert info.value.values.tolist() == alone
 
     def test_zero_numerator_mass_is_an_error(self):
         # N = [20, 30] is exactly 0 while M = [10, 20] is not: an under- or
@@ -695,6 +759,29 @@ class TestBlockEvaluation:
             log_integral(lo, hi, spectra, 2, s2)
         assert (info.value.index, str(info.value)) == (100, str(alone.value))
         assert log_integral(lo[40], hi[40], spectra[40], 2, s2[40]) == -math.inf
+
+    def test_rows_keep_their_bits_under_per_row_split_budgets(self, monkeypatch):
+        # Rows start from 1, 3 and 6 panels (0, 2 and 5 other eigenvalues
+        # strictly inside their limits); at each count one row exhausts its
+        # budget of 8 splits and one converges. Alone, a row that fails makes
+        # exactly 8 splits beyond its first panels, one _panels call each.
+        import covrank.statistic as stat
+
+        tight = QuadratureSettings(rel_tol=1e-14, max_subdivisions=8)
+        rows = [(3.2, 8.0, 500.0), (0.0, 0.45, 500.0), (1.2, 2.2, 5e3), (1.2, 2.2, 50.0),
+                (0.2, 2.7, 5e4), (0.2, 2.7, 50.0)]
+        lo, hi, inv_two_s2 = (np.array(x) for x in zip(*rows))
+        others = np.tile([3.0, 2.5, 2.0, 1.5, 1.0, 0.5], (len(rows), 1))
+        block = _integrate(lo, hi, others, inv_two_s2, tight)
+        assert block[2].tolist() == [True, False] * 3
+        panels, calls = stat._panels, []
+        monkeypatch.setattr(stat, "_panels", lambda *args: calls.append(1) or panels(*args))
+        for i in range(len(rows)):
+            calls.clear()
+            alone = _integrate(lo[i:i + 1], hi[i:i + 1], others[i:i + 1], inv_two_s2[i:i + 1],
+                               tight)
+            assert [x.tobytes() for x in alone] == [x[i:i + 1].tobytes() for x in block]
+            assert (len(calls) == 1 + 8) == block[2][i]
 
     def test_budget_exhaustion_names_lowest_failing_row(self):
         tight = QuadratureSettings(rel_tol=1e-10, max_subdivisions=8)

@@ -4,16 +4,21 @@
     python3 tools/same_outputs.py --base HEAD --change "$(git stash create)"
 
 Both revisions are exported with ``tools/ab.py``'s ``export``. Each side runs
-``python3 -m covrank.cli`` on twelve commands: the golden cases of
+``python3 -m covrank.cli`` on fifteen commands: the golden cases of
 ``tests/test_golden.py`` (each of its ``COMMANDS`` in each of its
-``FORMATS``) and the seed-1 command of each perfbench workload. Every command
-runs at ``COVRANK_THREADS`` 1, 2 and 3, so each side makes 36 runs. The cases
-and their inputs come from this checkout: the golden inputs are read from
-``tests/golden/``, and the workloads' inputs are written once with
-perfbench's ``make_inputs``. Both sides read the same files, so the paths in
-their messages match. Each run whose exit code, stdout or stderr differs
-between the sides is printed with its first differing line, and the exit
-status is 1 when any run differs, else 0. Nothing in the checkout is written.
+``FORMATS``), the seed-1 command of each perfbench workload, and three
+commands that fail on purpose (``FAILURES``: a ragged CSV for ``rank``, a
+rank-1 ``nullcheck`` without local-null noise, and a ``simulate`` whose
+factor scale overflows the statistic), so the failure paths' exit codes and
+messages are compared too. Every command runs at ``COVRANK_THREADS`` 1, 2 and
+3, so each side makes 45 runs. The cases and their inputs come from this
+checkout: the golden inputs are read from ``tests/golden/``, the workloads'
+inputs are written once with perfbench's ``make_inputs``, and the failing
+commands' inputs are written from ``FAILURES``. Both sides read the same
+files, so the paths in their messages match. Each run whose exit code, stdout
+or stderr differs between the sides is printed with its first differing line,
+and the exit status is 1 when any run differs, else 0. Nothing in the
+checkout is written.
 """
 
 from __future__ import annotations
@@ -39,6 +44,14 @@ THREADS = (1, 2, 3)
 SEED = 1
 FIELDS = ("exit code", "stdout", "stderr")
 COMMAND_TIMEOUT_S = 300.0
+# Commands that fail on purpose, named ``command.case``: the input file each
+# reads and that file's text.
+FAILURES = {
+    "rank.ragged": ("ragged.csv", "1,2,3\n4,5,6\n7,8\n"),
+    "nullcheck.no_noise": ("no_noise.json", '{"p": 5, "true_rank": 1, "n": 100, "reps": 4}'),
+    "simulate.overflow": ("overflow.json", '{"p": 4, "true_rank": 1, "n": 50, "reps": 6, '
+                                           '"factor_scales": [1e155]}'),
+}
 
 
 def golden_commands() -> dict:
@@ -62,6 +75,14 @@ def workload_commands(workdir: Path) -> dict:
     into ``workdir``."""
     return {name: perfbench.make_inputs(spec, SEED, workdir).args
             for name, spec in perfbench.WORKLOADS.items()}
+
+
+def failure_commands(workdir: Path) -> dict:
+    """CLI arguments of each command of ``FAILURES``; writes their inputs
+    into ``workdir`` and names them relative to it, where the commands run."""
+    for path, text in FAILURES.values():
+        (workdir / path).write_text(text, encoding="utf-8")
+    return {name: [name.split(".")[0], path] for name, (path, _) in FAILURES.items()}
 
 
 def run_command(src: Path, args: list, threads: int, cwd: Path) -> tuple:
@@ -115,7 +136,8 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory(prefix="covrank-same-") as tmp:
         inputs = Path(tmp) / "inputs"
         inputs.mkdir()
-        commands = {**golden_commands(), **workload_commands(inputs)}
+        commands = {**golden_commands(), **workload_commands(inputs),
+                    **failure_commands(inputs)}
         results = {}
         for label in ("base", "change"):
             side = Path(tmp) / label
