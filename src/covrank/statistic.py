@@ -22,13 +22,14 @@ Block evaluation. :func:`plug_in_scale`, :func:`log_integral` and
 spectra (a 2-d array, one spectrum per row); a single spectrum is a block of
 one on the same engine. The adaptive quadrature refines all integrals of a
 block in one loop: each round splits the worst panel of every integral that
-has not converged yet, evaluates the Gauss-Legendre nodes of all new panels
-in one array expression, and takes their coarse and fine sums in one
-reduction. The two rules (10 and 20 points) are fixed float64 constants. The
-per-call cost of numpy is thus paid once per round for the whole block rather
-than once per panel. That loop, :func:`_integrate`, also builds each
-integral's first panels, prepares the integrand's terms for every evaluation
-of it, and flags an integral that under- or overflows to exactly zero.
+has not converged yet, evaluates the 21 Gauss-Kronrod nodes of all new
+panels in one array expression, and takes their 21-point Kronrod sum and
+nested 10-point Gauss sum in one reduction. The rule is a fixed float64
+constant. The per-call cost of numpy is thus paid once per round for the
+whole block rather than once per panel. That loop, :func:`_integrate`, also
+builds each integral's first panels, prepares the integrand's terms for every
+evaluation of it, and flags an integral that under- or overflows to exactly
+zero.
 
 Each integral keeps its own panels, its own split budget and its own
 stopping rule, and every reduction over one integral's values runs over a
@@ -71,12 +72,16 @@ _SQRT_TINY = math.sqrt(_TINY)  # a gap factor between two numbers below this is 
 _LOWEST = np.finfo(np.float64).min  # most negative finite float64
 _MAX_TOP = math.sqrt(np.finfo(np.float64).max / 2.0)  # 2 u^2 overflows from here on
 
-# Gauss-Legendre rules used as the (coarse, fine) pair of the adaptive
-# scheme. Nodes are interior, so panel endpoints (where the integrand may
-# vanish and its log blow down to -inf) are never evaluated. The values are
-# numpy's leggauss(10) and leggauss(20) output, each float64 written out by
-# its repr, so that importing this module solves no eigenproblem and loads no
-# numpy.polynomial module, and the nodes do not depend on the LAPACK build.
+# The nested Gauss-Kronrod pair of the adaptive scheme (QUADPACK's dqk21):
+# the 21-point Kronrod rule K21 gives each panel's value, and its difference
+# from the 10-point Gauss-Legendre rule G10, whose nodes are the odd ones of
+# K21, the error estimate. Nodes are interior, so panel endpoints (where the
+# integrand may vanish and its log blow down to -inf) are never evaluated.
+# Every float64 is written out by its repr: the G10 rule is numpy's
+# leggauss(10) output, and the nodes K21 adds and its weights are QUADPACK's
+# 33-digit constants rounded to float64. So importing this module solves no
+# eigenproblem and loads no numpy.polynomial module, and the rule does not
+# depend on the LAPACK build.
 _COARSE_X = np.array([
     -0.9739065285171717, -0.8650633666889845, -0.6794095682990244, -0.4333953941292472,
     -0.14887433898163122, 0.14887433898163122, 0.4333953941292472, 0.6794095682990244,
@@ -85,21 +90,21 @@ _COARSE_W = np.array([
     0.06667134430868814, 0.1494513491505804, 0.219086362515982, 0.2692667193099965,
     0.2955242247147528, 0.2955242247147528, 0.2692667193099965, 0.219086362515982,
     0.1494513491505804, 0.06667134430868814])
-_FINE_X = np.array([
-    -0.993128599185095, -0.9639719272779138, -0.912234428251326, -0.8391169718222188,
-    -0.7463319064601508, -0.636053680726515, -0.5108670019508271, -0.37370608871541955,
-    -0.22778585114164507, -0.07652652113349734, 0.07652652113349734, 0.22778585114164507,
-    0.37370608871541955, 0.5108670019508271, 0.636053680726515, 0.7463319064601508,
-    0.8391169718222188, 0.912234428251326, 0.9639719272779138, 0.993128599185095])
-_FINE_W = np.array([
-    0.017614007139150893, 0.040601429800386446, 0.06267204833410879, 0.08327674157670471,
-    0.1019301198172407, 0.1181945319615186, 0.1316886384491769, 0.1420961093183824,
-    0.14917298647260424, 0.15275338713072628, 0.15275338713072628, 0.14917298647260424,
-    0.1420961093183824, 0.1316886384491769, 0.1181945319615186, 0.1019301198172407,
-    0.08327674157670471, 0.06267204833410879, 0.040601429800386446, 0.017614007139150893])
-_NODES = np.concatenate([_COARSE_X, _FINE_X])
-_LOG_WEIGHTS = np.log(np.concatenate([_COARSE_W, _FINE_W]))
-_RULE_STARTS = [0, _COARSE_X.size]  # np.add.reduceat offsets of the coarse and fine sums
+# The 11 nodes K21 adds interlace G10's, which thus sit at the odd positions.
+_NODES = np.sort(np.concatenate([_COARSE_X, [
+    -0.9956571630258081, -0.9301574913557082, -0.7808177265864169, -0.5627571346686047,
+    -0.2943928627014602, 0.0, 0.2943928627014602, 0.5627571346686047, 0.7808177265864169,
+    0.9301574913557082, 0.9956571630258081]]))
+# The weights of K21 (column 0) and of G10 (column 1, 0 at the nodes K21 adds).
+_WEIGHTS = np.zeros((_NODES.size, 2))
+_WEIGHTS[:, 0] = [
+    0.011694638867371874, 0.032558162307964725, 0.054755896574351995, 0.07503967481091996,
+    0.0931254545836976, 0.10938715880229764, 0.12349197626206584, 0.13470921731147334,
+    0.14277593857706009, 0.14773910490133849, 0.1494455540029169, 0.14773910490133849,
+    0.14277593857706009, 0.13470921731147334, 0.12349197626206584, 0.10938715880229764,
+    0.0931254545836976, 0.07503967481091996, 0.054755896574351995, 0.032558162307964725,
+    0.011694638867371874]
+_WEIGHTS[1::2, 1] = _COARSE_W
 
 # Gap factors evaluated by one array expression at most (256 KB per float64
 # temporary); more panels are evaluated in chunks of rows. Larger caps gain
@@ -274,12 +279,13 @@ def _logsumexp(x: np.ndarray) -> np.ndarray:
 
 def _panels(a: np.ndarray, b: np.ndarray, lam_others: np.ndarray, zeros: np.ndarray,
             inv_two_s2: np.ndarray, work: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Fine-rule log value and log error estimate of every panel [a, b].
+    """K21 log value and log error estimate of every panel [a, b].
 
     ``a`` and ``b`` are (rows, panels), ``lam_others`` is (rows, gap
     factors), and ``zeros`` (the exact zeros of each row, see
-    :func:`_integrate`) and ``inv_two_s2`` are (rows,). The error estimate is
-    log |fine - coarse|. Rows are evaluated in chunks of at most
+    :func:`_integrate`) and ``inv_two_s2`` are (rows,). One pass evaluates
+    the integrand at the 21 nodes, and both sums are taken from it: the error
+    estimate is log |K21 - G10|. Rows are evaluated in chunks of at most
     ``_MAX_FACTORS`` factors, with ``work`` as the scratch space of
     :func:`_log_f`.
     """
@@ -296,14 +302,14 @@ def _panels(a: np.ndarray, b: np.ndarray, lam_others: np.ndarray, zeros: np.ndar
     u += (0.5 * (a + b))[..., None]
     g = _log_f(u, lam_others.T[:, :, None, None], inv_two_s2[:, None, None],
                zeros[:, None, None], work)
-    g += _LOG_WEIGHTS
     m = g.max(axis=-1, keepdims=True)
     with np.errstate(invalid="ignore", divide="ignore"):
         g -= m
         np.exp(g, out=g)
-        sums = np.add.reduceat(g, _RULE_STARTS, axis=-1)
+        # A stacked matmul: a row's sums keep their bits in a block of any size.
+        sums = g @ _WEIGHTS
         logs = np.where(m == _NEG_INF, _NEG_INF, m + np.log(sums)) + np.log(half)[..., None]
-        coarse, fine = logs[..., 0], logs[..., 1]
+        fine, coarse = logs[..., 0], logs[..., 1]
         hi, lo = np.maximum(fine, coarse), np.minimum(fine, coarse)
         err = np.where(hi == lo, _NEG_INF, hi + np.log1p(-np.exp(lo - hi)))
     return fine, err

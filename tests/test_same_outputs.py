@@ -1,7 +1,8 @@
 """The comparison and report of ``tools/same_outputs.py``: a run differs when
 its exit code, stdout or stderr differs between the sides, and each such run
-is printed with its first differing line; the commands that fail on purpose
-find their inputs where they run. No command is run here."""
+is printed with its first differing line, with the largest relative
+difference between paired numbers when only numbers differ; the commands
+that fail on purpose find their inputs where they run. No command is run here."""
 
 import sys
 from pathlib import Path
@@ -45,6 +46,23 @@ def test_a_difference_in_trailing_bytes_only_is_reported():
         "the lines both have match; base 2 bytes, change 3 bytes")
     assert same_outputs.first_difference(b"a\n", b"a") == (
         "the lines both have match; base 2 bytes, change 1 bytes")
+
+
+def test_a_difference_in_numbers_only_gives_the_largest_relative_difference(capsys):
+    base = {("rank.tsv", 1): (0, b"k\t1\t0.5\t10\n# rank 2\n", b"")}
+    change = {("rank.tsv", 1): (0, b"k\t1\t0.25\t11\n# rank 2\n", b"")}
+    assert same_outputs.report(base, change) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "rank.tsv at COVRANK_THREADS=1: stdout differ",
+        "  stdout: line 1: base 'k\\t1\\t0.5\\t10', change 'k\\t1\\t0.25\\t11'; "
+        "numbers only, largest relative difference 0.5",
+        "1 of 1 runs differ",
+    ]
+    # Other text that differs, or a number more or less, gives no difference.
+    assert same_outputs.largest_relative_difference(b"rank 2\n", b"rank 3 x\n") is None
+    assert same_outputs.largest_relative_difference(b"1 2\n", b"1 2 3\n") is None
+    # Equal numbers written differently differ by 0.
+    assert same_outputs.largest_relative_difference(b"x=1.0\n", b"x=1e0\n") == 0.0
 
 
 def test_golden_cases_are_each_command_in_each_format():

@@ -26,9 +26,9 @@ from covrank import (
 from covrank.statistic import (
     _COARSE_W,
     _COARSE_X,
-    _FINE_W,
-    _FINE_X,
     _MAX_FACTORS,
+    _NODES,
+    _WEIGHTS,
     _integrate,
     _log_f,
     _logsumexp,
@@ -137,11 +137,16 @@ class TestLogIntegrand:
                 assert abs((got - exact) / exact) < 1e-14
 
 
-RULES = [(10, _COARSE_X, _COARSE_W), (20, _FINE_X, _FINE_W)]
+RULES = [(10, _COARSE_X, _COARSE_W)]
+
+
+def moment_error(nodes, weights, j):
+    """|rule's integral of u^j over [-1, 1] minus its exact value|, summed exactly."""
+    return abs(math.fsum(weights * nodes**j) - (2.0 / (j + 1) if j % 2 == 0 else 0.0))
 
 
 class TestGaussLegendreRules:
-    @pytest.mark.parametrize("n, nodes, weights", RULES, ids=["coarse", "fine"])
+    @pytest.mark.parametrize("n, nodes, weights", RULES, ids=["coarse"])
     def test_constants_are_leggauss_to_two_ulp(self, n, nodes, weights):
         # Other LAPACK builds may move leggauss's last bit.
         from numpy.polynomial.legendre import leggauss
@@ -150,22 +155,49 @@ class TestGaussLegendreRules:
             assert ours.dtype == np.float64 and ours.shape == (n,)
             assert np.all(np.abs(ours - theirs) <= 2 * np.spacing(np.abs(theirs)))
 
-    @pytest.mark.parametrize("n, nodes, weights", RULES, ids=["coarse", "fine"])
+    @pytest.mark.parametrize("n, nodes, weights", RULES, ids=["coarse"])
     def test_nodes_are_interior_and_the_rule_symmetric(self, n, nodes, weights):
         assert np.array_equal(nodes, -nodes[::-1])
         assert np.array_equal(weights, weights[::-1])
         assert np.all(np.abs(nodes) < 1.0)
 
-    @pytest.mark.parametrize("n, nodes, weights", RULES, ids=["coarse", "fine"])
+    @pytest.mark.parametrize("n, nodes, weights", RULES, ids=["coarse"])
     def test_rule_integrates_polynomials_through_degree_2n_minus_1(self, n, nodes, weights):
-        # The 20-point rule's moments are off by up to 3.4e-15 (in 40-digit
-        # arithmetic on these very floats), so the bound is 5e-15; at degree
-        # 2n the rules are off by 2.9e-6 and 2.8e-12.
-        def moment_error(j):
-            return abs(math.fsum(weights * nodes**j) - (2.0 / (j + 1) if j % 2 == 0 else 0.0))
+        # At degree 2n the 10-point rule is off by 2.9e-6.
+        assert max(moment_error(nodes, weights, j) for j in range(2 * n)) < 5e-15
+        assert moment_error(nodes, weights, 2 * n) > 1e-12
 
-        assert max(moment_error(j) for j in range(2 * n)) < 5e-15
-        assert moment_error(2 * n) > 1e-12
+
+class TestGaussKronrodRule:
+    """The nested (10, 21) pair: K21 and the G10 rule on its odd nodes."""
+
+    def test_nodes_are_ascending_symmetric_interior_and_centred(self):
+        assert _NODES.dtype == np.float64 and _NODES.shape == (21,)
+        assert np.all(np.diff(_NODES) > 0.0)
+        assert np.array_equal(_NODES, -_NODES[::-1])
+        assert np.all(np.abs(_NODES) < 1.0)
+        assert _NODES[10] == 0.0
+
+    def test_gauss_nodes_and_weights_are_the_ten_point_rule(self):
+        assert np.array_equal(_NODES[1::2], _COARSE_X)
+        assert _WEIGHTS.shape == (21, 2)
+        assert np.array_equal(_WEIGHTS[1::2, 1], _COARSE_W)
+        assert np.all(_WEIGHTS[0::2, 1] == 0.0)
+
+    def test_kronrod_weights_are_positive_and_symmetric(self):
+        kronrod = _WEIGHTS[:, 0]
+        assert np.all(kronrod > 0.0)
+        assert np.array_equal(kronrod, kronrod[::-1])
+
+    def test_moments_are_exact_through_the_rules_degrees(self):
+        # Measured on these floats: K21 is off by at most 5.6e-17 through
+        # degree 31 and by 4.4e-12 at degree 32; G10 by at most 2.2e-16
+        # through degree 19 and by 2.9e-6 at degree 20.
+        kronrod, gauss = _WEIGHTS[:, 0], _WEIGHTS[:, 1]
+        assert max(moment_error(_NODES, kronrod, j) for j in range(32)) < 5e-15
+        assert moment_error(_NODES, kronrod, 32) > 1e-12
+        assert max(moment_error(_NODES, gauss, j) for j in range(20)) < 5e-15
+        assert moment_error(_NODES, gauss, 20) > 1e-6
 
 
 class TestRankOneClosedForm:
@@ -615,15 +647,15 @@ ZERO_TAILS = [np.where(np.arange(10) < 10 - z, BASE, 0.0) for z in (0, 1, 2, 5, 
 NEAR_TIED_ZEROS = np.concatenate([HEAVY[:6], np.zeros(4)])
 # csv_statistic at steps 1-9 of ZERO_TAILS[0], ZERO_TAILS[1] and HEAVY.
 RECORDED = {
-    0: ["0x1.a802721cb36a7p-3", "0x1.93641b25d7b3dp-4", "0x1.01c5ca41a276ep-4",
-        "0x1.76bdd68d69128p-5", "0x1.3400ce9158640p-5", "0x1.22cf1530401d6p-5",
-        "0x1.333b4623b9234p-5", "0x1.777953b7e4d26p-7", "0x1.49cd82ac04b9cp-6"],
-    1: ["0x1.a57b9e5c0d7cdp-3", "0x1.8f2b4e6a6c6efp-4", "0x1.f9fc084149ed9p-5",
-        "0x1.6a5474fca1733p-5", "0x1.2192be8ace2c6p-5", "0x1.032ef76f34c25p-5",
-        "0x1.ed0a4774967f8p-6", "0x1.805bc2d8901bap-8", "0x1.08bed3636b1a0p-14"],
-    5: ["0x1.d2cfd2d574075p-11", "0x1.0000000000000p+0", "0x1.87749b50eff8ep-1",
-        "0x1.5438ec1dde977p-1", "0x1.28b2133922751p-1", "0x1.fffff8ec1d2b8p-2",
-        "0x1.ae9bdf3a9298ap-2", "0x1.578e284a0cad7p-2", "0x1.e22d93804b421p-3"],
+    0: ["0x1.a802721cb36c2p-3", "0x1.93641b25d7b62p-4", "0x1.01c5ca41a278fp-4",
+        "0x1.76bdd68d6914ep-5", "0x1.3400ce9158664p-5", "0x1.22cf153040201p-5",
+        "0x1.333b4623b9250p-5", "0x1.777953b7e4d55p-7", "0x1.49cd82ac04bd7p-6"],
+    1: ["0x1.a57b9e5c0d808p-3", "0x1.8f2b4e6a6c708p-4", "0x1.f9fc084149efcp-5",
+        "0x1.6a5474fca175ap-5", "0x1.2192be8ace2e3p-5", "0x1.032ef76f34c4dp-5",
+        "0x1.ed0a477496831p-6", "0x1.805bc2d8901dep-8", "0x1.08bed3636b1dap-14"],
+    5: ["0x1.d2cfd2d574084p-11", "0x1.0000000000000p+0", "0x1.87749b378db9ap-1",
+        "0x1.5438ec4b234a8p-1", "0x1.28b213039ed96p-1", "0x1.fffffa6d4726bp-2",
+        "0x1.ae9bded0771fdp-2", "0x1.578e28a1594d7p-2", "0x1.e22d933a10871p-3"],
 }
 
 
@@ -704,7 +736,7 @@ class TestBlockEvaluation:
                 want = float.fromhex(RECORDED[row][k - 1])
                 assert csv_statistic(lam, k) == want and block[row] == want
         # The one other eigenvalue is the zero: no gap factor is left.
-        assert csv_statistic([2.0, 0.0], 1) == float.fromhex("0x1.0bbd40bcd5865p-2")
+        assert csv_statistic([2.0, 0.0], 1) == float.fromhex("0x1.0bbd40bcd5877p-2")
 
     def test_stacked_scale_and_integral_match_single_calls(self):
         spectra = sample_spectra(6, 5, seed=8)

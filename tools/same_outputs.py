@@ -16,9 +16,10 @@ checkout: the golden inputs are read from ``tests/golden/``, the workloads'
 inputs are written once with perfbench's ``make_inputs``, and the failing
 commands' inputs are written from ``FAILURES``. Both sides read the same
 files, so the paths in their messages match. Each run whose exit code, stdout
-or stderr differs between the sides is printed with its first differing line,
-and the exit status is 1 when any run differs, else 0. Nothing in the
-checkout is written.
+or stderr differs between the sides is printed with its first differing line;
+where the two texts differ only in their numbers, that line also gives the
+largest relative difference between paired numbers. The exit status is 1
+when any run differs, else 0. Nothing in the checkout is written.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ import argparse
 import ast
 import itertools
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -43,6 +45,7 @@ GOLDEN_TESTS = ROOT / "tests" / "test_golden.py"
 THREADS = (1, 2, 3)
 SEED = 1
 FIELDS = ("exit code", "stdout", "stderr")
+NUMBER = re.compile(rb"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
 COMMAND_TIMEOUT_S = 300.0
 # Commands that fail on purpose, named ``command.case``: the input file each
 # reads and that file's text.
@@ -102,15 +105,27 @@ def differing(base: dict, change: dict) -> dict:
             for key in base if base[key] != change[key]}
 
 
+def largest_relative_difference(base: bytes, change: bytes) -> float | None:
+    """The largest |b - c| / max(|b|, |c|) over the paired numbers of two
+    texts that differ only in their numbers; None when any other text differs."""
+    if NUMBER.sub(b"#", base) != NUMBER.sub(b"#", change):
+        return None
+    pairs = zip(map(float, NUMBER.findall(base)), map(float, NUMBER.findall(change)))
+    return max((abs(b - c) / max(abs(b), abs(c)) for b, c in pairs if b != c), default=0.0)
+
+
 def first_difference(base, change) -> str:
-    """Where one field of a run first differs between the sides."""
+    """Where one field of a run first differs between the sides, and by how
+    much its numbers differ when nothing else does."""
     if isinstance(base, int):
         return f"base {base}, change {change}"
+    worst = largest_relative_difference(base, change)
+    numbers = "" if worst is None else f"; numbers only, largest relative difference {worst:.2g}"
     lines = zip(base.decode(errors="replace").splitlines(),
                 change.decode(errors="replace").splitlines())
     for number, (b, c) in enumerate(lines, 1):
         if b != c:
-            return f"line {number}: base {b!r}, change {c!r}"
+            return f"line {number}: base {b!r}, change {c!r}{numbers}"
     return f"the lines both have match; base {len(base)} bytes, change {len(change)} bytes"
 
 
