@@ -40,7 +40,7 @@ import warnings
 import numpy as np
 
 from .dgp import SimulationConfig, _check_seed
-from .errors import NumericalError, ValidationError, _check_alpha
+from .errors import NumericalError, ValidationError, _check_alpha, _integer
 from .montecarlo import (
     _fork_map,
     collect_null_statistics,
@@ -125,12 +125,7 @@ def _checked(convert, check):
     return parse
 
 
-def _at_least_one(value: int) -> None:
-    if value < 1:
-        raise ValidationError(f"must be >= 1, got {value}")
-
-
-_positive_int = _checked(int, _at_least_one)
+_thread_count = _checked(int, lambda v: _integer("threads", v, 1))
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -142,7 +137,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def common(p: argparse.ArgumentParser, threads: bool = False) -> None:
         p.add_argument("--alpha", type=_checked(float, _check_alpha), default=None,
-                       help="test level in (0,1); default 0.05 or the config value")
+                       help=f"test level in (0,1); default {SimulationConfig.alpha} "
+                            "or the config value")
         p.add_argument("--format", choices=("human", "json", "tsv"), default="human")
         p.add_argument("--rel-tol", default=None,
                        type=_checked(float, lambda v: QuadratureSettings(rel_tol=v)),
@@ -153,7 +149,7 @@ def _build_parser() -> argparse.ArgumentParser:
         if threads:
             p.add_argument("--seed", type=_checked(int, _check_seed), default=None,
                            help="override the config's master seed")
-            p.add_argument("--threads", type=_positive_int, default=None,
+            p.add_argument("--threads", type=_thread_count, default=None,
                            help=f"worker processes (default ${THREADS_ENV_VAR} or 1)")
 
     p_rank = sub.add_parser("rank", help="estimate the rank of a CSV data matrix")
@@ -170,8 +166,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_null = sub.add_parser("nullcheck", help="null-uniformity diagnostic")
     p_null.add_argument("config", help="JSON simulation configuration file")
-    p_null.add_argument("--step", type=_positive_int, default=None,
-                        help="test step to sample (default: true_rank + 1)")
+    p_null.add_argument("--step", type=_checked(int, lambda v: _integer("step", v, 1)),
+                        default=None, help="test step to sample (default: true_rank + 1)")
     p_null.add_argument("--include-statistics", action="store_true",
                         help="also emit the raw statistic values")
     common(p_null, threads=True)
@@ -198,7 +194,7 @@ def _threads(given: int | None, default: int) -> int:
     if raw is None:
         return default
     try:
-        return _positive_int(raw)
+        return _thread_count(raw)
     except argparse.ArgumentTypeError:
         raise _InputError(
             f"environment variable {THREADS_ENV_VAR}={raw!r} is not a positive integer"
@@ -398,7 +394,7 @@ def _emit_tsv(rows, out) -> None:
 
 def _cmd_rank(args, out) -> int:
     data = _read_data_matrix(args.data, _threads(None, _cpus()))
-    alpha = 0.05 if args.alpha is None else args.alpha
+    alpha = SimulationConfig.alpha if args.alpha is None else args.alpha
     try:
         result = rank_from_data(data, alpha, center=args.center, settings=_quad_settings(args))
     except ValidationError as exc:

@@ -33,16 +33,19 @@ def covariance_by_loops(x: np.ndarray, center: bool = False) -> np.ndarray:
 
 
 def _log_integrand_grid(u: np.ndarray, lam2_others: np.ndarray, scale2: float) -> np.ndarray:
-    """log f on the grid: the product of the gap factors, then one log per node.
-    The product stays in range for the few small eigenvalues the tests use."""
+    """log f on the grid: the product of the gap factors, then one abs and one
+    log per node. Rounding to nearest gives |a * b| the same bits whatever the
+    signs, so the product of the signed gaps has the magnitude of the product
+    of their absolute values. The product stays in range for the few small
+    eigenvalues the tests use."""
     u2 = u * u
     prod = np.ones_like(u)
     gap = np.empty_like(u)
     for l2 in lam2_others:
         np.subtract(u2, l2, out=gap)
-        prod *= np.abs(gap, out=gap)
+        prod *= gap
     with np.errstate(divide="ignore"):
-        return np.log(prod) - u2 / (2.0 * scale2)
+        return np.log(np.abs(prod, out=prod)) - u2 / (2.0 * scale2)
 
 
 def midpoint_log_integral(lo: float, hi: float, eigenvalues, k: int, scale2: float,

@@ -81,6 +81,12 @@ class TestRankCommand:
         assert lines[1].startswith("1\t")
         assert "# rank_estimate\t1" in lines
 
+    def test_default_alpha_is_the_config_default(self, rank1_csv):
+        _, out, _ = invoke(["rank", str(rank1_csv), "--format", "json"])
+        assert json.loads(out)["alpha"] == SimulationConfig.alpha
+        _, out, _ = invoke(["rank", str(rank1_csv), "--format", "tsv"])
+        assert f"# alpha\t{SimulationConfig.alpha!r}" in out.splitlines()
+
     def test_centering_flag_is_applied(self, tmp_path):
         rng = np.random.default_rng(5)
         data = rng.standard_normal(150)[:, None] * np.array([1.0, 2.0, -1.0, 0.5])[None, :]
@@ -845,13 +851,18 @@ class TestUsage:
         assert errors == [
             f"covrank simulate: error: argument {flag}: must be {kind}, got {value!r}"
         ]
-        assert "invalid" not in err and "_arg" not in err and "_positive_int" not in err
+        assert "invalid" not in err and "_arg" not in err and "_thread_count" not in err
 
-    @pytest.mark.parametrize("command", ["simulate", "nullcheck"])
-    def test_zero_threads_is_a_usage_error(self, sim_config, capsys, command):
-        assert run_cli([command, str(sim_config), "--threads", "0"]) == 2
+    @pytest.mark.parametrize("command, name", [
+        pytest.param("simulate", "threads", id="simulate"),
+        pytest.param("nullcheck", "threads", id="nullcheck"),
+        pytest.param("nullcheck", "step", id="nullcheck-step"),
+    ])
+    def test_zero_threads_is_a_usage_error(self, sim_config, capsys, command, name):
+        assert run_cli([command, str(sim_config), f"--{name}", "0"]) == 2
         errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
-        assert errors == [f"covrank {command}: error: argument --threads: must be >= 1, got 0"]
+        assert errors == [f"covrank {command}: error: argument --{name}: "
+                          f"{name} must be an integer >= 1, got 0"]
 
     @pytest.mark.parametrize("args", [["--format", "json"], ["--alpha", "2"]],
                              ids=["json", "usage-error"])

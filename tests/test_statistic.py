@@ -774,14 +774,15 @@ class TestBlockEvaluation:
         # Every row holds one to three exact zeros, so the block trims one
         # column and the rows with more zeros keep theirs. Rows on [0, lam_1]
         # start from four panels, so _panels evaluates the block in chunks of
-        # _MAX_FACTORS // (4 panels * 30 nodes * (4 + 2) factors) = 45 rows.
+        # _MAX_FACTORS // (4 panels * 21 nodes * (4 + 2) factors) = 65 rows:
+        # the 150 rows run as chunks of 65, 65 and 20.
         ulp = 2.0**-52
         near_tie = [3.0, 1.5 + ulp, 1.5, 0.5, 0.0, 0.0]  # M at k = 2 is zero at float resolution
         overflow = [30.0, 20.0, 10.0, 5.0, 0.0, 0.0]      # u^2 / (2 s2) overflows on [20, 30]
         rows = [([30.0, 20.0, 10.0, 5.0, 2.0, 0.0], 0.0, 30.0, 4.0),
                 ([30.0, 20.0, 10.0, 5.0, 0.0, 0.0], 0.0, 30.0, 4.0),
-                ([30.0, 20.0, 10.0, 0.0, 0.0, 0.0], 0.0, 30.0, 4.0)] * 40
-        assert len(rows) > 2 * (_MAX_FACTORS // (4 * 30 * 6))
+                ([30.0, 20.0, 10.0, 0.0, 0.0, 0.0], 0.0, 30.0, 4.0)] * 50
+        assert len(rows) > 2 * (_MAX_FACTORS // (4 * _NODES.size * 6))
         rows[40] = (near_tie, 1.5, 1.5 + ulp, plug_in_scale(near_tie, 2))
         rows[100] = rows[110] = (overflow, 20.0, 30.0, 1e-306)
         spectra, lo, hi, s2 = (np.array(x) for x in zip(*rows))
